@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import BudgetExhaustedError, CapExceededError, InputError, RefusedError
-from .generators import LemmaBank, NamingEvidence, names_provable, refute_delta0
+from .generators import LemmaBank, NamingEvidence, NamingTable, refute_delta0
 from .proofs import Derivation, Theory
-from .semantics import NamingVerdict, names_semantic
+from .semantics import NamingVerdict, SemanticNaming
 from .syntax import (
     Add,
     And,
@@ -195,6 +195,9 @@ class BerryReport:
         }
 
 
+BACKENDS = ("semantic", "prover")
+
+
 def berry_number(
     max_len: int,
     backend: str = "semantic",
@@ -204,49 +207,52 @@ def berry_number(
 ) -> BerryReport:
     """The least number no enumerated formula names, with evidence.
 
-    Each number below the answer carries its witnesses; the answer itself
-    carries a full exhaustion pass.  An undecided entry anywhere before a
-    number is certified unnamed aborts with a budget diagnostic rather
-    than guessing.
-    """
-    mus = list(enumerate_formulas(max_len, cap))
-    bank = LemmaBank(theory) if backend == "prover" else None
+    Each formula is decided once, for every number, by its own truth table
+    (a SemanticNaming or a NamingTable); the scan over numbers only reads
+    verdicts off the tables.
 
-    def probe(mu: Formula, m: int) -> NamingVerdict | NamingEvidence:
-        match backend:
-            case "semantic":
-                return names_semantic(mu, m, budget)
-            case "prover":
-                return names_provable(mu, m, budget, bank)
+    Evidence is built for exactly what the report claims: the naming
+    evidence of every listed witness of a named number, and at the answer
+    the refutation of every formula, which is the exhaustion that row
+    asserts.  With the prover backend each is a derivation, so a claim the
+    prover cannot back raises here instead of being reported.  Refutations
+    at smaller numbers back no row and are not built.  A row keeps its
+    first witness's evidence; the rest is dropped once built, as holding
+    the whole exhaustion would multiply peak memory.
+
+    An undecided entry anywhere before a number is certified unnamed aborts
+    with a budget diagnostic rather than guessing.
+    """
+    if backend not in BACKENDS:
         raise InputError(f"unknown backend {backend!r}")
+    mus = list(enumerate_formulas(max_len, cap))
+    if backend == "prover":
+        bank = LemmaBank(theory)
+        tables: list[SemanticNaming | NamingTable] = [
+            NamingTable(mu, budget, bank) for mu in mus
+        ]
+    else:
+        tables = [SemanticNaming(mu, budget) for mu in mus]
 
     records: list[NumberRecord] = []
-    m = 0
     # each formula names at most one number, so the scan always stops
-    while m <= len(mus) + 1:
-        witnesses: list[str] = []
-        first_evidence: NamingVerdict | NamingEvidence | None = None
-        unknowns = 0
-        for mu in mus:
-            got = probe(mu, m)
-            if got.kind == "names":
-                witnesses.append(render(mu))
-                if first_evidence is None:
-                    first_evidence = got
-            elif got.kind == "unknown":
-                unknowns += 1
-        if witnesses:
-            records.append(
-                NumberRecord(m, True, tuple(witnesses), first_evidence)
-            )
-            m += 1
+    for m in range(len(mus) + 2):
+        kinds = [t.kind(m) for t in tables]
+        named = [t for t, kind in zip(tables, kinds) if kind == "names"]
+        if named:
+            evidence = [t.evidence(m) for t in named]
+            witnesses = tuple(render(t.mu) for t in named)
+            records.append(NumberRecord(m, True, witnesses, evidence[0]))
             continue
+        unknowns = kinds.count("unknown")
         if unknowns:
             raise BudgetExhaustedError(
                 f"{unknowns} formulas undecided at {m} under budget {budget};"
                 " the least unnamed number cannot be certified",
                 budget=budget,
             )
+        for t in tables:
+            t.evidence(m)
         records.append(NumberRecord(m, False, (), None))
         return BerryReport(
             max_len, backend, budget, m, len(mus), tuple(records)

@@ -15,6 +15,7 @@ import sys
 from dataclasses import dataclass
 
 from .berry import (
+    BACKENDS,
     ConcretePhi,
     MockPhi,
     berry_number,
@@ -445,7 +446,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("berry", help="least number no short formula names")
     p.add_argument("--max-len", type=int, required=True)
-    p.add_argument("--backend", default="semantic", choices=("semantic", "prover"))
+    p.add_argument("--backend", default="semantic", choices=BACKENDS)
     p.set_defaults(fn=_cmd_berry)
 
     p = sub.add_parser("bounds", help="certify the size-inequality chain")
@@ -461,7 +462,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("demo", help="argument-skeleton reports, checked where possible")
     p.add_argument("corollary", type=int, nargs="?", help="1..5")
-    p.add_argument("--backend", default="semantic", choices=("semantic", "prover"))
+    p.add_argument("--backend", default="semantic", choices=BACKENDS)
     p.add_argument("--scale", type=int, default=6, help="length cutoff for fragments")
     p.add_argument("-o", "--out", help="write the JSON report here")
     p.add_argument("--replay", help="re-run a saved report and diff it")
@@ -494,6 +495,13 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (ValueError, TypeError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    # recursive walkers give out on deeply nested or huge input: bad input
+    except RecursionError:
+        print("error: input nested too deeply to process", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: input too large to process", file=sys.stderr)
         return 2
 
 

@@ -1164,6 +1164,132 @@ def naming_statement(mu: Formula, i: int) -> Formula:
     return Forall(0, Iff(mu, Eq(Var(0), numeral(i))))
 
 
+class NamingTable:
+    """One formula's naming decision for every number at once.
+
+    Classification, the syntactic bound on v0 and the instance truths over
+    0..scan_hi (the bound, or the budget when there is none) are settled on
+    construction.  ``kind(i)`` then reads the verdict off the table; an
+    instance above scan_hi is evaluated only when asked for, and remembered.
+    ``evidence(i)`` builds the derivation behind that verdict.
+    """
+
+    def __init__(self, mu: Formula, budget: int, bank: LemmaBank):
+        if free_vars(mu) - {0}:
+            raise InputError("the formula may only mention v0 free")
+        self.mu = mu
+        self.budget = budget
+        self.bank = bank
+        # set when every number is unknown, saying why
+        self.reason: str | None = None
+        self.bound: tuple[int, Callable[[T.Proof], T.Proof]] | None = None
+        self.truths: list[bool] = []
+        self._true_at: list[int] = []
+        self._above: dict[int, bool] = {}
+        if classify(mu) is not FormulaClass.DELTA0:
+            self.reason = "only bounded formulas are decided"
+            return
+        got = bank.find_bound(mu)
+        if got is None:
+            scan_hi = budget
+        elif got[0] > budget:
+            self.reason = f"bound {got[0]} exceeds budget {budget}"
+            return
+        else:
+            scan_hi = got[0]
+            self.bound = got
+        self.truths = [self._eval(j) for j in range(scan_hi + 1)]
+        # two true instances refute every number; one refutes all but itself
+        self._true_at = [j for j, tv in enumerate(self.truths) if tv][:2]
+
+    def _eval(self, j: int) -> bool:
+        inst = substitute(self.mu, 0, numeral(j))
+        return eval_budgeted(inst, self.budget) is Truth.TRUE
+
+    def holds_at(self, i: int) -> bool:
+        if i < len(self.truths):
+            return self.truths[i]
+        if i not in self._above:
+            self._above[i] = self._eval(i)
+        return self._above[i]
+
+    def kind(self, i: int) -> str:
+        """"names", "refuted" or "unknown", as ``evidence(i).kind``."""
+        if i < 0:
+            raise InputError("the number must be natural")
+        if self.reason is not None:
+            return "unknown"
+        if any(j != i for j in self._true_at) or not self.holds_at(i):
+            return "refuted"
+        return "unknown" if self.bound is None else "names"
+
+    def evidence(self, i: int) -> NamingEvidence:
+        """The derivation of the naming equivalence at i or of its negation,
+        or an honest unknown."""
+        if i < 0:
+            raise InputError("the number must be natural")
+        if self.reason is not None:
+            return NamingEvidence("unknown", i, None, None, self.reason)
+        mu, budget, bank = self.mu, self.budget, self.bank
+        statement = naming_statement(mu, i)
+
+        # a true instance other than i refutes the equivalence immediately,
+        # bound or no bound
+        bad = next((j for j, tv in enumerate(self.truths) if tv and j != i), None)
+        if bad is not None:
+            h = T.hyp(statement)
+            inst = T.forall_elim(h, numeral(bad))
+            eqd = T.mp(T.iff_left(inst), bank.prove_true(
+                substitute(mu, 0, numeral(bad)), budget
+            ))
+            c = T.contradiction_to(eqd, bank.ne(bad, i), _C0)
+            return NamingEvidence(
+                "refuted", i, bad,
+                T.compile_proof(bank._refute(statement, c)),
+            )
+        if not self.holds_at(i):
+            h = T.hyp(statement)
+            inst = T.forall_elim(h, numeral(i))
+            back = T.mp(T.iff_right(inst), T.eq_refl(numeral(i)))
+            c = T.contradiction_to(
+                back, bank.prove_false(substitute(mu, 0, numeral(i)), budget), _C0
+            )
+            return NamingEvidence(
+                "refuted", i, i,
+                T.compile_proof(bank._refute(statement, c)),
+            )
+        if self.bound is None:
+            return NamingEvidence(
+                "unknown", i, None, None,
+                "no syntactic bound on the free variable",
+            )
+
+        # mu holds at i and nowhere else below its bound: prove the equivalence
+        m, bound_fn = self.bound
+        mux = expand_bounded(mu)
+        target = Eq(Var(0), numeral(i))
+        h_mu = T.hyp(mux)
+        up = bound_fn(h_mu)  # v0 <= m
+        dis = T.mp(T.forall_elim(bank.l7(m), Var(0)), up)
+        cs = [Eq(Var(0), numeral(k)) for k in range(m + 1)]
+
+        def branch(k: int, hek: T.Proof) -> T.Proof:
+            if k == i:
+                return hek
+            lb = bank.leib(mux, 0, Var(0), numeral(k))
+            pos = T.mp(T.mp(lb, hek), h_mu)
+            neg = bank.prove_false(substitute(mu, 0, numeral(k)), budget)
+            return T.contradiction_to(pos, neg, target)
+
+        fwd = T.discharge(_elim_cases(dis, cs, branch), mux)
+        h_eq = T.hyp(target)
+        pk = bank.prove_true(substitute(mu, 0, numeral(i)), budget)
+        lb = bank.leib(mux, 0, numeral(i), Var(0))
+        back = T.discharge(T.mp(T.mp(lb, T.eq_sym(h_eq)), pk), target)
+        tree = T.gen(0, T.iff_intro(fwd, back))
+        return NamingEvidence("names", i, None, T.compile_proof(tree))
+
+
 def names_provable(
     mu: Formula,
     i: int,
@@ -1174,95 +1300,9 @@ def names_provable(
 
     Either a derivation of (A v0)(mu <-> v0 = i), or a derivation of its
     negation, or an honest unknown when no bound on v0 can be read off
-    the formula (or it exceeds the budget)."""
-    bank = bank or LemmaBank()
-    if free_vars(mu) - {0}:
-        raise InputError("the formula may only mention v0 free")
-    if i < 0:
-        raise InputError("the number must be natural")
-    if classify(mu) is not FormulaClass.DELTA0:
-        return NamingEvidence(
-            "unknown", i, None, None, "only bounded formulas are decided"
-        )
-    statement = naming_statement(mu, i)
-
-    def instance_true(j: int) -> bool:
-        return (
-            eval_budgeted(substitute(mu, 0, numeral(j)), budget) is Truth.TRUE
-        )
-
-    # a true instance other than i refutes the equivalence immediately,
-    # bound or no bound
-    got = bank.find_bound(mu)
-    if got is None:
-        scan_hi = budget
-        bounded = False
-    else:
-        m, bound_fn = got
-        if m > budget:
-            return NamingEvidence(
-                "unknown", i, None, None,
-                f"bound {m} exceeds budget {budget}",
-            )
-        scan_hi = m
-        bounded = True
-
-    truths = [instance_true(j) for j in range(scan_hi + 1)]
-    bad = next((j for j, tv in enumerate(truths) if tv and j != i), None)
-    if bad is not None:
-        h = T.hyp(statement)
-        inst = T.forall_elim(h, numeral(bad))
-        eqd = T.mp(T.iff_left(inst), bank.prove_true(
-            substitute(mu, 0, numeral(bad)), budget
-        ))
-        c = T.contradiction_to(eqd, bank.ne(bad, i), _C0)
-        return NamingEvidence(
-            "refuted", i, bad,
-            T.compile_proof(bank._refute(statement, c)),
-        )
-    i_true = instance_true(i) if i <= scan_hi else (
-        eval_budgeted(substitute(mu, 0, numeral(i)), budget) is Truth.TRUE
-    )
-    if not i_true:
-        h = T.hyp(statement)
-        inst = T.forall_elim(h, numeral(i))
-        back = T.mp(T.iff_right(inst), T.eq_refl(numeral(i)))
-        c = T.contradiction_to(
-            back, bank.prove_false(substitute(mu, 0, numeral(i)), budget), _C0
-        )
-        return NamingEvidence(
-            "refuted", i, i,
-            T.compile_proof(bank._refute(statement, c)),
-        )
-    if not bounded:
-        return NamingEvidence(
-            "unknown", i, None, None,
-            "no syntactic bound on the free variable",
-        )
-
-    # mu holds at i and nowhere else below its bound: prove the equivalence
-    mux = expand_bounded(mu)
-    target = Eq(Var(0), numeral(i))
-    h_mu = T.hyp(mux)
-    up = bound_fn(h_mu)  # v0 <= m
-    dis = T.mp(T.forall_elim(bank.l7(m), Var(0)), up)
-    cs = [Eq(Var(0), numeral(k)) for k in range(m + 1)]
-
-    def branch(k: int, hek: T.Proof) -> T.Proof:
-        if k == i:
-            return hek
-        lb = bank.leib(mux, 0, Var(0), numeral(k))
-        pos = T.mp(T.mp(lb, hek), h_mu)
-        neg = bank.prove_false(substitute(mu, 0, numeral(k)), budget)
-        return T.contradiction_to(pos, neg, target)
-
-    fwd = T.discharge(_elim_cases(dis, cs, branch), mux)
-    h_eq = T.hyp(target)
-    pk = bank.prove_true(substitute(mu, 0, numeral(i)), budget)
-    lb = bank.leib(mux, 0, numeral(i), Var(0))
-    back = T.discharge(T.mp(T.mp(lb, T.eq_sym(h_eq)), pk), target)
-    tree = T.gen(0, T.iff_intro(fwd, back))
-    return NamingEvidence("names", i, None, T.compile_proof(tree))
+    the formula (or it exceeds the budget).  Callers asking about many
+    numbers for one formula should keep a NamingTable instead."""
+    return NamingTable(mu, budget, bank or LemmaBank()).evidence(i)
 
 
 # ------------------------------------------------------------ proof search

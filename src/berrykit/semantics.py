@@ -273,35 +273,58 @@ class NamingVerdict:
         return obj
 
 
+class SemanticNaming:
+    """One formula's budget-relative naming verdicts for every number.
+
+    The truth table over candidates 0..budget (plus any larger number asked
+    about) is shared by all numbers and filled in scan order, on demand, so
+    no instance is evaluated twice and none is evaluated that a single
+    number's scan would not reach.
+    """
+
+    def __init__(self, mu: Formula, budget: int):
+        fv = free_vars(mu)
+        if not fv <= {0}:
+            extra = ", ".join(f"v{j}" for j in sorted(fv - {0}))
+            raise InputError(f"naming formula must use only v0 free (has {extra})")
+        self.mu = mu
+        self.budget = budget
+        self._truth: dict[int, Truth] = {}
+
+    def _value(self, j: int) -> Truth:
+        got = self._truth.get(j)
+        if got is None:
+            got = self._truth[j] = eval_budgeted(self.mu, self.budget, {0: j})
+        return got
+
+    def verdict(self, i: int) -> NamingVerdict:
+        """Does mu hold at i and only at i, as far as the budget can tell."""
+        if i < 0:
+            raise InputError("named number must be nonnegative")
+        budget = self.budget
+        candidates = range(budget + 1) if i <= budget else [*range(budget + 1), i]
+        undecided = False
+        for j in candidates:
+            value = self._value(j)
+            if value is (Truth.FALSE if j == i else Truth.TRUE):
+                return NamingVerdict("refuted", i, budget, witness=j)
+            if value is Truth.UNKNOWN:
+                undecided = True
+        if undecided:
+            return NamingVerdict("unknown", i, budget)
+        return NamingVerdict("names", i, budget)
+
+    # the per-formula table interface berry_number shares with NamingTable
+    evidence = verdict
+
+    def kind(self, i: int) -> str:
+        return self.verdict(i).kind
+
+
 def names_semantic(mu: Formula, i: int, budget: int) -> NamingVerdict:
     """Budget-relative check that mu holds at i and only at i.
 
     mu may use only v0 free.  Candidates 0..budget (plus i itself) are
     scanned; each instance is evaluated with the same budget.
     """
-    if i < 0:
-        raise InputError("named number must be nonnegative")
-    fv = free_vars(mu)
-    if not fv <= {0}:
-        extra = ", ".join(f"v{j}" for j in sorted(fv - {0}))
-        raise InputError(f"naming formula must use only v0 free (has {extra})")
-
-    candidates = list(range(budget + 1))
-    if i > budget:
-        candidates.append(i)
-    undecided = False
-    for j in candidates:
-        value = eval_budgeted(mu, budget, {0: j})
-        if j == i:
-            if value is Truth.FALSE:
-                return NamingVerdict("refuted", i, budget, witness=j)
-            if value is Truth.UNKNOWN:
-                undecided = True
-        else:
-            if value is Truth.TRUE:
-                return NamingVerdict("refuted", i, budget, witness=j)
-            if value is Truth.UNKNOWN:
-                undecided = True
-    if undecided:
-        return NamingVerdict("unknown", i, budget)
-    return NamingVerdict("names", i, budget)
+    return SemanticNaming(mu, budget).verdict(i)

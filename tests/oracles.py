@@ -3,15 +3,20 @@
 Each oracle deliberately takes a different route than the code under test:
 truth by textual substitution instead of environments, formula counting by
 a length recurrence instead of generation, the least-unnamed-number search
-by grammar-blind brute force over raw token strings, and primes by a plain
-sieve.  Expected values frozen in tests come from here.
+by grammar-blind brute force over raw token strings (and, for whole
+reports, by re-probing every formula at every number), and primes by a
+plain sieve.  Expected values frozen in tests come from here.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
+from berrykit.berry import BerryReport, NumberRecord, enumerate_formulas
+from berrykit.errors import BudgetExhaustedError, InputError
+from berrykit.generators import LemmaBank, names_provable
 from berrykit.parser import ParseError, parse_formula
+from berrykit.semantics import names_semantic
 from berrykit.syntax import (
     Add, And, BExists, BForall, Eq, Exists, Forall, Formula, Iff, Imp, Le,
     Mul, Not, Or, Succ, Term, Var, Zero, free_vars, numeral, render,
@@ -176,6 +181,65 @@ def brute_least_unnamed(max_len_exclusive: int, scan: int) -> int:
         if not any(brute_names(mu, m, scan) for mu in mus):
             return m
         m += 1
+
+
+def berry_number_reference(
+    max_len: int,
+    backend: str = "semantic",
+    budget: int = 32,
+    cap: int = 8,
+    theory=None,
+):
+    """The least-unnamed search as a per-pair probe loop: every formula is
+    asked afresh about every number up to the answer, through the public
+    one-shot deciders.  Slow, (n+1)*|mu| probes, each building its own
+    evidence; kept as the differential oracle for ``berry_number``."""
+    mus = list(enumerate_formulas(max_len, cap))
+    bank = LemmaBank(theory) if backend == "prover" else None
+
+    def probe(mu: Formula, m: int):
+        match backend:
+            case "semantic":
+                return names_semantic(mu, m, budget)
+            case "prover":
+                return names_provable(mu, m, budget, bank)
+        raise InputError(f"unknown backend {backend!r}")
+
+    records: list[NumberRecord] = []
+    m = 0
+    while m <= len(mus) + 1:
+        witnesses: list[str] = []
+        first_evidence = None
+        unknowns = 0
+        for mu in mus:
+            got = probe(mu, m)
+            if got.kind == "names":
+                witnesses.append(render(mu))
+                if first_evidence is None:
+                    first_evidence = got
+            elif got.kind == "unknown":
+                unknowns += 1
+        if witnesses:
+            records.append(
+                NumberRecord(m, True, tuple(witnesses), first_evidence)
+            )
+            m += 1
+            continue
+        if unknowns:
+            raise BudgetExhaustedError(
+                f"{unknowns} formulas undecided at {m} under budget {budget};"
+                " the least unnamed number cannot be certified",
+                budget=budget,
+            )
+        records.append(NumberRecord(m, False, (), None))
+        return BerryReport(
+            max_len, backend, budget, m, len(mus), tuple(records)
+        )
+    raise BudgetExhaustedError(
+        f"scan overran the pigeonhole bound; budget {budget} cannot keep"
+        " naming verdicts unique",
+        budget=budget,
+    )
 
 
 # ------------------------------------------------------------------- primes

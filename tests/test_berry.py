@@ -152,8 +152,10 @@ class TestBerryNumber:
             berry_number(6, backend="prover", budget=1)
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(InputError):
-            berry_number(4, backend="oracle")
+        # also below the shortest formula, where nothing is ever probed
+        for max_len in (0, 3, 4):
+            with pytest.raises(InputError):
+                berry_number(max_len, backend="oracle")
 
     def test_cap_applies(self):
         with pytest.raises(CapExceededError):

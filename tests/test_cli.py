@@ -39,6 +39,13 @@ class TestParse:
         code, out, _ = run(capsys, "parse")
         assert code == 0 and "s 0 = s 0" in out
 
+    def test_deep_nesting_is_bad_input(self, capsys):
+        text = "~ ( " * 3000 + "0 = 0" + " )" * 3000
+        code, out, err = run(capsys, "parse", text)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestGn:
     def test_round_trip(self, capsys):
