@@ -8,6 +8,7 @@ would have been acceptable there.
 from __future__ import annotations
 
 import re
+from itertools import accumulate, repeat
 
 from .errors import InputError
 from .syntax import (
@@ -17,6 +18,7 @@ from .syntax import (
 
 _VAR_RE = re.compile(r"^v(\d+)$")
 _CONNECTIVES = {"&": And, "|": Or, "->": Imp, "<->": Iff}
+_DEPTH = {"(": 1, ")": -1}
 
 
 class ParseError(InputError, ValueError):
@@ -34,8 +36,12 @@ class _Fail(Exception):
 
 
 class _Parser:
-    def __init__(self, toks: list[str]):
+    def __init__(self, toks: list[str], memo: dict[str, Formula] | None = None):
         self.toks = toks
+        self.memo = memo
+        # parenthesis depth after each token, for finding a group's end
+        self.depth = (list(accumulate(map(_DEPTH.get, toks, repeat(0))))
+                      if memo is not None else [])
         self.pos = 0
         self.far_pos = 0
         self.far_expected: set[str] = set()
@@ -58,6 +64,15 @@ class _Parser:
         if self.peek() != tok:
             self.fail(tok)
         self.pos += 1
+
+    def closer(self) -> int | None:
+        """Position of the ')' closing the '(' at the cursor, when memoizing."""
+        if self.memo is None or self.peek() != "(":
+            return None
+        try:
+            return self.depth.index(self.depth[self.pos] - 1, self.pos)
+        except ValueError:
+            return None
 
     def error(self) -> ParseError:
         pos = self.far_pos
@@ -121,9 +136,20 @@ class _Parser:
         raise AssertionError
 
     def subformula(self) -> Formula:
+        # a parenthesized formula parses the same wherever it stands: the
+        # parse never reads past its closing parenthesis
+        close = self.closer()
+        if close is not None:
+            key = " ".join(self.toks[self.pos + 1:close])
+            f = self.memo.get(key)
+            if f is not None:
+                self.pos = close + 1
+                return f
         self.eat("(")
         f = self.formula()
         self.eat(")")
+        if close is not None:
+            self.memo[key] = f
         return f
 
     def formula(self) -> Formula:
@@ -163,33 +189,46 @@ class _Parser:
         return self.atomic()
 
 
-_SCAN_RE = re.compile(r"\s+|v\d+|<->|->|<=|[0s+*=~&|()AE]")
+_TOKEN = r"v\d+|<->|->|<=|[0s+*=~&|()AE]"
+_TOKEN_RE = re.compile(_TOKEN)
+# the longest prefix made of tokens and whitespace; tokens are taken left to
+# right, each the first alternative that matches, as findall takes them
+_PREFIX_RE = re.compile(rf"(?:\s+|{_TOKEN})*")
 
 
 def _tokenize(text: str) -> list[str]:
-    toks: list[str] = []
-    i = 0
-    while i < len(text):
-        m = _SCAN_RE.match(text, i)
-        if m is None:
-            rest = text[i:].split()
-            snippet = rest[0][:12] if rest else text[i]
-            raise ParseError(len(toks) + 1, f"unknown token {snippet!r}")
-        if not m.group().isspace():
-            toks.append(m.group())
-        i = m.end()
-    return toks
+    i = _PREFIX_RE.match(text).end()
+    if i < len(text):
+        raise ParseError(len(_TOKEN_RE.findall(text, 0, i)) + 1,
+                         f"unknown token {text[i:].split()[0][:12]!r}")
+    return _TOKEN_RE.findall(text)
 
 
-def parse_formula(text: str) -> Formula:
+def parse_formula(text: str, memo: dict[str, Formula] | None = None) -> Formula:
+    """Parse one formula.
+
+    With `memo`, a dict kept across calls, the whole text and the token
+    text of each parenthesized subformula are looked up before they are
+    parsed, so equal texts give the same node.  A text that fails to parse
+    is parsed again without the memo, so the error is the one reported
+    without it.
+    """
+    if memo is not None:
+        f = memo.get(text)
+        if f is not None:
+            return f
     toks = _tokenize(text)
-    p = _Parser(toks)
+    p = _Parser(toks, memo)
     try:
         f = p.formula()
         if p.pos != len(toks):
             p.fail("end of input")
     except _Fail:
+        if memo is not None:
+            return parse_formula(text)
         raise p.error() from None
+    if memo is not None:
+        memo[text] = f
     return f
 
 

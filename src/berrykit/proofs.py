@@ -4,6 +4,9 @@ A derivation is a flat list of steps.  Every step carries its formula and a
 justification: a named theory axiom, a logical axiom schema instance, modus
 ponens, or generalization.  The checker validates each step independently,
 so a checked derivation is trustworthy no matter how it was produced.
+Formulas are compared structurally (`expr_equal`), never through their
+rendered text; a derivation read from JSON lines shares each repeated
+subformula as one node, so most comparisons end at an identity test.
 
 Generalization is unrestricted.  That is sound here because theories are
 required to have closed axioms: every derivable formula then holds in the
@@ -117,77 +120,38 @@ def _imp(a, b):
     return ("imp", a, b)
 
 
+# child fields of each node type an expanded formula may hold, in order
+_CHILDREN: dict[type, tuple[str, ...]] = {
+    Zero: (), Var: (), Succ: ("arg",), Not: ("body",),
+    Forall: ("body",), Exists: ("body",),
+    **{t: ("left", "right") for t in (Add, Mul, Eq, Le, And, Or, Imp, Iff)},
+}
+
+# pattern tag -> (node type, the fields its sub-patterns match, in order)
+_PATTERN_NODES: dict[str, tuple[type, tuple[str, ...]]] = {
+    tag: (t, _CHILDREN[t]) for tag, t in (
+        ("imp", Imp), ("and", And), ("or", Or), ("iff", Iff), ("not", Not),
+        ("eq", Eq), ("le", Le), ("succ", Succ), ("add", Add), ("mul", Mul),
+    )
+}
+
+
 def _pattern_match(pattern, expr, binding: dict) -> bool:
-    match pattern:
-        case ("F", name):
-            if not is_formula(expr):
-                return False
-            prev = binding.get(name)
-            if prev is None:
-                binding[name] = expr
-                return True
-            return expr_equal(prev, expr)
-        case ("T", name):
-            if not is_term(expr):
-                return False
-            prev = binding.get(name)
-            if prev is None:
-                binding[name] = expr
-                return True
-            return expr_equal(prev, expr)
-        case ("imp", a, b):
-            return (
-                type(expr) is Imp
-                and _pattern_match(a, expr.left, binding)
-                and _pattern_match(b, expr.right, binding)
-            )
-        case ("and", a, b):
-            return (
-                type(expr) is And
-                and _pattern_match(a, expr.left, binding)
-                and _pattern_match(b, expr.right, binding)
-            )
-        case ("or", a, b):
-            return (
-                type(expr) is Or
-                and _pattern_match(a, expr.left, binding)
-                and _pattern_match(b, expr.right, binding)
-            )
-        case ("iff", a, b):
-            return (
-                type(expr) is Iff
-                and _pattern_match(a, expr.left, binding)
-                and _pattern_match(b, expr.right, binding)
-            )
-        case ("not", a):
-            return type(expr) is Not and _pattern_match(a, expr.body, binding)
-        case ("eq", a, b):
-            return (
-                type(expr) is Eq
-                and _pattern_match(a, expr.left, binding)
-                and _pattern_match(b, expr.right, binding)
-            )
-        case ("le", a, b):
-            return (
-                type(expr) is Le
-                and _pattern_match(a, expr.left, binding)
-                and _pattern_match(b, expr.right, binding)
-            )
-        case ("succ", a):
-            return type(expr) is Succ and _pattern_match(a, expr.arg, binding)
-        case ("add", a, b):
-            return (
-                type(expr) is Add
-                and _pattern_match(a, expr.left, binding)
-                and _pattern_match(b, expr.right, binding)
-            )
-        case ("mul", a, b):
-            return (
-                type(expr) is Mul
-                and _pattern_match(a, expr.left, binding)
-                and _pattern_match(b, expr.right, binding)
-            )
-    raise InputError(f"bad pattern {pattern!r}")
+    tag = pattern[0]
+    if tag in ("F", "T") and len(pattern) == 2:
+        if not (is_formula(expr) if tag == "F" else is_term(expr)):
+            return False
+        prev = binding.setdefault(pattern[1], expr)
+        return prev is expr or expr_equal(prev, expr)
+    node = _PATTERN_NODES.get(tag)
+    if node is None or len(pattern) != len(node[1]) + 1:
+        raise InputError(f"bad pattern {pattern!r}")
+    if type(expr) is not node[0]:
+        return False
+    for sub, field in zip(pattern[1:], node[1]):
+        if not _pattern_match(sub, getattr(expr, field), binding):
+            return False
+    return True
 
 
 _A, _B, _C = _F("A"), _F("B"), _F("C")
@@ -389,14 +353,33 @@ class Derivation:
         return len(self.steps)
 
 
+def _require_nodes(f: Formula, seen: set[int]) -> None:
+    """Raise TypeError unless every node of f is an AST node.
+
+    `seen` holds the ids of the nodes of the expanded step formulas walked
+    so far; those stay alive until the check ends, so a shared subtree is
+    walked once per check."""
+    stack = [f]
+    while stack:
+        x = stack.pop()
+        if id(x) not in seen:
+            fields = _CHILDREN.get(type(x))
+            if fields is None:
+                raise TypeError(f"not a term or formula node: {x!r}")
+            seen.add(id(x))
+            stack.extend(getattr(x, name) for name in fields)
+
+
 def check(derivation: Derivation, theory: Theory) -> None:
     """Validate every step; raises ProofCheckError at the first bad one."""
-    rendered: list[str] = []
+    expanded: list[Formula] = []
+    seen: set[int] = set()
     for i, step in enumerate(derivation.steps):
         f = step.formula
         if not is_formula(f):
             raise ProofCheckError(i, "step formula is not a formula")
-        f = expand_bounded(f)
+        if id(f) not in seen:  # a node walked before is already expanded
+            f = expand_bounded(f)
         for p in step.premises:
             if not 0 <= p < i:
                 raise ProofCheckError(i, f"premise {p} out of range")
@@ -422,14 +405,14 @@ def check(derivation: Derivation, theory: Theory) -> None:
                 if len(step.premises) != 2:
                     raise ProofCheckError(i, "mp needs [implication, antecedent]")
                 pi, pj = step.premises
-                imp = expand_bounded(derivation.steps[pi].formula)
+                imp = expanded[pi]
                 if type(imp) is not Imp:
                     raise ProofCheckError(i, f"step {pi} is not an implication")
-                if rendered[pj] != render(imp.left):
+                if not expr_equal(expanded[pj], imp.left):
                     raise ProofCheckError(
                         i, f"step {pj} does not match the antecedent of step {pi}"
                     )
-                if render(f) != render(imp.right):
+                if not expr_equal(f, imp.right):
                     raise ProofCheckError(
                         i, f"formula does not match the consequent of step {pi}"
                     )
@@ -440,7 +423,7 @@ def check(derivation: Derivation, theory: Theory) -> None:
                     case Forall(v, body):
                         if v != step.var:
                             raise ProofCheckError(i, "generalized variable differs")
-                        if rendered[step.premises[0]] != render(body):
+                        if not expr_equal(expanded[step.premises[0]], body):
                             raise ProofCheckError(
                                 i, "body does not match the premise"
                             )
@@ -448,7 +431,8 @@ def check(derivation: Derivation, theory: Theory) -> None:
                         raise ProofCheckError(i, "gen must conclude a universal")
             case other:
                 raise ProofCheckError(i, f"unknown rule {other!r}")
-        rendered.append(render(f))
+        _require_nodes(f, seen)
+        expanded.append(f)
 
 
 def is_valid(derivation: Derivation, theory: Theory) -> bool:
@@ -475,7 +459,9 @@ def to_json_lines(derivation: Derivation) -> Iterator[str]:
 
 
 def from_json_lines(lines: Iterable[str]) -> Derivation:
+    """Read a derivation; equal subformula texts become one shared node."""
     steps: list[Step] = []
+    memo: dict[str, Formula] = {}
     for lineno, line in enumerate(lines):
         line = line.strip()
         if not line:
@@ -486,12 +472,14 @@ def from_json_lines(lines: Iterable[str]) -> Derivation:
             raise InputError(f"line {lineno}: bad JSON: {err}") from err
         if not isinstance(obj, dict) or "f" not in obj or "rule" not in obj:
             raise InputError(f"line {lineno}: step needs 'f' and 'rule'")
+        if not isinstance(obj["f"], str):
+            raise InputError(f"line {lineno}: 'f' must be a formula text")
         expected = obj.get("i")
         if expected is not None and expected != len(steps):
             raise InputError(f"line {lineno}: index {expected} out of order")
         steps.append(
             Step(
-                formula=parse_formula(obj["f"]),
+                formula=parse_formula(obj["f"], memo),
                 rule=obj["rule"],
                 premises=tuple(obj.get("prem", ())),
                 name=obj.get("name"),

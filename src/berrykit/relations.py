@@ -16,6 +16,7 @@ from .coding import DEFAULT_TABLE, SymbolTable, decode, encode
 from .errors import BudgetExhaustedError, InputError, RefusedError
 from .generators import (
     LemmaBank,
+    NamingTable,
     names_provable,
     refute_delta0,
     search_proof,
@@ -144,10 +145,14 @@ def b_rel(
     bank = LemmaBank(theory)
     unknowns = 0
     for mu in enumerate_formulas(j, cap):
-        got = names_provable(mu, i, budget, bank)
-        if got.kind == "names":
-            return RelationVerdict(True, budget, render(mu), got.derivation)
-        if got.kind == "unknown":
+        # decide first; only the witness reported needs its derivation
+        naming = NamingTable(mu, budget, bank)
+        kind = naming.kind(i)
+        if kind == "names":
+            return RelationVerdict(
+                True, budget, render(mu), naming.evidence(i).derivation
+            )
+        if kind == "unknown":
             unknowns += 1
     if unknowns:
         return RelationVerdict(

@@ -236,26 +236,25 @@ def expand_bounded(e: Expr) -> Expr:
 
     (forall v < b) f  becomes  forall v ((s v <= b) -> f)
     (exists v < b) f  becomes  exists v ((s v <= b) & f)
+
+    A subtree with no bounded quantifier is returned as it is, not copied.
     """
+    if type(e) is Eq or type(e) is Le:  # the commonest node, and a leaf here
+        return e
     match e:
         case BForall(v, t, b):
             return Forall(v, Imp(Le(Succ(Var(v)), t), expand_bounded(b)))
         case BExists(v, t, b):
             return Exists(v, And(Le(Succ(Var(v)), t), expand_bounded(b)))
         case Not(b):
-            return Not(expand_bounded(b))
-        case And(l, r):
-            return And(expand_bounded(l), expand_bounded(r))
-        case Or(l, r):
-            return Or(expand_bounded(l), expand_bounded(r))
-        case Imp(l, r):
-            return Imp(expand_bounded(l), expand_bounded(r))
-        case Iff(l, r):
-            return Iff(expand_bounded(l), expand_bounded(r))
-        case Forall(v, b):
-            return Forall(v, expand_bounded(b))
-        case Exists(v, b):
-            return Exists(v, expand_bounded(b))
+            b2 = expand_bounded(b)
+            return e if b2 is b else Not(b2)
+        case And(l, r) | Or(l, r) | Imp(l, r) | Iff(l, r):
+            l2, r2 = expand_bounded(l), expand_bounded(r)
+            return e if l2 is l and r2 is r else type(e)(l2, r2)
+        case Forall(v, b) | Exists(v, b):
+            b2 = expand_bounded(b)
+            return e if b2 is b else type(e)(v, b2)
         case _:
             return e
 

@@ -4,12 +4,13 @@ Each oracle deliberately takes a different route than the code under test:
 truth by textual substitution instead of environments, formula counting by
 a length recurrence instead of generation, the least-unnamed-number search
 by grammar-blind brute force over raw token strings (and, for whole
-reports, by re-probing every formula at every number), and primes by a
-plain sieve.  Expected values frozen in tests come from here.
+reports, by re-probing every formula at every number), tokens by a
+match-at-a-time loop instead of one findall, and primes by a plain sieve.  Expected values frozen in tests come from here.
 """
 
 from __future__ import annotations
 
+import re
 from itertools import product
 
 from berrykit.berry import BerryReport, NumberRecord, enumerate_formulas
@@ -240,6 +241,27 @@ def berry_number_reference(
         " naming verdicts unique",
         budget=budget,
     )
+
+
+# ------------------------------------------------------- character-loop scan
+
+_SCAN_RE = re.compile(r"\s+|v\d+|<->|->|<=|[0s+*=~&|()AE]")
+
+
+def scan_tokens(text: str) -> list[str]:
+    """The parser's tokens, read one match at a time from the left."""
+    toks: list[str] = []
+    i = 0
+    while i < len(text):
+        m = _SCAN_RE.match(text, i)
+        if m is None:
+            rest = text[i:].split()
+            snippet = rest[0][:12] if rest else text[i]
+            raise ParseError(len(toks) + 1, f"unknown token {snippet!r}")
+        if not m.group().isspace():
+            toks.append(m.group())
+        i = m.end()
+    return toks
 
 
 # ------------------------------------------------------------------- primes

@@ -17,6 +17,7 @@ from berrykit import tactics
 from berrykit.berry import berry_number, enumerate_formulas
 from berrykit.errors import BudgetExhaustedError, InputError
 from berrykit.generators import LemmaBank, NamingTable, names_provable
+from berrykit.relations import b_rel
 from berrykit.semantics import SemanticNaming, names_semantic
 from berrykit.syntax import And, Eq, Le, Not, Var, numeral
 
@@ -132,3 +133,20 @@ class TestWork:
         # at the unnamed number
         assert len(calls) == listed + report.formula_count
 
+
+    def test_b_rel_compiles_nothing_when_every_candidate_is_refuted(self, monkeypatch):
+        calls = []
+        compile_proof = tactics.compile_proof
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return compile_proof(*args, **kwargs)
+
+        monkeypatch.setattr(tactics, "compile_proof", counting)
+        v = b_rel(5, 6, budget=32)
+        assert (v.holds, v.reason) == (False, "every candidate refuted")
+        assert calls == []
+        # a positive still carries the witness's derivation, and only it
+        v = b_rel(2, 6, budget=32)
+        assert v.holds is True and v.derivation is not None
+        assert len(calls) == 1

@@ -7,10 +7,11 @@ import random
 import pytest
 from hypothesis import given, settings
 
+import oracles
 import strategies as gen
 from berrykit.errors import InputError
-from berrykit.parser import ParseError, parse, parse_formula, parse_term
-from berrykit.syntax import expand_bounded, render
+from berrykit.parser import ParseError, _tokenize, parse, parse_formula, parse_term
+from berrykit.syntax import expand_bounded, expr_equal, render
 
 
 @settings(max_examples=120, deadline=None)
@@ -83,3 +84,70 @@ def test_error_position_points_at_offender():
         parse_formula("0 = 0 & ( 0 = 0 )")
     # connectives demand parenthesized operands; the bare left side trips first
     assert "token" in str(exc.value).lower() or "expected" in str(exc.value).lower()
+
+
+# ------------------------------------------------ tokenizer and shared memo
+
+def _scan_outcome(fn, text):
+    try:
+        return fn(text)
+    except ParseError as err:
+        return ("error", str(err), err.position)
+
+
+UNSPACED = ["v0=0", "ss0=s0", "(A v1)(v1=v1)", "(v0+v1)*s0<=v12", "~(0=0)->(0=0)"]
+UNKNOWN = ["0 = x", "v = 0", "0 < 0", "0 <- 0", "0 = 0 $$$$$$$$$$$$$$$$", "vv1 = 0",
+           "0 = 0", "0 = 0 -", "٣ = 0", "v٣ = 0"]
+
+
+@pytest.mark.parametrize("text", UNSPACED + UNKNOWN + ["", "   ", "0 = 0"])
+def test_tokenizer_matches_character_loop(text):
+    assert _scan_outcome(_tokenize, text) == _scan_outcome(oracles.scan_tokens, text)
+
+
+@settings(max_examples=120, deadline=None)
+@given(gen.formulas())
+def test_tokenizer_matches_character_loop_on_rendered(f):
+    text = render(f)
+    assert _tokenize(text) == oracles.scan_tokens(text)
+    unspaced = text.replace(" ", "")
+    assert _scan_outcome(_tokenize, unspaced) == _scan_outcome(oracles.scan_tokens, unspaced)
+
+
+def test_memo_shares_equal_subformulas():
+    memo: dict = {}
+    a = parse_formula("( 0 = 0 ) -> ( ( v0 = 0 ) & ( 0 = 0 ) )", memo)
+    b = parse_formula("( v0 = 0 ) & ( 0 = 0 )", memo)
+    assert a.right is b
+    assert a.left is b.right
+    assert parse_formula("0 = 0", memo) is a.left
+
+
+def test_memo_gives_the_parse_without_it():
+    rng = random.Random(20261018)
+    memo: dict = {}
+    for _ in range(300):
+        text = render(gen.random_formula(rng))
+        assert render(parse_formula(text, memo)) == text
+        assert expr_equal(parse_formula(text, memo), parse_formula(text))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "( 0 = 0 ) & ( 0 = 0",
+        "( 0 = 0 ) & ( 0 = 0 ) )",
+        "( ( 0 = 0 ) & ( 0 = 0 ) ) |",
+        "( v0 = 0 ) = 0",
+        "( 0 + 0 ) & ( 0 = 0 )",
+        "( A v0 ) ( 0 = 0 ) ( 0 = 0 )",
+        ") 0 = 0 (",
+    ],
+)
+def test_memo_keeps_error_text(text):
+    memo: dict = {}
+    parse_formula("( ( 0 = 0 ) & ( 0 = 0 ) ) -> ( v0 = 0 )", memo)
+    assert _scan_outcome(lambda t: parse_formula(t, memo), text) == _scan_outcome(
+        parse_formula, text
+    )
+    assert text not in memo

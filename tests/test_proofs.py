@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -36,8 +37,11 @@ from berrykit.syntax import (
     numeral,
     render,
 )
+from berrykit import proofs as proofs_module
+from berrykit import syntax as syntax_module
 from berrykit import tactics as T
-from berrykit.generators import LemmaBank, prove_ne_numerals
+from berrykit.generators import LemmaBank, names_provable, prove_ne_numerals
+from berrykit.parser import parse_formula
 
 Q = robinson_arithmetic()
 
@@ -244,6 +248,12 @@ class TestRules:
         )
         assert not is_valid(d, Q)
 
+    def test_non_ast_node_rejected(self):
+        # the schema matches, but a node of the formula is not an AST node
+        d = Derivation((Step(Imp(Not(Not("x")), "x"), "schema", name="neg_elim"),))
+        with pytest.raises(TypeError, match="not a term or formula node"):
+            check(d, Q)
+
     def test_unknown_rule(self):
         with pytest.raises(ProofCheckError):
             check(Derivation((Step(self.a, "guess"),)), Q)
@@ -323,3 +333,92 @@ class TestJsonLines:
     def test_missing_keys_rejected(self):
         with pytest.raises(InputError):
             from_json_lines(['{"i": 0, "f": "0 = 0"}'])
+
+
+class TestSharedReading:
+    """from_json_lines shares repeated subformulas; check compares them by
+    structure.  The checker must judge a shared derivation exactly as one
+    whose steps were parsed one by one, with nothing shared."""
+
+    @pytest.fixture(scope="class")
+    def lines(self):
+        ev = names_provable(Eq(Var(0), numeral(1)), 1)
+        assert ev.kind == "names"
+        return list(to_json_lines(ev.derivation))
+
+    @staticmethod
+    def unshared(lines):
+        steps = []
+        for line in lines:
+            obj = json.loads(line)
+            steps.append(Step(parse_formula(obj["f"]), obj["rule"],
+                              tuple(obj.get("prem", ())), obj.get("name"),
+                              obj.get("var")))
+        return Derivation(tuple(steps))
+
+    def test_mp_antecedent_is_the_premise_node(self, lines):
+        d = from_json_lines(lines)
+        mps = [s for s in d.steps if s.rule == "mp"]
+        assert mps
+        for s in mps:
+            pi, pj = s.premises
+            assert d.steps[pi].formula.left is d.steps[pj].formula
+
+    def test_no_render_in_the_kernel(self, lines, monkeypatch):
+        calls = []
+
+        def counting(e):
+            calls.append(1)
+            return render(e)
+
+        monkeypatch.setattr(proofs_module, "render", counting)
+        monkeypatch.setattr(syntax_module, "render", counting)
+        d = from_json_lines(lines)
+        check(d, Q)
+        check(self.unshared(lines), Q)
+        assert calls == []
+
+    @staticmethod
+    def mutants(lines):
+        objs = [json.loads(line) for line in lines]
+        mp = next(k for k, o in enumerate(objs) if o["rule"] == "mp")
+        gen = next(k for k, o in enumerate(objs) if o["rule"] == "gen")
+        out = {}
+        swapped = [dict(o) for o in objs]
+        swapped[mp]["prem"] = swapped[mp]["prem"][::-1]
+        out["swapped premises"] = swapped
+        pi, pj = objs[mp]["prem"]
+        other = next(k for k in range(mp) if objs[k]["f"] != objs[pj]["f"])
+        moved = [dict(o) for o in objs]
+        moved[mp]["prem"] = [pi, other]
+        out["antecedent index"] = moved
+        moved_gen = [dict(o) for o in objs]
+        moved_gen[gen]["prem"] = [0]
+        out["gen premise index"] = moved_gen
+        zero = re.compile(r"(?:^| )0(?= |$)")
+        for start in (mp - 1, mp, gen - 1, len(objs) // 2):
+            k = next(k for k in range(start, len(objs)) if zero.search(objs[k]["f"]))
+            changed = [dict(o) for o in objs]
+            changed[k]["f"] = zero.sub(lambda m: m.group().replace("0", "s 0"),
+                                       objs[k]["f"], count=1)
+            out[f"numeral changed at {k}"] = changed
+        wrong_var = [dict(o) for o in objs]
+        wrong_var[gen]["var"] += 1
+        out["gen variable"] = wrong_var
+        false_end = [dict(o) for o in objs]
+        false_end[-1]["f"] = "0 = s 0"
+        out["false conclusion"] = false_end
+        return {name: [json.dumps(o) for o in m] for name, m in out.items()}
+
+    def test_mutants_fail_alike(self, lines):
+        for name, mutant in self.mutants(lines).items():
+            with pytest.raises(ProofCheckError) as shared:
+                check(from_json_lines(mutant), Q)
+            with pytest.raises(ProofCheckError) as plain:
+                check(self.unshared(mutant), Q)
+            assert (shared.value.index, str(shared.value)) == (
+                plain.value.index, str(plain.value)), name
+
+    def test_non_string_formula_rejected(self):
+        with pytest.raises(InputError, match="line 0"):
+            from_json_lines(['{"i": 0, "f": 5, "rule": "axiom"}'])

@@ -95,6 +95,18 @@ class TestBoundedSugar:
         assert expr_equal(f, expand_bounded(f))
         assert length(f) == length(expand_bounded(f))
 
+    def test_sugar_free_subtrees_are_not_copied(self):
+        plain = Imp(Forall(0, Eq(Var(0), Zero())), Not(Le(Zero(), Var(1))))
+        assert expand_bounded(plain) is plain
+        e = expand_bounded(And(BExists(1, Var(0), Le(Var(1), Zero())), plain))
+        assert e.right is plain
+
+    @settings(max_examples=60, deadline=None)
+    @given(gen.formulas())
+    def test_expansion_is_a_fixed_point(self, f):
+        e = expand_bounded(f)
+        assert expand_bounded(e) is e
+
 
 class TestExprEqual:
     def test_deep_chains_compare_without_recursion(self):
@@ -110,6 +122,44 @@ class TestExprEqual:
     @given(gen.formulas())
     def test_reflexive(self, f):
         assert expr_equal(f, f)
+
+
+def _copy_changing_leaf(e, k: int):
+    """A fresh copy of e (no node shared) whose k-th Zero/Var leaf, in
+    pre-order, is replaced by a different leaf; k < 0 changes nothing.
+    Returns the copy and the number of leaves."""
+    seen = [0]
+
+    def go(x):
+        if type(x) is Zero or type(x) is Var:
+            seen[0] += 1
+            if seen[0] - 1 == k:
+                return Var(0) if type(x) is Zero else Var(x.index + 1)
+            return Zero() if type(x) is Zero else Var(x.index)
+        return type(x)(*(v if type(v) is int else go(v) for v in vars(x).values()))
+
+    return go(e), seen[0]
+
+
+class TestRenderedEqualityIsStructural:
+    """The kernel compares formulas with expr_equal where it once compared
+    rendered strings; on expanded formulas the two must agree."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(gen.formulas(), gen.formulas(), st.sampled_from(["copy", "leaf", "other"]),
+           st.integers(min_value=0, max_value=10_000))
+    def test_render_equal_iff_expr_equal(self, f, g, how, k):
+        a = expand_bounded(f)
+        b, leaves = _copy_changing_leaf(a, -1)
+        if how == "leaf":
+            b, _ = _copy_changing_leaf(a, k % leaves)
+        elif how == "other":
+            b = expand_bounded(g)
+        assert (render(a) == render(b)) == expr_equal(a, b)
+        if how == "copy":
+            assert a is not b and expr_equal(a, b)
+        if how == "leaf":
+            assert not expr_equal(a, b)
 
 
 class TestSubstitution:
