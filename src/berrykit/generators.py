@@ -40,6 +40,7 @@ from .syntax import (
     Mul,
     Not,
     Or,
+    StructureKeys,
     Succ,
     Term,
     Var,
@@ -93,6 +94,8 @@ class LemmaBank:
     def __init__(self, theory: Theory | None = None):
         self.theory = theory if theory is not None else robinson_arithmetic()
         self._cache: dict[tuple, T.Proof] = {}
+        # closed terms can be deep numerals: number them, don't hash() them
+        self._term_keys = StructureKeys()
 
     def _ax(self, label: str) -> T.Proof:
         return T.ax(self.theory, label)
@@ -135,7 +138,7 @@ class LemmaBank:
 
     def eval_closed(self, t: Term) -> T.Proof:
         """t = n for the closed term t with value n."""
-        key = ("ev", render(t))
+        key = ("ev", self._term_keys(t))
         if key in self._cache:
             return self._cache[key]
         if numeral_value(t) is not None:

@@ -400,6 +400,88 @@ def expr_equal(a: Expr, b: Expr) -> bool:
     return True
 
 
+_CODES = {t: i for i, t in enumerate(
+    (Zero, Var, Succ, Add, Mul, Eq, Le, Not, And, Or, Imp, Iff, Forall, Exists))}
+
+# per node type: its int field and its children, in rendering order
+_PARTS = {
+    Zero: lambda n: (0, ()),
+    Var: lambda n: (n.index, ()),
+    Succ: lambda n: (0, (n.arg,)),
+    Not: lambda n: (0, (n.body,)),
+    **dict.fromkeys(
+        (Forall, Exists), lambda n: (n.var, (n.body,))),
+    **dict.fromkeys(
+        (BForall, BExists), lambda n: (n.var, (n.bound, n.body))),
+    **dict.fromkeys(
+        (Add, Mul, Eq, Le, And, Or, Imp, Iff), lambda n: (0, (n.left, n.right))),
+}
+
+
+class StructureKeys:
+    """Numbers expressions: two get the same int exactly when they render
+    alike, i.e. structural equality modulo bounded-quantifier expansion.
+
+    Hash-consing scoped to the table's owner (Filliatre & Conchon, Type-Safe
+    Modular Hash-Consing, 2006): each node object is numbered once, by id(),
+    and kept alive beside its number so the id stays valid.  A node's shape
+    is (type, int field, child numbers) and each distinct shape gets the
+    next int.  Iterative, so deep terms are safe.
+    """
+
+    __slots__ = ("_known", "_alive", "_shapes")
+
+    def __init__(self) -> None:
+        self._known: dict[int, int] = {}  # id(node) -> number
+        self._alive: list[Expr] = []  # the numbered nodes, so ids stay valid
+        self._shapes: dict[int, int] = {}
+
+    def _number(self, kind: type, field: int, *nums: int) -> int:
+        # the shape packed into one int, not a tuple: a table frees all its
+        # shapes at once, and freed tuples would stay in the tuple free lists.
+        # A table never holds 2**32 shapes, so 32 bits per child suffice.
+        shape = field
+        for n in nums:
+            shape = shape << 32 | n
+        shape = shape << 4 | _CODES[kind]
+        return self._shapes.setdefault(shape, len(self._shapes))
+
+    def __call__(self, e: Expr) -> int:
+        known = self._known
+        hit = known.get(id(e))
+        if hit is not None:
+            return hit
+        stack = [e]
+        while stack:
+            node = stack[-1]
+            if id(node) in known:
+                stack.pop()
+                continue
+            kind = type(node)
+            parts = _PARTS.get(kind)
+            if parts is None:
+                raise TypeError(f"not a term or formula node: {node!r}")
+            field, kids = parts(node)
+            nums = [known.get(id(k)) for k in kids]
+            if None in nums:
+                stack.extend(k for k in reversed(kids) if id(k) not in known)
+                continue
+            stack.pop()
+            if kind is BForall or kind is BExists:
+                # numbered as its expansion (A|E v)((s v <= b) ->|& f)
+                succ_v = self._number(Succ, 0, self._number(Var, field))
+                guard = self._number(Le, 0, succ_v, nums[0])
+                if kind is BForall:
+                    n = self._number(Forall, field, self._number(Imp, 0, guard, nums[1]))
+                else:
+                    n = self._number(Exists, field, self._number(And, 0, guard, nums[1]))
+            else:
+                n = self._number(kind, field, *nums)
+            known[id(node)] = n
+            self._alive.append(node)
+        return known[id(e)]
+
+
 def alpha_equal(a: Expr, b: Expr) -> bool:
     """Equality up to consistent renaming of bound variables."""
     a = expand_bounded(a)

@@ -4,7 +4,9 @@ Proofs are built as trees (really DAGs: sublemmas are shared) whose leaves
 are axioms, schema instances, and open hypotheses, and whose inner nodes
 are modus ponens and generalization.  `discharge` is the deduction theorem:
 it compiles away one open hypothesis, producing a proof of the implication.
-`compile_proof` flattens a closed tree into a checkable Derivation.
+`compile_proof` flattens a closed tree into a checkable Derivation,
+deduplicating steps by structure: nodes whose formulas render alike share
+one line, found through a `StructureKeys` table that lives for one call.
 
 Every constructor validates its shape, so a finished tree cannot encode an
 incorrect inference; the flat checker re-validates everything anyway.
@@ -30,6 +32,7 @@ from .syntax import (
     Mul,
     Not,
     Or,
+    StructureKeys,
     Succ,
     Term,
     expr_equal,
@@ -141,12 +144,13 @@ def _postorder(root: Proof) -> list[Proof]:
 def open_hypotheses(p: Proof) -> list[Formula]:
     """Distinct open hypotheses, by first appearance."""
     out: list[Formula] = []
-    keys: set[str] = set()
+    keys = StructureKeys()
+    seen: set[int] = set()
     for node in _postorder(p):
         if type(node) is Hyp:
-            key = render(node.formula)
-            if key not in keys:
-                keys.add(key)
+            key = keys(node.formula)
+            if key not in seen:
+                seen.add(key)
                 out.append(node.formula)
     return out
 
@@ -470,11 +474,10 @@ def discharge(p: Proof, h: Formula) -> Proof:
     Generalization steps over variables free in h cannot be discharged and
     raise; tactics arrange their variable use so this never happens.
     """
-    hkey = render(h)
     order = _postorder(p)
     uses: dict[int, bool] = {}
     for node in order:
-        flag = type(node) is Hyp and render(node.formula) == hkey
+        flag = type(node) is Hyp and expr_equal(node.formula, h)
         for child in _children(node):
             flag = flag or uses[id(child)]
         uses[id(node)] = flag
@@ -506,7 +509,7 @@ def discharge(p: Proof, h: Formula) -> Proof:
                 if v in h_free:
                     raise TacticError(
                         f"cannot discharge over generalization of v{v},"
-                        f" free in hypothesis {hkey!r}"
+                        f" free in hypothesis {render(h)!r}"
                     )
                 da = lifted(pa)
                 shifted = s_all_shift(v, h, pa.formula)
@@ -519,42 +522,41 @@ def discharge(p: Proof, h: Formula) -> Proof:
 # ----------------------------------------------------------- flattening
 
 def compile_proof(p: Proof, dedup: bool = True) -> Derivation:
-    """Flatten a closed proof tree into a checkable Derivation."""
+    """Flatten a closed proof tree into a checkable Derivation.
+
+    With dedup, a node whose formula renders like an earlier line's reuses
+    that line: lines are keyed by structure, through a table that lives for
+    this call only.  Without it, every node gets its own line.
+    """
     order = _postorder(p)
-    index: dict[int, int] = {}
-    by_formula: dict[str, int] = {}
+    if dedup:
+        keys = StructureKeys()
+        key_of = lambda node: keys(node.formula)  # noqa: E731
+    else:
+        key_of = id
+    line_of: dict[int, int] = {}
     steps: list[Step] = []
-
-    def emit(step: Step, node: Proof, key: str) -> None:
-        if dedup and key in by_formula:
-            index[id(node)] = by_formula[key]
-            return
-        steps.append(step)
-        index[id(node)] = len(steps) - 1
-        if dedup:
-            by_formula[key] = len(steps) - 1
-
     for node in order:
-        key = render(node.formula)
+        if type(node) is Hyp:
+            raise TacticError(
+                f"open hypothesis {render(node.formula)!r}: discharge before compiling"
+            )
+        key = key_of(node)
+        if key in line_of:
+            continue
         match node:
-            case Hyp():
-                raise TacticError(
-                    f"open hypothesis {key!r}: discharge before compiling"
-                )
             case Ax(label=label, formula=f):
-                emit(Step(f, "axiom", name=label), node, key)
+                step = Step(f, "axiom", name=label)
             case Sch(name=name, formula=f):
-                emit(Step(f, "schema", name=name), node, key)
+                step = Step(f, "schema", name=name)
             case MP(imp=pi, arg=pa, formula=f):
-                emit(
-                    Step(f, "mp", premises=(index[id(pi)], index[id(pa)])),
-                    node,
-                    key,
-                )
+                step = Step(f, "mp", premises=(line_of[key_of(pi)], line_of[key_of(pa)]))
             case Gen(var=v, arg=pa, formula=f):
-                emit(Step(f, "gen", premises=(index[id(pa)],), var=v), node, key)
+                step = Step(f, "gen", premises=(line_of[key_of(pa)],), var=v)
+        line_of[key] = len(steps)
+        steps.append(step)
     # dedup can leave the root's line in the middle; the conclusion must be last
-    root_line = index[id(p)]
+    root_line = line_of[key_of(p)]
     if root_line != len(steps) - 1:
         steps.append(steps[root_line])
     return Derivation(tuple(steps))

@@ -5,7 +5,9 @@ truth by textual substitution instead of environments, formula counting by
 a length recurrence instead of generation, the least-unnamed-number search
 by grammar-blind brute force over raw token strings (and, for whole
 reports, by re-probing every formula at every number), tokens by a
-match-at-a-time loop instead of one findall, and primes by a plain sieve.  Expected values frozen in tests come from here.
+match-at-a-time loop instead of one findall, derivations by deduplicating
+proof steps on rendered strings instead of structure numbers, and primes by
+a plain sieve.  Expected values frozen in tests come from here.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ from berrykit.berry import BerryReport, NumberRecord, enumerate_formulas
 from berrykit.errors import BudgetExhaustedError, InputError
 from berrykit.generators import LemmaBank, names_provable
 from berrykit.parser import ParseError, parse_formula
+from berrykit.proofs import Derivation, Step
 from berrykit.semantics import names_semantic
+from berrykit.tactics import MP, Ax, Gen, Hyp, Proof, Sch, TacticError, _postorder
 from berrykit.syntax import (
     Add, And, BExists, BForall, Eq, Exists, Forall, Formula, Iff, Imp, Le,
     Mul, Not, Or, Succ, Term, Var, Zero, free_vars, numeral, render,
@@ -241,6 +245,51 @@ def berry_number_reference(
         " naming verdicts unique",
         budget=budget,
     )
+
+
+# -------------------------------------------------- render-keyed compiling
+
+def compile_proof_reference(p: Proof, dedup: bool = True) -> Derivation:
+    """Flatten a closed proof tree, keying each step by the rendered text of
+    its formula: the compiler as it was before steps were keyed by
+    structure numbers."""
+    order = _postorder(p)
+    index: dict[int, int] = {}
+    by_formula: dict[str, int] = {}
+    steps: list[Step] = []
+
+    def emit(step: Step, node: Proof, key: str) -> None:
+        if dedup and key in by_formula:
+            index[id(node)] = by_formula[key]
+            return
+        steps.append(step)
+        index[id(node)] = len(steps) - 1
+        if dedup:
+            by_formula[key] = len(steps) - 1
+
+    for node in order:
+        key = render(node.formula)
+        match node:
+            case Hyp():
+                raise TacticError(
+                    f"open hypothesis {key!r}: discharge before compiling"
+                )
+            case Ax(label=label, formula=f):
+                emit(Step(f, "axiom", name=label), node, key)
+            case Sch(name=name, formula=f):
+                emit(Step(f, "schema", name=name), node, key)
+            case MP(imp=pi, arg=pa, formula=f):
+                emit(
+                    Step(f, "mp", premises=(index[id(pi)], index[id(pa)])),
+                    node,
+                    key,
+                )
+            case Gen(var=v, arg=pa, formula=f):
+                emit(Step(f, "gen", premises=(index[id(pa)],), var=v), node, key)
+    root_line = index[id(p)]
+    if root_line != len(steps) - 1:
+        steps.append(steps[root_line])
+    return Derivation(tuple(steps))
 
 
 # ------------------------------------------------------- character-loop scan

@@ -22,6 +22,7 @@ from berrykit.syntax import (
     Mul,
     Not,
     Or,
+    StructureKeys,
     Succ,
     Var,
     Zero,
@@ -160,6 +161,134 @@ class TestRenderedEqualityIsStructural:
             assert a is not b and expr_equal(a, b)
         if how == "leaf":
             assert not expr_equal(a, b)
+
+
+def _copy_changing_binder(e, k: int):
+    """A fresh copy of the expanded formula e whose k-th quantifier binder,
+    in pre-order, is renumbered; returns the copy and the binder count."""
+    seen = [0]
+
+    def go(x):
+        if type(x) is Zero or type(x) is Var:
+            return type(x)(*vars(x).values())
+        fields = list(vars(x).values())
+        if type(x) is Forall or type(x) is Exists:
+            seen[0] += 1
+            if seen[0] - 1 == k:
+                fields[0] += 1
+        return type(x)(*(v if type(v) is int else go(v) for v in fields))
+
+    return go(e), seen[0]
+
+
+def _fresh_chain(n: int, core):
+    for _ in range(n):
+        core = Succ(core)
+    return core
+
+
+class TestStructureKeys:
+    """One table's numbers agree exactly with rendered-string equality."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(gen.formulas(), gen.formulas(),
+           st.sampled_from(["same", "copy", "expanded", "leaf", "binder", "other"]),
+           st.integers(min_value=0, max_value=10_000))
+    def test_keys_equal_iff_renders_equal(self, f, g, how, k):
+        expanded, leaves = _copy_changing_leaf(expand_bounded(f), -1)
+        match how:
+            case "same":
+                b = f
+            case "copy":
+                b = _copy_changing_leaf(f, -1)[0]
+            case "expanded":
+                b = expanded
+            case "leaf":
+                b = _copy_changing_leaf(expanded, k % leaves)[0]
+            case "binder":
+                _, binders = _copy_changing_binder(expanded, -1)
+                b = _copy_changing_binder(expanded, k % binders)[0] if binders else f
+            case _:
+                b = g
+        keys = StructureKeys()
+        assert (keys(f) == keys(b)) == (render(f) == render(b))
+        if how in ("same", "copy", "expanded"):
+            assert keys(f) == keys(b)
+        if how == "leaf" or (how == "binder" and b is not f):
+            assert keys(f) != keys(b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=0, max_value=3), gen.terms(3), gen.formulas(3))
+    def test_bounded_quantifiers_key_as_their_expansion(self, v, t, body):
+        if v in all_var_indices(t):
+            return
+        guard = Le(Succ(Var(v)), t)
+        keys = StructureKeys()
+        forall, exists = BForall(v, t, body), BExists(v, t, body)
+        assert keys(forall) == keys(Forall(v, Imp(guard, body)))
+        assert keys(exists) == keys(Exists(v, And(guard, body)))
+        assert keys(forall) != keys(exists)
+        assert keys(forall) != keys(Forall(v, And(guard, body)))
+        assert keys(exists) != keys(Exists(v, Imp(guard, body)))
+        wrapped = Not(And(forall, exists))
+        assert keys(wrapped) == keys(expand_bounded(wrapped))
+
+    @given(st.integers(min_value=0, max_value=40), st.integers(min_value=0, max_value=40))
+    def test_variables(self, i, j):
+        keys = StructureKeys()
+        assert (keys(Var(i)) == keys(Var(j))) == (i == j)
+        assert (keys(Forall(i, Eq(Var(0), Zero()))) == keys(Forall(j, Eq(Var(0), Zero())))) == (i == j)
+
+    @settings(max_examples=100, deadline=None)
+    @given(gen.terms(3), gen.terms(3))
+    def test_successor_around_sums(self, a, b):
+        shapes = [
+            Succ(Add(a, b)), Add(Succ(a), b), Add(a, Succ(b)),
+            Succ(Mul(a, b)), Mul(Succ(a), b), Succ(Succ(Add(a, b))),
+        ]
+        keys = StructureKeys()
+        for x in shapes:
+            for y in shapes:
+                assert (keys(x) == keys(y)) == (render(x) == render(y))
+
+    def test_deep_successor_chain(self):
+        keys = StructureKeys()
+        a = _fresh_chain(50_000, Zero())
+        assert keys(a) == keys(_fresh_chain(50_000, Zero()))
+        assert keys(a) != keys(Succ(a))
+        assert keys(a) != keys(_fresh_chain(50_000, Var(0)))
+
+    def test_deep_negation_nest(self):
+        def nest(n):
+            f = Eq(Zero(), Zero())
+            for _ in range(n):
+                f = Not(f)
+            return f
+
+        keys = StructureKeys()
+        assert keys(nest(5_000)) == keys(nest(5_000))
+        assert keys(nest(5_000)) != keys(nest(5_001))
+
+    def test_numbers_survive_dropped_inputs(self):
+        # numbered nodes are kept alive, so a recycled id cannot alias
+        keys = StructureKeys()
+        got = {}
+        for n in range(300):
+            f = Eq(_fresh_chain(n % 7, Var(n % 3)), Zero())
+            got.setdefault(render(f), set()).add(keys(f))
+        assert all(len(v) == 1 for v in got.values())
+        assert len({next(iter(v)) for v in got.values()}) == len(got)
+
+    @pytest.mark.parametrize("bad", [
+        "x", Not("x"), And(Eq(Zero(), Zero()), None), Succ(3.5),
+        BForall(1, Zero(), Not(object)),
+    ])
+    def test_rejects_non_ast_like_render(self, bad):
+        with pytest.raises(TypeError) as rendered:
+            render(bad)
+        with pytest.raises(TypeError) as keyed:
+            StructureKeys()(bad)
+        assert str(keyed.value) == str(rendered.value)
 
 
 class TestSubstitution:

@@ -2,11 +2,16 @@ from __future__ import annotations
 
 import pytest
 
-from berrykit.generators import LemmaBank
-from berrykit.proofs import is_valid, robinson_arithmetic
+from berrykit import proofs as proofs_module
+from berrykit import syntax as syntax_module
+from berrykit.berry import enumerate_formulas
+from berrykit.generators import LemmaBank, names_provable
+from berrykit.proofs import is_valid, robinson_arithmetic, to_json_lines
 from berrykit.syntax import (
     Add,
     And,
+    BExists,
+    BForall,
     Eq,
     Exists,
     Forall,
@@ -19,11 +24,13 @@ from berrykit.syntax import (
     Succ,
     Var,
     Zero,
+    expand_bounded,
     expr_equal,
     numeral,
     render,
 )
 from berrykit import tactics as T
+from oracles import compile_proof_reference
 
 Q = robinson_arithmetic()
 A = Eq(Zero(), Zero())
@@ -237,3 +244,113 @@ class TestCompile:
     def test_hypothesis_cannot_compile(self):
         with pytest.raises(T.TacticError):
             T.compile_proof(T.hyp(A))
+
+
+def _same_lines(tree) -> int:
+    """Both compilers give byte-identical JSON lines, with and without
+    dedup; returns the deduplicated length."""
+    lengths = []
+    for dedup in (True, False):
+        got = list(to_json_lines(T.compile_proof(tree, dedup)))
+        assert got == list(to_json_lines(compile_proof_reference(tree, dedup)))
+        lengths.append(len(got))
+    return lengths[0]
+
+
+def _trees_compiled_by(run, monkeypatch) -> list:
+    """The proof trees handed to tactics.compile_proof while run() runs."""
+    trees = []
+    real = T.compile_proof
+
+    def spy(p, dedup=True):
+        trees.append(p)
+        return real(p, dedup)
+
+    monkeypatch.setattr(T, "compile_proof", spy)
+    run()
+    monkeypatch.undo()
+    return trees
+
+
+class TestCompileByStructure:
+    """Steps keyed by structure numbers compile exactly as steps keyed by
+    rendered strings did."""
+
+    def test_naming_evidence_matches_render_keyed(self, monkeypatch):
+        bank = LemmaBank()
+        mus = list(enumerate_formulas(7, 8))[::23] + [
+            BExists(1, numeral(3), Eq(Var(0), Add(Var(1), Var(1)))),
+            BForall(1, numeral(2), Not(Eq(Var(0), Var(1)))),
+            Not(Le(numeral(2), Var(0))),
+        ]
+
+        kinds = []
+
+        def run():
+            for mu in mus:
+                for i in (0, 1, 3):
+                    kinds.append(names_provable(mu, i, 32, bank).kind)
+
+        trees = _trees_compiled_by(run, monkeypatch)
+        assert {"names", "refuted"} <= set(kinds)
+        assert len(trees) == len(kinds) - kinds.count("unknown")
+        for tree in trees:
+            _same_lines(tree)
+
+    @pytest.mark.parametrize("build", [
+        lambda b: b.ne(2, 5), lambda b: b.ne(4, 1), lambda b: b.le(1, 4),
+        lambda b: b.mul_eq(3, 4), lambda b: b.eval_closed(Mul(Add(numeral(2), numeral(1)), numeral(2))),
+    ])
+    def test_bank_lemmas_match_render_keyed(self, build):
+        assert _same_lines(build(LemmaBank())) > 1
+
+    @pytest.mark.parametrize("a", [A, B, BForall(1, numeral(2), Le(Var(1), numeral(1)))])
+    def test_excluded_middle_matches_render_keyed(self, a):
+        _same_lines(T.excluded_middle(a))
+
+    def test_sugar_and_expansion_share_a_line(self):
+        # a bounded formula and its expansion render alike, so they dedup
+        f = BForall(1, numeral(2), Le(Var(1), numeral(1)))
+        tree = T.and_intro(T.excluded_middle(f), T.excluded_middle(expand_bounded(f)))
+        assert _same_lines(tree) < len(T.compile_proof(tree, dedup=False))
+
+    def test_open_hypothesis_message_unchanged(self):
+        tree = T.and_intro(T.eq_refl(Zero()), T.hyp(BForall(1, Var(0), A)))
+        with pytest.raises(T.TacticError) as new:
+            T.compile_proof(tree)
+        with pytest.raises(T.TacticError) as old:
+            compile_proof_reference(tree)
+        assert str(new.value) == str(old.value)
+
+    def test_no_render_when_compiling_or_discharging(self, monkeypatch):
+        bank = LemmaBank()
+        h = Eq(numeral(2), numeral(5))
+        closed = [bank.mul_eq(3, 4), bank.ne(2, 5), T.excluded_middle(B)]
+        open_tree = T.eq_sym(T.hyp(h))
+        calls = []
+
+        def counting(e):
+            calls.append(e)
+            return render(e)
+
+        for module in (T, syntax_module, proofs_module):
+            monkeypatch.setattr(module, "render", counting)
+        for tree in closed:
+            T.compile_proof(tree)
+        T.discharge(open_tree, h)
+        assert calls == []
+
+    def test_discharge_error_names_the_hypothesis(self):
+        h = Eq(Var(0), Zero())
+        p = T.gen(0, T.eq_succ(T.hyp(h)))
+        with pytest.raises(T.TacticError) as err:
+            T.discharge(p, h)
+        assert str(err.value) == (
+            "cannot discharge over generalization of v0, free in hypothesis 'v0 = 0'"
+        )
+
+    def test_open_hypotheses_dedup_by_structure(self):
+        f = BForall(1, numeral(2), Le(Var(1), numeral(1)))
+        p = T.and_intro(T.hyp(f), T.and_intro(T.hyp(expand_bounded(f)), T.hyp(A)))
+        got = T.open_hypotheses(p)
+        assert sorted(render(g) for g in got) == sorted([render(f), render(A)])
