@@ -402,20 +402,7 @@ def expr_equal(a: Expr, b: Expr) -> bool:
 
 _CODES = {t: i for i, t in enumerate(
     (Zero, Var, Succ, Add, Mul, Eq, Le, Not, And, Or, Imp, Iff, Forall, Exists))}
-
-# per node type: its int field and its children, in rendering order
-_PARTS = {
-    Zero: lambda n: (0, ()),
-    Var: lambda n: (n.index, ()),
-    Succ: lambda n: (0, (n.arg,)),
-    Not: lambda n: (0, (n.body,)),
-    **dict.fromkeys(
-        (Forall, Exists), lambda n: (n.var, (n.body,))),
-    **dict.fromkeys(
-        (BForall, BExists), lambda n: (n.var, (n.bound, n.body))),
-    **dict.fromkeys(
-        (Add, Mul, Eq, Le, And, Or, Imp, Iff), lambda n: (0, (n.left, n.right))),
-}
+_BINARY = frozenset((Add, Mul, Eq, Le, And, Or, Imp, Iff))
 
 
 class StructureKeys:
@@ -451,33 +438,61 @@ class StructureKeys:
         hit = known.get(id(e))
         if hit is not None:
             return hit
+        shapes = self._shapes
         stack = [e]
         while stack:
             node = stack[-1]
             if id(node) in known:
                 stack.pop()
                 continue
+            # shape: the int field, then each child's number in 32 bits
             kind = type(node)
-            parts = _PARTS.get(kind)
-            if parts is None:
-                raise TypeError(f"not a term or formula node: {node!r}")
-            field, kids = parts(node)
-            nums = [known.get(id(k)) for k in kids]
-            if None in nums:
-                stack.extend(k for k in reversed(kids) if id(k) not in known)
-                continue
-            stack.pop()
-            if kind is BForall or kind is BExists:
+            if kind in _BINARY:
+                left = known.get(id(node.left))
+                right = known.get(id(node.right))
+                if left is None or right is None:
+                    if right is None:
+                        stack.append(node.right)
+                    if left is None:
+                        stack.append(node.left)
+                    continue
+                shape = left << 32 | right
+            elif kind is Succ or kind is Not:
+                kid = node.arg if kind is Succ else node.body
+                shape = known.get(id(kid))
+                if shape is None:
+                    stack.append(kid)
+                    continue
+            elif kind is Var:
+                shape = node.index
+            elif kind is Zero:
+                shape = 0
+            elif kind is Forall or kind is Exists:
+                body = known.get(id(node.body))
+                if body is None:
+                    stack.append(node.body)
+                    continue
+                shape = node.var << 32 | body
+            elif kind is BForall or kind is BExists:
+                bound = known.get(id(node.bound))
+                body = known.get(id(node.body))
+                if bound is None or body is None:
+                    if body is None:
+                        stack.append(node.body)
+                    if bound is None:
+                        stack.append(node.bound)
+                    continue
                 # numbered as its expansion (A|E v)((s v <= b) ->|& f)
-                succ_v = self._number(Succ, 0, self._number(Var, field))
-                guard = self._number(Le, 0, succ_v, nums[0])
+                v = node.var
+                guard = self._number(Le, 0, self._number(Succ, 0, self._number(Var, v)), bound)
                 if kind is BForall:
-                    n = self._number(Forall, field, self._number(Imp, 0, guard, nums[1]))
+                    kind, shape = Forall, v << 32 | self._number(Imp, 0, guard, body)
                 else:
-                    n = self._number(Exists, field, self._number(And, 0, guard, nums[1]))
+                    kind, shape = Exists, v << 32 | self._number(And, 0, guard, body)
             else:
-                n = self._number(kind, field, *nums)
-            known[id(node)] = n
+                raise TypeError(f"not a term or formula node: {node!r}")
+            stack.pop()
+            known[id(node)] = shapes.setdefault(shape << 4 | _CODES[kind], len(shapes))
             self._alive.append(node)
         return known[id(e)]
 

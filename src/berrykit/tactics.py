@@ -2,11 +2,16 @@
 
 Proofs are built as trees (really DAGs: sublemmas are shared) whose leaves
 are axioms, schema instances, and open hypotheses, and whose inner nodes
-are modus ponens and generalization.  `discharge` is the deduction theorem:
-it compiles away one open hypothesis, producing a proof of the implication.
-`compile_proof` flattens a closed tree into a checkable Derivation,
-deduplicating steps by structure: nodes whose formulas render alike share
-one line, found through a `StructureKeys` table that lives for one call.
+are modus ponens and generalization.  Every node carries `closed`: true
+when its subtree holds no open hypothesis, set once when the node is built
+(as in Edinburgh LCF, where a theorem carries its hypotheses).
+`discharge` is the deduction theorem: it compiles away one open
+hypothesis, producing a proof of the implication, and walks and rebuilds
+only the open part of the tree; closed subtrees are lifted whole.
+`compile_proof` flattens a closed tree into a checkable Derivation in one
+walk, deduplicating steps by structure: nodes whose formulas render alike
+share one line, found through a `StructureKeys` table that lives for one
+call.
 
 Every constructor validates its shape, so a finished tree cannot encode an
 incorrect inference; the flat checker re-validates everything anyway.
@@ -14,7 +19,7 @@ incorrect inference; the flat checker re-validates everything anyway.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Union
 
 from .errors import BerrykitError
@@ -48,35 +53,46 @@ class TacticError(BerrykitError):
 
 # ----------------------------------------------------------------- the nodes
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Ax:
     label: str
     formula: Formula
+    closed = True
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Sch:
     name: str
     formula: Formula
+    closed = True
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Hyp:
     formula: Formula
+    closed = False
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class MP:
     imp: "Proof"
     arg: "Proof"
     formula: Formula
+    closed: bool = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "closed", self.imp.closed and self.arg.closed)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Gen:
     var: int
     arg: "Proof"
     formula: Formula
+    closed: bool = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "closed", self.arg.closed)
 
 
 Proof = Union[Ax, Sch, Hyp, MP, Gen]
@@ -122,10 +138,13 @@ def _children(p: Proof) -> tuple[Proof, ...]:
     return ()
 
 
-def _postorder(root: Proof) -> list[Proof]:
+def _open_postorder(root: Proof) -> list[Proof]:
+    """The nodes of root that hold a Hyp leaf, children first.  Closed
+    subtrees are never entered; the open nodes come in the order a full
+    postorder would give them."""
     seen: set[int] = set()
     order: list[Proof] = []
-    stack: list[tuple[Proof, bool]] = [(root, False)]
+    stack: list[tuple[Proof, bool]] = [] if root.closed else [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -136,7 +155,7 @@ def _postorder(root: Proof) -> list[Proof]:
         seen.add(id(node))
         stack.append((node, True))
         for child in _children(node):
-            if id(child) not in seen:
+            if not child.closed and id(child) not in seen:
                 stack.append((child, False))
     return order
 
@@ -146,7 +165,7 @@ def open_hypotheses(p: Proof) -> list[Formula]:
     out: list[Formula] = []
     keys = StructureKeys()
     seen: set[int] = set()
-    for node in _postorder(p):
+    for node in _open_postorder(p):
         if type(node) is Hyp:
             key = keys(node.formula)
             if key not in seen:
@@ -470,53 +489,40 @@ def le_transport(p_l: Proof, p_r: Proof, p_le: Proof) -> Proof:
 def discharge(p: Proof, h: Formula) -> Proof:
     """Compile away hypothesis h: a proof of h -> conclusion.
 
-    Subtrees not mentioning h are kept whole and lifted with one K step.
-    Generalization steps over variables free in h cannot be discharged and
-    raise; tactics arrange their variable use so this never happens.
+    Only the open part of p is walked and rebuilt; every subtree not
+    mentioning h, closed ones included, is kept whole and lifted with one
+    K step.  Generalization steps over variables free in h cannot be
+    discharged and raise; tactics arrange their variable use so this never
+    happens.
     """
-    order = _postorder(p)
-    uses: dict[int, bool] = {}
-    for node in order:
-        flag = type(node) is Hyp and expr_equal(node.formula, h)
-        for child in _children(node):
-            flag = flag or uses[id(child)]
-        uses[id(node)] = flag
-
-    if not uses[id(p)]:
-        return k_lift(p, h)
-
     h_free = free_vars(h)
-    result: dict[int, Proof] = {}
+    result: dict[int, Proof] = {}  # id(node) -> proof of h -> node, for nodes using h
 
     def lifted(node: Proof) -> Proof:
-        if uses[id(node)]:
-            return result[id(node)]
-        return k_lift(node, h)
+        got = result.get(id(node))
+        return k_lift(node, h) if got is None else got
 
-    for node in order:
-        if not uses[id(node)]:
-            continue
+    for node in _open_postorder(p):
         match node:
-            case Hyp():
-                result[id(node)] = imp_refl(h)
+            case Hyp(formula=f):
+                if expr_equal(f, h):
+                    result[id(node)] = imp_refl(h)
             case MP(imp=pi, arg=pa, formula=f):
-                di = lifted(pi)  # h -> (A -> B)
-                da = lifted(pa)  # h -> A
-                a = pa.formula
-                s = s_imp_s(h, a, f)
-                result[id(node)] = mp(mp(s, di), da)
+                if id(pi) in result or id(pa) in result:
+                    di = lifted(pi)  # h -> (A -> B)
+                    da = lifted(pa)  # h -> A
+                    s = s_imp_s(h, pa.formula, f)
+                    result[id(node)] = mp(mp(s, di), da)
             case Gen(var=v, arg=pa):
-                if v in h_free:
-                    raise TacticError(
-                        f"cannot discharge over generalization of v{v},"
-                        f" free in hypothesis {render(h)!r}"
-                    )
-                da = lifted(pa)
-                shifted = s_all_shift(v, h, pa.formula)
-                result[id(node)] = mp(shifted, gen(v, da))
-            case _:
-                raise TacticError("unreachable: leaf marked as using hypothesis")
-    return result[id(p)]
+                if id(pa) in result:
+                    if v in h_free:
+                        raise TacticError(
+                            f"cannot discharge over generalization of v{v},"
+                            f" free in hypothesis {render(h)!r}"
+                        )
+                    shifted = s_all_shift(v, h, pa.formula)
+                    result[id(node)] = mp(shifted, gen(v, result[id(pa)]))
+    return lifted(p)
 
 
 # ----------------------------------------------------------- flattening
@@ -524,39 +530,56 @@ def discharge(p: Proof, h: Formula) -> Proof:
 def compile_proof(p: Proof, dedup: bool = True) -> Derivation:
     """Flatten a closed proof tree into a checkable Derivation.
 
-    With dedup, a node whose formula renders like an earlier line's reuses
-    that line: lines are keyed by structure, through a table that lives for
-    this call only.  Without it, every node gets its own line.
+    One iterative postorder walk gives every proof node its line, recorded
+    by node id.  With dedup, a node whose formula renders like an earlier
+    line's reuses that line: lines are keyed by structure, through a table
+    that lives for this call only.  Without it, every node gets its own line.
     """
-    order = _postorder(p)
-    if dedup:
-        keys = StructureKeys()
-        key_of = lambda node: keys(node.formula)  # noqa: E731
-    else:
-        key_of = id
-    line_of: dict[int, int] = {}
+    keys = StructureKeys() if dedup else None
+    line: dict[int, int] = {}  # id(proof node) -> its line
+    line_of_key: dict[int, int] = {}
     steps: list[Step] = []
-    for node in order:
-        if type(node) is Hyp:
+    stack: list[Proof] = [p]
+    while stack:
+        node = stack[-1]
+        if id(node) in line:
+            stack.pop()
+            continue
+        kind = type(node)
+        if kind is MP:
+            a = line.get(id(node.imp))
+            b = line.get(id(node.arg))
+            if a is None or b is None:
+                # arg on top: its subtree gets the earlier lines
+                if a is None:
+                    stack.append(node.imp)
+                if b is None:
+                    stack.append(node.arg)
+                continue
+            step = Step(node.formula, "mp", premises=(a, b))
+        elif kind is Gen:
+            a = line.get(id(node.arg))
+            if a is None:
+                stack.append(node.arg)
+                continue
+            step = Step(node.formula, "gen", premises=(a,), var=node.var)
+        elif kind is Ax:
+            step = Step(node.formula, "axiom", name=node.label)
+        elif kind is Sch:
+            step = Step(node.formula, "schema", name=node.name)
+        else:
             raise TacticError(
                 f"open hypothesis {render(node.formula)!r}: discharge before compiling"
             )
-        key = key_of(node)
-        if key in line_of:
-            continue
-        match node:
-            case Ax(label=label, formula=f):
-                step = Step(f, "axiom", name=label)
-            case Sch(name=name, formula=f):
-                step = Step(f, "schema", name=name)
-            case MP(imp=pi, arg=pa, formula=f):
-                step = Step(f, "mp", premises=(line_of[key_of(pi)], line_of[key_of(pa)]))
-            case Gen(var=v, arg=pa, formula=f):
-                step = Step(f, "gen", premises=(line_of[key_of(pa)],), var=v)
-        line_of[key] = len(steps)
-        steps.append(step)
+        stack.pop()
+        key = id(node) if keys is None else keys(node.formula)
+        at = line_of_key.get(key)
+        if at is None:
+            at = line_of_key[key] = len(steps)
+            steps.append(step)
+        line[id(node)] = at
     # dedup can leave the root's line in the middle; the conclusion must be last
-    root_line = line_of[key_of(p)]
+    root_line = line[id(p)]
     if root_line != len(steps) - 1:
         steps.append(steps[root_line])
     return Derivation(tuple(steps))

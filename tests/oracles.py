@@ -6,8 +6,9 @@ a length recurrence instead of generation, the least-unnamed-number search
 by grammar-blind brute force over raw token strings (and, for whole
 reports, by re-probing every formula at every number), tokens by a
 match-at-a-time loop instead of one findall, derivations by deduplicating
-proof steps on rendered strings instead of structure numbers, and primes by
-a plain sieve.  Expected values frozen in tests come from here.
+proof steps on rendered strings instead of structure numbers, the deduction
+theorem by walking the whole proof tree instead of its open part, and
+primes by a plain sieve.  Expected values frozen in tests come from here.
 """
 
 from __future__ import annotations
@@ -21,11 +22,12 @@ from berrykit.generators import LemmaBank, names_provable
 from berrykit.parser import ParseError, parse_formula
 from berrykit.proofs import Derivation, Step
 from berrykit.semantics import names_semantic
-from berrykit.tactics import MP, Ax, Gen, Hyp, Proof, Sch, TacticError, _postorder
+from berrykit import tactics as T
+from berrykit.tactics import MP, Ax, Gen, Hyp, Proof, Sch, TacticError
 from berrykit.syntax import (
     Add, And, BExists, BForall, Eq, Exists, Forall, Formula, Iff, Imp, Le,
-    Mul, Not, Or, Succ, Term, Var, Zero, free_vars, numeral, render,
-    substitute,
+    Mul, Not, Or, Succ, Term, Var, Zero, expr_equal, free_vars, numeral,
+    render, substitute,
 )
 
 
@@ -247,13 +249,89 @@ def berry_number_reference(
     )
 
 
-# -------------------------------------------------- render-keyed compiling
+# --------------------------------------------------- whole-tree proof walks
+
+def proof_children(p: Proof) -> tuple[Proof, ...]:
+    match p:
+        case MP(imp=a, arg=b):
+            return (a, b)
+        case Gen(arg=a):
+            return (a,)
+    return ()
+
+
+def full_postorder(root: Proof) -> list[Proof]:
+    """Every distinct node of a proof tree, children first (arg before imp):
+    the walk the compiler and the deduction theorem made before proof nodes
+    knew whether they were closed."""
+    seen: set[int] = set()
+    order: list[Proof] = []
+    stack: list[tuple[Proof, bool]] = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for child in proof_children(node):
+            if id(child) not in seen:
+                stack.append((child, False))
+    return order
+
+
+def discharge_reference(p: Proof, h: Formula) -> Proof:
+    """The deduction theorem over the full postorder: every node gets a
+    uses-h flag, then the nodes using h are rebuilt."""
+    order = full_postorder(p)
+    uses: dict[int, bool] = {}
+    for node in order:
+        flag = type(node) is Hyp and expr_equal(node.formula, h)
+        for child in proof_children(node):
+            flag = flag or uses[id(child)]
+        uses[id(node)] = flag
+
+    if not uses[id(p)]:
+        return T.k_lift(p, h)
+
+    h_free = free_vars(h)
+    result: dict[int, Proof] = {}
+
+    def lifted(node: Proof) -> Proof:
+        if uses[id(node)]:
+            return result[id(node)]
+        return T.k_lift(node, h)
+
+    for node in order:
+        if not uses[id(node)]:
+            continue
+        match node:
+            case Hyp():
+                result[id(node)] = T.imp_refl(h)
+            case MP(imp=pi, arg=pa, formula=f):
+                di = lifted(pi)
+                da = lifted(pa)
+                s = T.s_imp_s(h, pa.formula, f)
+                result[id(node)] = T.mp(T.mp(s, di), da)
+            case Gen(var=v, arg=pa):
+                if v in h_free:
+                    raise TacticError(
+                        f"cannot discharge over generalization of v{v},"
+                        f" free in hypothesis {render(h)!r}"
+                    )
+                da = lifted(pa)
+                shifted = T.s_all_shift(v, h, pa.formula)
+                result[id(node)] = T.mp(shifted, T.gen(v, da))
+    return result[id(p)]
+
 
 def compile_proof_reference(p: Proof, dedup: bool = True) -> Derivation:
     """Flatten a closed proof tree, keying each step by the rendered text of
     its formula: the compiler as it was before steps were keyed by
     structure numbers."""
-    order = _postorder(p)
+    order = full_postorder(p)
     index: dict[int, int] = {}
     by_formula: dict[str, int] = {}
     steps: list[Step] = []

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError, fields
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from berrykit import proofs as proofs_module
 from berrykit import syntax as syntax_module
 from berrykit.berry import enumerate_formulas
-from berrykit.generators import LemmaBank, names_provable
+from berrykit.generators import _C0, LemmaBank, _rebuild, names_provable
 from berrykit.proofs import is_valid, robinson_arithmetic, to_json_lines
 from berrykit.syntax import (
     Add,
@@ -30,7 +34,13 @@ from berrykit.syntax import (
     render,
 )
 from berrykit import tactics as T
-from oracles import compile_proof_reference
+from oracles import (
+    compile_proof_reference,
+    discharge_reference,
+    full_postorder,
+    proof_children,
+)
+from strategies import formulas
 
 Q = robinson_arithmetic()
 A = Eq(Zero(), Zero())
@@ -257,19 +267,25 @@ def _same_lines(tree) -> int:
     return lengths[0]
 
 
-def _trees_compiled_by(run, monkeypatch) -> list:
-    """The proof trees handed to tactics.compile_proof while run() runs."""
-    trees = []
-    real = T.compile_proof
+def _args_to(name: str, run, monkeypatch) -> list[tuple]:
+    """The positional arguments of every call to tactics.<name> while run()
+    runs."""
+    calls = []
+    real = getattr(T, name)
 
-    def spy(p, dedup=True):
-        trees.append(p)
-        return real(p, dedup)
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(T, "compile_proof", spy)
+    monkeypatch.setattr(T, name, spy)
     run()
     monkeypatch.undo()
-    return trees
+    return calls
+
+
+def _trees_compiled_by(run, monkeypatch) -> list:
+    """The proof trees handed to tactics.compile_proof while run() runs."""
+    return [args[0] for args in _args_to("compile_proof", run, monkeypatch)]
 
 
 class TestCompileByStructure:
@@ -354,3 +370,258 @@ class TestCompileByStructure:
         p = T.and_intro(T.hyp(f), T.and_intro(T.hyp(expand_bounded(f)), T.hyp(A)))
         got = T.open_hypotheses(p)
         assert sorted(render(g) for g in got) == sorted([render(f), render(A)])
+
+
+# ------------------------------------------------ closed nodes and walks
+
+def _holds_hyp(root) -> dict[int, bool]:
+    """Per node of root, by id: whether its subtree holds a Hyp leaf, found
+    by a full walk."""
+    holds: dict[int, bool] = {}
+    for node in full_postorder(root):
+        holds[id(node)] = type(node) is T.Hyp or any(
+            holds[id(c)] for c in proof_children(node)
+        )
+    return holds
+
+
+def _assert_closed_flags(root) -> None:
+    holds = _holds_hyp(root)
+    for node in full_postorder(root):
+        assert node.closed is not holds[id(node)]
+
+
+_OPS = ("hyp", "mp", "gen", "k_lift", "syllogism", "discharge", "excluded_middle")
+
+
+@st.composite
+def _tactic_pools(draw) -> list:
+    """A pool of proofs grown by random tactic steps from a few formulas."""
+    fs = draw(st.lists(formulas(3), min_size=2, max_size=4))
+    pool = [T.hyp(fs[0]), T.hyp(fs[1]), T.imp_refl(fs[-1])]
+    for _ in range(draw(st.integers(min_value=1, max_value=8))):
+        op = draw(st.sampled_from(_OPS))
+        p = draw(st.sampled_from(pool))
+        f = draw(st.sampled_from(fs))
+        q = draw(st.sampled_from(pool))
+        hs = T.open_hypotheses(p)
+        h = draw(st.sampled_from(hs)) if hs else f
+        try:
+            if op == "hyp":
+                pool.append(T.hyp(f))
+            elif op == "mp":
+                # an open implication applied to p
+                pool.append(T.mp(T.hyp(Imp(p.formula, f)), p))
+            elif op == "gen":
+                pool.append(T.gen(draw(st.integers(min_value=0, max_value=3)), p))
+            elif op == "k_lift":
+                pool.append(T.k_lift(p, f))
+            elif op == "syllogism":
+                pool.append(T.syllogism(T.k_lift(p, f), T.k_lift(q, p.formula)))
+            elif op == "discharge":
+                pool.append(T.discharge(p, h))
+            else:
+                pool.append(T.excluded_middle(f))
+        except T.TacticError:
+            # syllogism and discharge refuse a generalization over a variable
+            # free in the hypothesis they discharge
+            pass
+    return pool
+
+
+class TestClosedFlag:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_tactic_pools())
+    def test_closed_iff_no_hypothesis_below(self, pool):
+        for tree in pool:
+            _assert_closed_flags(tree)
+            if tree.closed:
+                rebuilt = _rebuild(T.compile_proof(tree))
+                assert rebuilt.closed
+                _assert_closed_flags(rebuilt)
+
+    def test_rebuilt_names_evidence_is_closed(self):
+        bank = LemmaBank()
+        rebuilt = _rebuild(names_provable(Eq(Var(0), numeral(2)), 2, 32, bank).derivation)
+        assert rebuilt.closed
+        _assert_closed_flags(rebuilt)
+
+    def test_nodes_have_slots_and_are_frozen(self):
+        leaf = T.eq_refl(Zero())
+        nodes = [T.ax(Q, "q2"), leaf, T.hyp(A), T.k_lift(leaf, B), T.gen(0, leaf)]
+        assert {type(n) for n in nodes} == {T.Ax, T.Sch, T.Hyp, T.MP, T.Gen}
+        for node in nodes:
+            assert not hasattr(node, "__dict__")
+            for f in fields(node):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(node, f.name, getattr(node, f.name))
+        # leaves carry closed as a class constant, inner nodes as a field
+        assert [T.Ax.closed, T.Sch.closed, T.Hyp.closed] == [True, True, False]
+        assert all("closed" in {f.name for f in fields(c)} for c in (T.MP, T.Gen))
+
+    @pytest.mark.parametrize("build", [
+        lambda: T.Ax("q1", A, closed=True),
+        lambda: T.Sch("eq_refl", A, closed=True),
+        lambda: T.Hyp(A, closed=True),
+        lambda: T.MP(T.s_imp_k(A, B), T.eq_refl(Zero()), Imp(B, A), closed=True),
+        lambda: T.Gen(0, T.eq_refl(Zero()), Forall(0, A), closed=False),
+    ])
+    def test_closed_is_not_a_constructor_argument(self, build):
+        with pytest.raises(TypeError, match="closed"):
+            build()
+
+
+def _closed_lines(tree, discharge, hs) -> list[list[str]]:
+    """Discharge hs in order with the given deduction theorem, then compile
+    with and without dedup."""
+    for h in hs:
+        tree = discharge(tree, h)
+    return [list(to_json_lines(T.compile_proof(tree, dedup))) for dedup in (True, False)]
+
+
+def _same_discharge(p, h) -> None:
+    """The open-part discharge and the full-walk one give byte-identical
+    derivations; hypotheses left open are discharged by each the same way."""
+    new, old = T.discharge(p, h), discharge_reference(p, h)
+    hs = []
+    for node in full_postorder(old):
+        if type(node) is T.Hyp and not any(expr_equal(node.formula, g) for g in hs):
+            hs.append(node.formula)
+    assert _closed_lines(new, T.discharge, hs) == _closed_lines(old, discharge_reference, hs)
+
+
+class TestDischargeMatchesFullWalk:
+    def test_naming_evidence(self, monkeypatch):
+        bank = LemmaBank()
+        mus = list(enumerate_formulas(7, 8))[::46] + [
+            BExists(1, numeral(3), Eq(Var(0), Add(Var(1), Var(1)))),
+            Not(Le(numeral(2), Var(0))),
+        ]
+
+        def run():
+            for mu in mus:
+                for i in (0, 1, 3):
+                    names_provable(mu, i, 32, bank)
+
+        calls = _args_to("discharge", run, monkeypatch)
+        assert len(calls) > 20
+        for p, h in calls:
+            _same_discharge(p, h)
+
+    def test_refute(self, monkeypatch):
+        bank = LemmaBank()
+        hf = Eq(numeral(2), numeral(3))
+        c0 = T.contradiction_to(T.hyp(hf), bank.ne(2, 3), _C0)
+        calls = _args_to("discharge", lambda: bank._refute(hf, c0), monkeypatch)
+        assert calls
+        for p, h in calls:
+            _same_discharge(p, h)
+
+    def test_syllogism_and_excluded_middle(self, monkeypatch):
+        def run():
+            T.syllogism(T.s_imp_k(A, B), T.s_imp_k(Imp(B, A), A))
+            T.excluded_middle(B)
+            T.excluded_middle(BForall(1, numeral(2), Le(Var(1), numeral(1))))
+
+        calls = _args_to("discharge", run, monkeypatch)
+        assert len(calls) == 3
+        for p, h in calls:
+            _same_discharge(p, h)
+
+    def test_nested_three_deep(self):
+        h1, h2, h3 = Eq(Var(0), Zero()), Le(Var(1), Zero()), Eq(Zero(), Succ(Var(0)))
+        bank = LemmaBank()
+        inner = T.and_intro(T.eq_sym(T.hyp(h1)), T.and_intro(T.hyp(h2), bank.mul_eq(2, 3)))
+        p = T.gen(2, T.and_intro(inner, T.and_intro(T.hyp(h3), T.hyp(h1))))
+        for hs in ([h1, h2, h3], [h3, h2, h1], [h2, B, h1, h3]):
+            _same_discharge(p, hs[0])
+            assert _closed_lines(p, T.discharge, hs) == _closed_lines(p, discharge_reference, hs)
+
+    def test_same_error_at_the_first_open_generalization(self):
+        h = Eq(Var(0), Var(1))
+        p = T.and_intro(T.gen(0, T.eq_sym(T.hyp(h))), T.gen(1, T.eq_sym(T.hyp(h))))
+        with pytest.raises(T.TacticError) as new:
+            T.discharge(p, h)
+        with pytest.raises(T.TacticError) as old:
+            discharge_reference(p, h)
+        assert str(new.value) == str(old.value)
+        assert "generalization of v1" in str(new.value)
+
+    def test_closed_generalization_over_a_free_variable_is_kept(self):
+        h = Eq(Var(0), Zero())
+        closed = T.gen(0, T.eq_refl(Var(0)))
+        p = T.and_intro(closed, T.eq_succ(T.hyp(h)))
+        _same_discharge(p, h)
+        assert is_valid(T.compile_proof(T.discharge(p, h)), Q)
+
+
+class TestWalkGuards:
+    def test_discharge_and_open_hypotheses_expand_only_open_nodes(self, monkeypatch):
+        expanded = []
+        real = T._children
+
+        def recorder(node):
+            expanded.append(node)
+            return real(node)
+
+        monkeypatch.setattr(T, "_children", recorder)
+        bank = LemmaBank()
+        h = Eq(numeral(2), numeral(5))
+        closed = bank.mul_eq(3, 4)
+        p = T.and_intro(closed, T.eq_sym(T.hyp(h)))
+        assert [render(f) for f in T.open_hypotheses(p)] == [render(h)]
+        T.discharge(p, h)
+        T.discharge(closed, h)
+        assert T.open_hypotheses(closed) == []
+        for mu in (Eq(Var(0), numeral(2)), Not(Le(numeral(2), Var(0)))):
+            for i in (0, 2, 3):
+                names_provable(mu, i, 32, bank)
+        assert len(expanded) > 100
+        assert not any(node.closed for node in expanded)
+
+    @pytest.mark.parametrize("build", [
+        lambda b: b.mul_eq(3, 4),
+        lambda b: T.excluded_middle(B),
+        lambda b: _rebuild(names_provable(Eq(Var(0), numeral(2)), 2, 32, b).derivation),
+    ])
+    def test_compile_keys_each_distinct_node_once(self, build, monkeypatch):
+        keyed = []
+
+        class Counting(syntax_module.StructureKeys):
+            def __call__(self, e):
+                keyed.append(e)
+                return super().__call__(e)
+
+        tree = build(LemmaBank())
+        monkeypatch.setattr(T, "StructureKeys", Counting)
+        T.compile_proof(tree)
+        assert len(keyed) == len(full_postorder(tree))
+
+    def test_no_dedup_gives_each_node_its_line(self):
+        # two proof nodes holding one formula object are two lines
+        p1, p2 = T.Sch("eq_refl", A), T.Sch("eq_refl", A)
+        tree = T.and_intro(p1, p2)
+        full = T.compile_proof(tree, dedup=False)
+        assert sum(step.formula is A for step in full.steps) == 2
+        assert len(full) == len(full_postorder(tree))
+        assert sum(step.formula is A for step in T.compile_proof(tree).steps) == 1
+        assert is_valid(full, Q)
+        _same_lines(tree)
+
+    def test_deep_chain(self):
+        def chain(p):
+            # each round adds a Gen and an MP: 20,000 deep in all
+            for _ in range(10_000):
+                p = T.forall_elim(T.gen(0, p), Zero())
+            return p
+
+        closed, open_ = chain(T.eq_refl(Zero())), chain(T.hyp(A))
+        assert closed.closed and not open_.closed
+        assert len(T.compile_proof(closed, dedup=False)) == 30_001
+        assert expr_equal(T.compile_proof(closed).conclusion, A)
+        d = T.discharge(open_, A)
+        assert d.closed
+        assert T.open_hypotheses(d) == []
+        assert is_valid(T.compile_proof(d), Q)
+        assert T.discharge(closed, A).closed
