@@ -136,17 +136,12 @@ def enumerate_formulas(max_len: int, cap: int = DEFAULT_CAP) -> Iterator[Formula
     depth = max(0, (max_len - 4) // 6)
     pool = tuple(range(depth + 1))
     out: list[tuple[int, tuple[str, ...], Formula]] = []
-    seen: set[str] = set()
     for bucket in _formulas_up_to(max_len - 1, pool):
         for f in bucket:
-            if free_vars(f) - {0}:
+            # each formula is built once; keep those in renaming normal form
+            if free_vars(f) - {0} or rename_to_first(f, max_len) is not f:
                 continue
-            canon = rename_to_first(f, max_len)
-            text = render(canon)
-            if text != render(f) or text in seen:
-                continue
-            seen.add(text)
-            out.append((length(canon), tuple(tokens(canon)), canon))
+            out.append((length(f), tuple(tokens(f)), f))
     out.sort(key=lambda item: (item[0], item[1]))
     return iter(f for _, _, f in out)
 

@@ -57,7 +57,7 @@ from .syntax import (
 )
 
 ENV_PREFIX = "BERRYKIT_"
-_DEFAULTS = {"budget": 64, "cap": 8, "depth": 6, "seed": 0}
+_DEFAULTS = {"budget": 64, "cap": 8, "depth": 6}
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,6 @@ class Settings:
     budget: int
     cap: int
     depth: int
-    seed: int
     as_json: bool
 
 
@@ -83,7 +82,7 @@ def _load_config(path: str) -> dict[str, int]:
         key, sep, value = line.partition("=")
         key = key.strip()
         if not sep or key not in _DEFAULTS:
-            raise InputError(f"config {path}:{lineno}: expected budget|cap|depth|seed = N")
+            raise InputError(f"config {path}:{lineno}: expected budget|cap|depth = N")
         try:
             out[key] = int(value.strip())
         except ValueError as err:
@@ -102,13 +101,11 @@ def _settings(args: argparse.Namespace) -> Settings:
                 merged[key] = int(raw)
             except ValueError as err:
                 raise InputError(f"{ENV_PREFIX}{key.upper()}: {err}") from err
-    for key in ("budget", "cap", "seed"):
+    for key in ("budget", "cap"):
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = flag
-    return Settings(
-        merged["budget"], merged["cap"], merged["depth"], merged["seed"], args.json
-    )
+    return Settings(merged["budget"], merged["cap"], merged["depth"], args.json)
 
 
 def _emit(obj: dict, text: str, st: Settings) -> None:
@@ -404,7 +401,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="arithmetic kernel, coding, proofs, and least-unnamed-number reports",
     )
     top.add_argument("--json", action="store_true", help="machine-readable output")
-    top.add_argument("--seed", type=int, help="seed for randomized workflows")
     top.add_argument("--budget", type=int, help="witness and verdict budget")
     top.add_argument("--cap", type=int, help="enumeration feasibility cap")
     top.add_argument("--config", help="key=value config file")

@@ -40,7 +40,6 @@ from .syntax import (
     Mul,
     Not,
     Or,
-    StructureKeys,
     Succ,
     Term,
     Var,
@@ -48,7 +47,6 @@ from .syntax import (
     all_var_indices,
     classify,
     expand_bounded,
-    expr_equal,
     free_vars,
     guarded_exists,
     guarded_forall,
@@ -94,8 +92,6 @@ class LemmaBank:
     def __init__(self, theory: Theory | None = None):
         self.theory = theory if theory is not None else robinson_arithmetic()
         self._cache: dict[tuple, T.Proof] = {}
-        # closed terms can be deep numerals: number them, don't hash() them
-        self._term_keys = StructureKeys()
 
     def _ax(self, label: str) -> T.Proof:
         return T.ax(self.theory, label)
@@ -138,7 +134,7 @@ class LemmaBank:
 
     def eval_closed(self, t: Term) -> T.Proof:
         """t = n for the closed term t with value n."""
-        key = ("ev", self._term_keys(t))
+        key = ("ev", t)
         if key in self._cache:
             return self._cache[key]
         if numeral_value(t) is not None:
@@ -1331,7 +1327,7 @@ def _search(
     target: Formula, bank: LemmaBank, depth: int, budget: int
 ) -> T.Proof | None:
     for label, f in bank.theory.axioms:
-        if expr_equal(f, target):
+        if expand_bounded(f) is expand_bounded(target):
             return bank._ax(label)
     for name in SCHEMA_NAMES:
         if _check_schema(name, target) is None:
@@ -1349,7 +1345,7 @@ def _search(
             except InputError:
                 got = None
             if got is not None and got.kind == "names" and got.derivation:
-                if expr_equal(got.derivation.conclusion, target):
+                if expand_bounded(got.derivation.conclusion) is expand_bounded(target):
                     return _rebuild(got.derivation)
     if depth <= 0:
         return None
@@ -1364,7 +1360,7 @@ def _search(
             if pl is not None and pr is not None:
                 return T.and_intro(pl, pr)
         case Imp(a, b):
-            if expr_equal(a, b):
+            if expand_bounded(a) is expand_bounded(b):
                 return T.imp_refl(a)
             sub = _search(b, bank, depth - 1, budget)
             if sub is not None:

@@ -4,9 +4,9 @@ A derivation is a flat list of steps.  Every step carries its formula and a
 justification: a named theory axiom, a logical axiom schema instance, modus
 ponens, or generalization.  The checker validates each step independently,
 so a checked derivation is trustworthy no matter how it was produced.
-Formulas are compared structurally (`expr_equal`), never through their
-rendered text; a derivation read from JSON lines shares each repeated
-subformula as one node, so most comparisons end at an identity test.
+AST nodes are interned, so a formula is compared by the identity of its
+bounded-quantifier expansion, never through its rendered text, and every
+comparison is one identity test.
 
 Generalization is unrestricted.  That is sound here because theories are
 required to have closed axioms: every derivable formula then holds in the
@@ -22,6 +22,7 @@ from typing import Iterable, Iterator
 from .errors import CheckFailedError, InputError
 from .parser import parse_formula
 from .syntax import (
+    CHILDREN,
     Add,
     And,
     Eq,
@@ -40,7 +41,6 @@ from .syntax import (
     Zero,
     alpha_equal,
     expand_bounded,
-    expr_equal,
     free_vars,
     is_formula,
     is_term,
@@ -120,16 +120,9 @@ def _imp(a, b):
     return ("imp", a, b)
 
 
-# child fields of each node type an expanded formula may hold, in order
-_CHILDREN: dict[type, tuple[str, ...]] = {
-    Zero: (), Var: (), Succ: ("arg",), Not: ("body",),
-    Forall: ("body",), Exists: ("body",),
-    **{t: ("left", "right") for t in (Add, Mul, Eq, Le, And, Or, Imp, Iff)},
-}
-
 # pattern tag -> (node type, the fields its sub-patterns match, in order)
 _PATTERN_NODES: dict[str, tuple[type, tuple[str, ...]]] = {
-    tag: (t, _CHILDREN[t]) for tag, t in (
+    tag: (t, CHILDREN[t]) for tag, t in (
         ("imp", Imp), ("and", And), ("or", Or), ("iff", Iff), ("not", Not),
         ("eq", Eq), ("le", Le), ("succ", Succ), ("add", Add), ("mul", Mul),
     )
@@ -142,7 +135,7 @@ def _pattern_match(pattern, expr, binding: dict) -> bool:
         if not (is_formula(expr) if tag == "F" else is_term(expr)):
             return False
         prev = binding.setdefault(pattern[1], expr)
-        return prev is expr or expr_equal(prev, expr)
+        return prev is expr or expand_bounded(prev) is expand_bounded(expr)
     node = _PATTERN_NODES.get(tag)
     if node is None or len(pattern) != len(node[1]) + 1:
         raise InputError(f"bad pattern {pattern!r}")
@@ -298,7 +291,8 @@ def _check_schema(name: str, f: Formula) -> str | None:
                 case Imp(Forall(v, Imp(a, b)), Imp(a2, Forall(w, b2))):
                     if w != v:
                         return "quantified variables differ"
-                    if not (expr_equal(a, a2) and expr_equal(b, b2)):
+                    if not (expand_bounded(a) is expand_bounded(a2)
+                            and expand_bounded(b) is expand_bounded(b2)):
                         return "components differ"
                     if v in free_vars(a):
                         return f"v{v} occurs free in the antecedent"
@@ -309,7 +303,8 @@ def _check_schema(name: str, f: Formula) -> str | None:
                 case Imp(Forall(v, Imp(a, b)), Imp(Exists(w, a2), b2)):
                     if w != v:
                         return "quantified variables differ"
-                    if not (expr_equal(a, a2) and expr_equal(b, b2)):
+                    if not (expand_bounded(a) is expand_bounded(a2)
+                            and expand_bounded(b) is expand_bounded(b2)):
                         return "components differ"
                     if v in free_vars(b):
                         return f"v{v} occurs free in the conclusion"
@@ -353,33 +348,13 @@ class Derivation:
         return len(self.steps)
 
 
-def _require_nodes(f: Formula, seen: set[int]) -> None:
-    """Raise TypeError unless every node of f is an AST node.
-
-    `seen` holds the ids of the nodes of the expanded step formulas walked
-    so far; those stay alive until the check ends, so a shared subtree is
-    walked once per check."""
-    stack = [f]
-    while stack:
-        x = stack.pop()
-        if id(x) not in seen:
-            fields = _CHILDREN.get(type(x))
-            if fields is None:
-                raise TypeError(f"not a term or formula node: {x!r}")
-            seen.add(id(x))
-            stack.extend(getattr(x, name) for name in fields)
-
-
 def check(derivation: Derivation, theory: Theory) -> None:
     """Validate every step; raises ProofCheckError at the first bad one."""
     expanded: list[Formula] = []
-    seen: set[int] = set()
     for i, step in enumerate(derivation.steps):
-        f = step.formula
-        if not is_formula(f):
+        if not is_formula(step.formula):
             raise ProofCheckError(i, "step formula is not a formula")
-        if id(f) not in seen:  # a node walked before is already expanded
-            f = expand_bounded(f)
+        f = expand_bounded(step.formula)
         for p in step.premises:
             if not 0 <= p < i:
                 raise ProofCheckError(i, f"premise {p} out of range")
@@ -391,7 +366,7 @@ def check(derivation: Derivation, theory: Theory) -> None:
                     ax = theory.axiom(step.name)
                 except InputError as err:
                     raise ProofCheckError(i, str(err)) from err
-                if not expr_equal(f, ax):
+                if f is not expand_bounded(ax):
                     raise ProofCheckError(
                         i, f"formula differs from axiom {step.name!r}"
                     )
@@ -408,11 +383,11 @@ def check(derivation: Derivation, theory: Theory) -> None:
                 imp = expanded[pi]
                 if type(imp) is not Imp:
                     raise ProofCheckError(i, f"step {pi} is not an implication")
-                if not expr_equal(expanded[pj], imp.left):
+                if expanded[pj] is not imp.left:
                     raise ProofCheckError(
                         i, f"step {pj} does not match the antecedent of step {pi}"
                     )
-                if not expr_equal(f, imp.right):
+                if f is not imp.right:
                     raise ProofCheckError(
                         i, f"formula does not match the consequent of step {pi}"
                     )
@@ -423,7 +398,7 @@ def check(derivation: Derivation, theory: Theory) -> None:
                     case Forall(v, body):
                         if v != step.var:
                             raise ProofCheckError(i, "generalized variable differs")
-                        if not expr_equal(expanded[step.premises[0]], body):
+                        if expanded[step.premises[0]] is not body:
                             raise ProofCheckError(
                                 i, "body does not match the premise"
                             )
@@ -431,7 +406,6 @@ def check(derivation: Derivation, theory: Theory) -> None:
                         raise ProofCheckError(i, "gen must conclude a universal")
             case other:
                 raise ProofCheckError(i, f"unknown rule {other!r}")
-        _require_nodes(f, seen)
         expanded.append(f)
 
 

@@ -29,7 +29,7 @@ from .syntax import (
     FormulaClass,
     Not,
     classify,
-    expr_equal,
+    expand_bounded,
     free_vars,
     is_closed,
     is_formula,
@@ -96,7 +96,7 @@ def neg(i: int, j: int, table: SymbolTable = DEFAULT_TABLE) -> bool:
     g = _decoded(j, table)
     if f is None or g is None or not is_closed(f):
         return False
-    return type(g) is Not and expr_equal(g.body, f)
+    return type(g) is Not and expand_bounded(g.body) is expand_bounded(f)
 
 
 def nm(

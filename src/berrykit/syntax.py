@@ -6,137 +6,185 @@ canonical: every proper subformula is wrapped in one parenthesis pair, a
 quantifier prefix renders as `( A vi )`, and a term operand gets a pair
 exactly when it is Add/Mul-headed.  Bounded quantifiers are surface
 abbreviations; length and rendering always go through the expanded form.
+
+Nodes are hash-consed (Filliatre & Conchon, Type-Safe Modular Hash-Consing,
+2006): structurally equal nodes are one object, so identity is the only
+notion of equality, and `==` and `hash` are O(1) at any depth.  Each node
+stores its expansion, so two expressions render alike exactly when
+`expand_bounded` gives the same object for both.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from dataclasses import FrozenInstanceError
 from enum import Enum
 from typing import Iterator, Union
 
 
 # ---------------------------------------------------------------- AST nodes
 
-@dataclass(frozen=True)
-class Zero:
-    pass
+# the live node of each (type, int fields, children) key; children hash and
+# compare by identity, so a lookup is O(1) at any depth.  Not locked: nodes
+# are built from one thread.
+_TABLE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
-@dataclass(frozen=True)
-class Var:
-    index: int
+class _Node:
+    """Base of every AST node: immutable, slotted and interned.
+
+    Constructing a node returns the live node with the same type, int
+    fields and children when there is one.  `_expanded` holds the node's
+    bounded-quantifier expansion, or None when the node is its own (a
+    self-reference would be a cycle only the cyclic collector frees).
+    """
+
+    __slots__ = ("__weakref__", "_expanded")
+    __match_args__: tuple[str, ...] = ()
+
+    def __new__(cls, *args):
+        key = (cls, *args)
+        try:
+            node = _TABLE.get(key)
+        except TypeError:  # an unhashable child; _build names it
+            node = None
+        if node is None:
+            node = _build(cls, args)
+            _TABLE[key] = node
+        return node
+
+    def __setattr__(self, name, value=None):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # copy and pickle rebuild through the table
+        return type(self), tuple(getattr(self, n) for n in self.__match_args__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
-class Succ:
-    arg: "Term"
+class Zero(_Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Add:
-    left: "Term"
-    right: "Term"
+class Var(_Node):
+    __slots__ = __match_args__ = ("index",)
 
 
-@dataclass(frozen=True)
-class Mul:
-    left: "Term"
-    right: "Term"
+class Succ(_Node):
+    __slots__ = __match_args__ = ("arg",)
 
 
-@dataclass(frozen=True)
-class Eq:
-    left: "Term"
-    right: "Term"
+class Add(_Node):
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Le:
-    left: "Term"
-    right: "Term"
+class Mul(_Node):
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Not:
-    body: "Formula"
+class Eq(_Node):
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class And:
-    left: "Formula"
-    right: "Formula"
+class Le(_Node):
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Or:
-    left: "Formula"
-    right: "Formula"
+class Not(_Node):
+    __slots__ = __match_args__ = ("body",)
 
 
-@dataclass(frozen=True)
-class Imp:
-    left: "Formula"
-    right: "Formula"
+class And(_Node):
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Iff:
-    left: "Formula"
-    right: "Formula"
+class Or(_Node):
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Forall:
-    var: int
-    body: "Formula"
+class Imp(_Node):
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Exists:
-    var: int
-    body: "Formula"
+class Iff(_Node):
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class BForall:
+class Forall(_Node):
+    __slots__ = __match_args__ = ("var", "body")
+
+
+class Exists(_Node):
+    __slots__ = __match_args__ = ("var", "body")
+
+
+class BForall(_Node):
     """Bounded universal: holds for all values of `var` strictly below `bound`."""
 
-    var: int
-    bound: "Term"
-    body: "Formula"
-
-    def __post_init__(self) -> None:
-        if self.var in free_vars(self.bound):
-            raise ValueError("bound term may not mention the bound variable")
+    __slots__ = __match_args__ = ("var", "bound", "body")
 
 
-@dataclass(frozen=True)
-class BExists:
+class BExists(_Node):
     """Bounded existential: some value of `var` strictly below `bound`."""
 
-    var: int
-    bound: "Term"
-    body: "Formula"
-
-    def __post_init__(self) -> None:
-        if self.var in free_vars(self.bound):
-            raise ValueError("bound term may not mention the bound variable")
+    __slots__ = __match_args__ = ("var", "bound", "body")
 
 
 Term = Union[Zero, Var, Succ, Add, Mul]
 Formula = Union[Eq, Le, Not, And, Or, Imp, Iff, Forall, Exists, BForall, BExists]
 Expr = Union[Term, Formula]
 
-_TERM_TYPES = (Zero, Var, Succ, Add, Mul)
+# the child fields of each node type, in order; a node's int field, if it
+# has one, comes first
+CHILDREN: dict[type, tuple[str, ...]] = {
+    Zero: (), Var: (), Succ: ("arg",), Not: ("body",),
+    Forall: ("body",), Exists: ("body",),
+    BForall: ("bound", "body"), BExists: ("bound", "body"),
+    **{t: ("left", "right") for t in (Add, Mul, Eq, Le, And, Or, Imp, Iff)},
+}
+_TERM_TYPES = frozenset((Zero, Var, Succ, Add, Mul))
+_FORMULA_TYPES = frozenset(CHILDREN) - _TERM_TYPES
 _BINARY_CONNECTIVES = {And: "&", Or: "|", Imp: "->", Iff: "<->"}
 
 
+def _build(cls: type, args: tuple) -> Expr:
+    """A new node of type cls, validated, with its expansion stored."""
+    names = cls.__match_args__
+    if len(args) != len(names):
+        raise TypeError(f"{cls.__name__} takes {len(names)} fields, got {len(args)}")
+    n_ints = len(names) - len(CHILDREN[cls])
+    ints, kids = args[:n_ints], args[n_ints:]
+    for kid in kids:
+        if type(kid) not in CHILDREN:
+            raise TypeError(f"not a term or formula node: {kid!r}")
+    node = object.__new__(cls)
+    for name, value in zip(names, args):
+        object.__setattr__(node, name, value)
+    if cls is BForall or cls is BExists:
+        v, bound, body = args
+        if v in free_vars(bound):
+            raise ValueError("bound term may not mention the bound variable")
+        body = body._expanded or body
+        guard = Le(Succ(Var(v)), bound)
+        expanded = Forall(v, Imp(guard, body)) if cls is BForall else Exists(v, And(guard, body))
+    elif any(kid._expanded is not None for kid in kids):
+        expanded = cls(*ints, *(k._expanded or k for k in kids))
+    else:
+        expanded = None
+    object.__setattr__(node, "_expanded", expanded)
+    return node
+
+
 def is_term(e: Expr) -> bool:
-    return isinstance(e, _TERM_TYPES)
+    return type(e) in _TERM_TYPES
 
 
 def is_formula(e: Expr) -> bool:
-    return not isinstance(e, _TERM_TYPES)
+    return type(e) in _FORMULA_TYPES
 
 
 # numerals share tails, so the cache never holds more nodes than the
@@ -232,31 +280,17 @@ def _is_composite(t: Term) -> bool:
 
 
 def expand_bounded(e: Expr) -> Expr:
-    """Replace every bounded quantifier by its guarded unbounded form.
+    """Every bounded quantifier replaced by its guarded unbounded form.
 
     (forall v < b) f  becomes  forall v ((s v <= b) -> f)
     (exists v < b) f  becomes  exists v ((s v <= b) & f)
 
-    A subtree with no bounded quantifier is returned as it is, not copied.
+    Stored on each node when it is built, so this is a read.  A node with
+    no bounded quantifier is its own expansion, and two expressions render
+    alike exactly when their expansions are the same object.
     """
-    if type(e) is Eq or type(e) is Le:  # the commonest node, and a leaf here
-        return e
-    match e:
-        case BForall(v, t, b):
-            return Forall(v, Imp(Le(Succ(Var(v)), t), expand_bounded(b)))
-        case BExists(v, t, b):
-            return Exists(v, And(Le(Succ(Var(v)), t), expand_bounded(b)))
-        case Not(b):
-            b2 = expand_bounded(b)
-            return e if b2 is b else Not(b2)
-        case And(l, r) | Or(l, r) | Imp(l, r) | Iff(l, r):
-            l2, r2 = expand_bounded(l), expand_bounded(r)
-            return e if l2 is l and r2 is r else type(e)(l2, r2)
-        case Forall(v, b) | Exists(v, b):
-            b2 = expand_bounded(b)
-            return e if b2 is b else type(e)(v, b2)
-        case _:
-            return e
+    expanded = getattr(e, "_expanded", None)
+    return e if expanded is None else expanded
 
 
 def token_stream(e: Expr) -> Iterator[str]:
@@ -340,161 +374,6 @@ def length(e: Expr) -> int:
     for _ in token_stream(e):
         n += 1
     return n
-
-
-def _token_equal(a: Expr, b: Expr) -> bool:
-    sentinel = object()
-    ia, ib = token_stream(a), token_stream(b)
-    while True:
-        ta = next(ia, sentinel)
-        tb = next(ib, sentinel)
-        if ta is not tb and ta != tb:
-            return False
-        if ta is sentinel:
-            return True
-
-
-def expr_equal(a: Expr, b: Expr) -> bool:
-    """Structural equality modulo bounded-quantifier expansion.
-
-    Safe on arbitrarily deep terms, unlike ==, which recurses.  Shared
-    subtrees compare in constant time, so proof machinery that rebuilds
-    wrappers around existing nodes stays cheap.
-    """
-    stack: list[tuple[Expr, Expr]] = [(a, b)]
-    while stack:
-        x, y = stack.pop()
-        if x is y:
-            continue
-        tx = type(x)
-        if tx is not type(y):
-            # one side may carry sugar the other has expanded
-            if not _token_equal(x, y):
-                return False
-            continue
-        if tx is Zero:
-            continue
-        if tx is Var:
-            if x.index != y.index:
-                return False
-        elif tx is Succ:
-            while type(x) is Succ and type(y) is Succ and x is not y:
-                x, y = x.arg, y.arg
-            stack.append((x, y))
-        elif tx is Not:
-            stack.append((x.body, y.body))
-        elif tx in (Add, Mul, Eq, Le, And, Or, Imp, Iff):
-            stack.append((x.left, y.left))
-            stack.append((x.right, y.right))
-        elif tx in (Forall, Exists):
-            if x.var != y.var:
-                return False
-            stack.append((x.body, y.body))
-        elif tx in (BForall, BExists):
-            if x.var != y.var:
-                return False
-            stack.append((x.bound, y.bound))
-            stack.append((x.body, y.body))
-        else:
-            raise TypeError(f"not a term or formula node: {x!r}")
-    return True
-
-
-_CODES = {t: i for i, t in enumerate(
-    (Zero, Var, Succ, Add, Mul, Eq, Le, Not, And, Or, Imp, Iff, Forall, Exists))}
-_BINARY = frozenset((Add, Mul, Eq, Le, And, Or, Imp, Iff))
-
-
-class StructureKeys:
-    """Numbers expressions: two get the same int exactly when they render
-    alike, i.e. structural equality modulo bounded-quantifier expansion.
-
-    Hash-consing scoped to the table's owner (Filliatre & Conchon, Type-Safe
-    Modular Hash-Consing, 2006): each node object is numbered once, by id(),
-    and kept alive beside its number so the id stays valid.  A node's shape
-    is (type, int field, child numbers) and each distinct shape gets the
-    next int.  Iterative, so deep terms are safe.
-    """
-
-    __slots__ = ("_known", "_alive", "_shapes")
-
-    def __init__(self) -> None:
-        self._known: dict[int, int] = {}  # id(node) -> number
-        self._alive: list[Expr] = []  # the numbered nodes, so ids stay valid
-        self._shapes: dict[int, int] = {}
-
-    def _number(self, kind: type, field: int, *nums: int) -> int:
-        # the shape packed into one int, not a tuple: a table frees all its
-        # shapes at once, and freed tuples would stay in the tuple free lists.
-        # A table never holds 2**32 shapes, so 32 bits per child suffice.
-        shape = field
-        for n in nums:
-            shape = shape << 32 | n
-        shape = shape << 4 | _CODES[kind]
-        return self._shapes.setdefault(shape, len(self._shapes))
-
-    def __call__(self, e: Expr) -> int:
-        known = self._known
-        hit = known.get(id(e))
-        if hit is not None:
-            return hit
-        shapes = self._shapes
-        stack = [e]
-        while stack:
-            node = stack[-1]
-            if id(node) in known:
-                stack.pop()
-                continue
-            # shape: the int field, then each child's number in 32 bits
-            kind = type(node)
-            if kind in _BINARY:
-                left = known.get(id(node.left))
-                right = known.get(id(node.right))
-                if left is None or right is None:
-                    if right is None:
-                        stack.append(node.right)
-                    if left is None:
-                        stack.append(node.left)
-                    continue
-                shape = left << 32 | right
-            elif kind is Succ or kind is Not:
-                kid = node.arg if kind is Succ else node.body
-                shape = known.get(id(kid))
-                if shape is None:
-                    stack.append(kid)
-                    continue
-            elif kind is Var:
-                shape = node.index
-            elif kind is Zero:
-                shape = 0
-            elif kind is Forall or kind is Exists:
-                body = known.get(id(node.body))
-                if body is None:
-                    stack.append(node.body)
-                    continue
-                shape = node.var << 32 | body
-            elif kind is BForall or kind is BExists:
-                bound = known.get(id(node.bound))
-                body = known.get(id(node.body))
-                if bound is None or body is None:
-                    if body is None:
-                        stack.append(node.body)
-                    if bound is None:
-                        stack.append(node.bound)
-                    continue
-                # numbered as its expansion (A|E v)((s v <= b) ->|& f)
-                v = node.var
-                guard = self._number(Le, 0, self._number(Succ, 0, self._number(Var, v)), bound)
-                if kind is BForall:
-                    kind, shape = Forall, v << 32 | self._number(Imp, 0, guard, body)
-                else:
-                    kind, shape = Exists, v << 32 | self._number(And, 0, guard, body)
-            else:
-                raise TypeError(f"not a term or formula node: {node!r}")
-            stack.pop()
-            known[id(node)] = shapes.setdefault(shape << 4 | _CODES[kind], len(shapes))
-            self._alive.append(node)
-        return known[id(e)]
 
 
 def alpha_equal(a: Expr, b: Expr) -> bool:
@@ -797,56 +676,64 @@ _JSON_KINDS: dict[type, str] = {
     Iff: "iff", Forall: "forall", Exists: "exists",
     BForall: "bforall", BExists: "bexists",
 }
+_JSON_TYPES = {k: t for t, k in _JSON_KINDS.items()}
+# the JSON key of each field of each node type, in field order
+_JSON_KEYS: dict[type, tuple[str, ...]] = {
+    Zero: (), Var: ("i",), Succ: ("t",), Not: ("f",),
+    Forall: ("i", "f"), Exists: ("i", "f"),
+    BForall: ("i", "b", "f"), BExists: ("i", "b", "f"),
+    **{t: ("l", "r") for t in (Add, Mul, Eq, Le, And, Or, Imp, Iff)},
+}
 
 
 def to_json_obj(e: Expr) -> dict:
-    k = _JSON_KINDS[type(e)]
-    match e:
-        case Zero():
-            return {"k": k}
-        case Var(i):
-            return {"k": k, "i": i}
-        case Succ(a):
-            return {"k": k, "t": to_json_obj(a)}
-        case Add(l, r) | Mul(l, r) | Eq(l, r) | Le(l, r):
-            return {"k": k, "l": to_json_obj(l), "r": to_json_obj(r)}
-        case Not(b):
-            return {"k": k, "f": to_json_obj(b)}
-        case And(l, r) | Or(l, r) | Imp(l, r) | Iff(l, r):
-            return {"k": k, "l": to_json_obj(l), "r": to_json_obj(r)}
-        case Forall(v, b) | Exists(v, b):
-            return {"k": k, "i": v, "f": to_json_obj(b)}
-        case BForall(v, t, b) | BExists(v, t, b):
-            return {"k": k, "i": v, "b": to_json_obj(t), "f": to_json_obj(b)}
-    raise TypeError(f"unknown node: {e!r}")
+    """The tagged JSON object of e; iterative, so deep terms are safe."""
+    done: dict[Expr, dict] = {}
+    stack = [e]
+    while stack:
+        node = stack[-1]
+        if node in done:
+            stack.pop()
+            continue
+        kind = type(node)
+        values = [getattr(node, name) for name in kind.__match_args__]
+        n_ints = len(values) - len(CHILDREN[kind])
+        kids = [v for v in values[n_ints:] if v not in done]
+        if kids:
+            stack.extend(kids)
+            continue
+        stack.pop()
+        obj = {"k": _JSON_KINDS[kind]}
+        for key, value in zip(_JSON_KEYS[kind], values):
+            obj[key] = done.get(value, value)  # an int field is no key of done
+        done[node] = obj
+    return done[e]
 
 
 def from_json_obj(obj: dict) -> Expr:
-    if not isinstance(obj, dict) or "k" not in obj:
-        raise ValueError(f"not a tagged AST object: {obj!r}")
-    k = obj["k"]
-    try:
-        match k:
-            case "zero":
-                return Zero()
-            case "var":
-                return Var(int(obj["i"]))
-            case "succ":
-                return Succ(from_json_obj(obj["t"]))
-            case "add" | "mul" | "eq" | "le" | "and" | "or" | "imp" | "iff":
-                ctor = {"add": Add, "mul": Mul, "eq": Eq, "le": Le,
-                        "and": And, "or": Or, "imp": Imp, "iff": Iff}[k]
-                return ctor(from_json_obj(obj["l"]), from_json_obj(obj["r"]))
-            case "not":
-                return Not(from_json_obj(obj["f"]))
-            case "forall":
-                return Forall(int(obj["i"]), from_json_obj(obj["f"]))
-            case "exists":
-                return Exists(int(obj["i"]), from_json_obj(obj["f"]))
-            case "bforall":
-                return BForall(int(obj["i"]), from_json_obj(obj["b"]), from_json_obj(obj["f"]))
-            case "bexists":
-                return BExists(int(obj["i"]), from_json_obj(obj["b"]), from_json_obj(obj["f"]))
-    except KeyError as exc:
-        raise ValueError(f"AST object {k!r} missing field {exc}") from exc
-    raise ValueError(f"unknown AST kind {k!r}")
+    """Inverse of to_json_obj; iterative, so deep objects are safe."""
+    built: dict[int, Expr] = {}  # id(JSON object) -> its node
+    stack = [obj]
+    while stack:
+        o = stack[-1]
+        if id(o) in built:
+            stack.pop()
+            continue
+        if not isinstance(o, dict) or "k" not in o:
+            raise ValueError(f"not a tagged AST object: {o!r}")
+        k = o["k"]
+        kind = _JSON_TYPES.get(k)
+        if kind is None:
+            raise ValueError(f"unknown AST kind {k!r}")
+        try:
+            values = [o[key] for key in _JSON_KEYS[kind]]
+        except KeyError as exc:
+            raise ValueError(f"AST object {k!r} missing field {exc}") from exc
+        n_ints = len(values) - len(CHILDREN[kind])
+        kids = [v for v in values[n_ints:] if id(v) not in built]
+        if kids:
+            stack.extend(kids)
+            continue
+        stack.pop()
+        built[id(o)] = kind(*map(int, values[:n_ints]), *(built[id(v)] for v in values[n_ints:]))
+    return built[id(obj)]

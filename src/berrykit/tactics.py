@@ -10,8 +10,7 @@ hypothesis, producing a proof of the implication, and walks and rebuilds
 only the open part of the tree; closed subtrees are lifted whole.
 `compile_proof` flattens a closed tree into a checkable Derivation in one
 walk, deduplicating steps by structure: nodes whose formulas render alike
-share one line, found through a `StructureKeys` table that lives for one
-call.
+have the same interned expansion and share one line.
 
 Every constructor validates its shape, so a finished tree cannot encode an
 incorrect inference; the flat checker re-validates everything anyway.
@@ -37,10 +36,9 @@ from .syntax import (
     Mul,
     Not,
     Or,
-    StructureKeys,
     Succ,
     Term,
-    expr_equal,
+    expand_bounded,
     free_vars,
     render,
     substitute,
@@ -116,7 +114,7 @@ def hyp(formula: Formula) -> Hyp:
 def mp(p: Proof, q: Proof) -> MP:
     match p.formula:
         case Imp(a, b):
-            if not expr_equal(a, q.formula):
+            if expand_bounded(a) is not expand_bounded(q.formula):
                 raise TacticError(
                     f"mp mismatch: antecedent {render(a)!r}"
                     f" vs argument {render(q.formula)!r}"
@@ -162,16 +160,11 @@ def _open_postorder(root: Proof) -> list[Proof]:
 
 def open_hypotheses(p: Proof) -> list[Formula]:
     """Distinct open hypotheses, by first appearance."""
-    out: list[Formula] = []
-    keys = StructureKeys()
-    seen: set[int] = set()
+    out: dict[Formula, Formula] = {}  # expansion -> first hypothesis with it
     for node in _open_postorder(p):
         if type(node) is Hyp:
-            key = keys(node.formula)
-            if key not in seen:
-                seen.add(key)
-                out.append(node.formula)
-    return out
+            out.setdefault(expand_bounded(node.formula), node.formula)
+    return list(out.values())
 
 
 # ------------------------------------------------------------ schema helpers
@@ -306,7 +299,7 @@ def absurd(p1: Proof, p2: Proof) -> Proof:
     """From (~A -> B) and (~A -> ~B) conclude A."""
     match (p1.formula, p2.formula):
         case (Imp(Not(a), b), Imp(Not(a2), Not(b2))):
-            if expr_equal(a, a2) and expr_equal(b, b2):
+            if expand_bounded(a) is expand_bounded(a2) and expand_bounded(b) is expand_bounded(b2):
                 nn = mp(mp(s_neg_intro(Not(a), b), p1), p2)
                 return mp(s_neg_elim(a), nn)
     raise TacticError("absurd shape mismatch")
@@ -316,7 +309,7 @@ def contradiction_to(p_pos: Proof, p_neg: Proof, target: Formula) -> Proof:
     """From X and ~X conclude anything."""
     match p_neg.formula:
         case Not(x):
-            if not expr_equal(x, p_pos.formula):
+            if expand_bounded(x) is not expand_bounded(p_pos.formula):
                 raise TacticError("contradiction pair mismatch")
             nt = Not(target)
             return absurd(k_lift(p_pos, nt), k_lift(p_neg, nt))
@@ -327,7 +320,7 @@ def contrapose(p_imp: Proof, p_neg: Proof) -> Proof:
     """From A -> B and ~B conclude ~A."""
     match (p_imp.formula, p_neg.formula):
         case (Imp(a, b), Not(b2)):
-            if expr_equal(b, b2):
+            if expand_bounded(b) is expand_bounded(b2):
                 return mp(mp(s_neg_intro(a, b), p_imp), k_lift(p_neg, a))
     raise TacticError("contrapose shape mismatch")
 
@@ -377,7 +370,7 @@ def exists_elim(p_ex: Proof, p_all: Proof) -> Proof:
         case (Exists(v, a), Forall(w, Imp(a2, c))):
             if v != w:
                 raise TacticError("variable mismatch in exists_elim")
-            if not expr_equal(a, a2):
+            if expand_bounded(a) is not expand_bounded(a2):
                 raise TacticError("body mismatch in exists_elim")
             return mp(mp(s_ex_shift(v, a, c), p_all), p_ex)
     raise TacticError("exists_elim shape mismatch")
@@ -435,7 +428,7 @@ def eq_sym(p: Proof) -> Proof:
 def eq_trans(p: Proof, q: Proof) -> Proof:
     match (p.formula, q.formula):
         case (Eq(a, b), Eq(b2, c)):
-            if not expr_equal(b, b2):
+            if expand_bounded(b) is not expand_bounded(b2):
                 raise TacticError(
                     f"transitivity mismatch: {render(b)!r} vs {render(b2)!r}"
                 )
@@ -505,7 +498,7 @@ def discharge(p: Proof, h: Formula) -> Proof:
     for node in _open_postorder(p):
         match node:
             case Hyp(formula=f):
-                if expr_equal(f, h):
+                if expand_bounded(f) is expand_bounded(h):
                     result[id(node)] = imp_refl(h)
             case MP(imp=pi, arg=pa, formula=f):
                 if id(pi) in result or id(pa) in result:
@@ -527,17 +520,15 @@ def discharge(p: Proof, h: Formula) -> Proof:
 
 # ----------------------------------------------------------- flattening
 
-def compile_proof(p: Proof, dedup: bool = True) -> Derivation:
+def compile_proof(p: Proof) -> Derivation:
     """Flatten a closed proof tree into a checkable Derivation.
 
     One iterative postorder walk gives every proof node its line, recorded
-    by node id.  With dedup, a node whose formula renders like an earlier
-    line's reuses that line: lines are keyed by structure, through a table
-    that lives for this call only.  Without it, every node gets its own line.
+    by node id.  A node whose formula renders like an earlier line's, that
+    is has the same expansion, reuses that line.
     """
-    keys = StructureKeys() if dedup else None
     line: dict[int, int] = {}  # id(proof node) -> its line
-    line_of_key: dict[int, int] = {}
+    line_of_key: dict[Formula, int] = {}  # expanded formula -> its line
     steps: list[Step] = []
     stack: list[Proof] = [p]
     while stack:
@@ -572,7 +563,7 @@ def compile_proof(p: Proof, dedup: bool = True) -> Derivation:
                 f"open hypothesis {render(node.formula)!r}: discharge before compiling"
             )
         stack.pop()
-        key = id(node) if keys is None else keys(node.formula)
+        key = expand_bounded(node.formula)
         at = line_of_key.get(key)
         if at is None:
             at = line_of_key[key] = len(steps)

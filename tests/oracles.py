@@ -1,12 +1,14 @@
 """Independent oracles the engine modules are checked against.
 
 Each oracle deliberately takes a different route than the code under test:
-truth by textual substitution instead of environments, formula counting by
+truth by textual substitution instead of environments (three-valued and
+budgeted for the soundness judge, which shows an accepted step false
+without the kernel or the evaluators), formula counting by
 a length recurrence instead of generation, the least-unnamed-number search
 by grammar-blind brute force over raw token strings (and, for whole
 reports, by re-probing every formula at every number), tokens by a
 match-at-a-time loop instead of one findall, derivations by deduplicating
-proof steps on rendered strings instead of structure numbers, the deduction
+proof steps on rendered strings instead of interned expansions, the deduction
 theorem by walking the whole proof tree instead of its open part, and
 primes by a plain sieve.  Expected values frozen in tests come from here.
 """
@@ -26,8 +28,8 @@ from berrykit import tactics as T
 from berrykit.tactics import MP, Ax, Gen, Hyp, Proof, Sch, TacticError
 from berrykit.syntax import (
     Add, And, BExists, BForall, Eq, Exists, Forall, Formula, Iff, Imp, Le,
-    Mul, Not, Or, Succ, Term, Var, Zero, expr_equal, free_vars, numeral,
-    render, substitute,
+    Mul, Not, Or, Succ, Term, Var, Zero, free_vars, numeral, render,
+    substitute,
 )
 
 
@@ -78,6 +80,121 @@ def naive_eval(f: Formula) -> bool:
             m = naive_term_value(bound)
             return any(naive_eval(substitute(body, v, numeral(x))) for x in range(m))
     raise ValueError(f"not a decidable bounded sentence: {f!r}")
+
+
+def _all3(values) -> bool | None:
+    """Kleene conjunction: False wins, then None (unsettled), then True."""
+    out: bool | None = True
+    for v in values:
+        if v is False:
+            return False
+        if v is None:
+            out = None
+    return out
+
+
+def _any3(values) -> bool | None:
+    out: bool | None = False
+    for v in values:
+        if v is True:
+            return True
+        if v is None:
+            out = None
+    return out
+
+
+def _instantiate(f: Formula, env: dict[int, Term], memo: dict) -> Formula:
+    """f with each free v_i in env replaced by the closed term env[i]; the
+    terms are closed, so nothing is captured.  Kept apart from the
+    kernel's substitute, whose renaming it does not need."""
+    got = memo.get(f)
+    if got is None:
+        if type(f) is Var:
+            got = env.get(f.index, f)
+        elif type(f) in (Forall, Exists, BForall, BExists) and f.var in env:
+            inner = {k: t for k, t in env.items() if k != f.var}
+            body = _instantiate(f.body, inner, {})
+            if type(f) in (Forall, Exists):
+                got = type(f)(f.var, body)
+            else:  # the bound is outside the binder
+                got = type(f)(f.var, _instantiate(f.bound, env, memo), body)
+        else:
+            fields = [getattr(f, name) for name in f.__match_args__]
+            got = type(f)(*(x if type(x) is int else _instantiate(x, env, memo)
+                            for x in fields))
+        memo[f] = got
+    return got
+
+
+def _truth3(f: Formula, budget: int, left: list[int], memo: dict) -> bool | None:
+    """Truth of a closed formula, substitute-and-recurse like naive_eval,
+    with None for unsettled: an unbounded quantifier is settled only by a
+    counterexample or witness among 0..budget, and every evaluation spends
+    one unit of the shared allowance `left`.  Nodes are interned, so `memo`
+    settles each closed subformula once."""
+    if f in memo:
+        return memo[f]
+    left[0] -= 1
+    if left[0] < 0:
+        return None
+
+    def go(g: Formula) -> bool | None:
+        return _truth3(g, budget, left, memo)
+
+    def over(v: int, body: Formula, values):
+        return (go(_instantiate(body, {v: numeral(x)}, {})) for x in values)
+
+    match f:
+        case Eq(l, r):
+            out = naive_term_value(l) == naive_term_value(r)
+        case Le(l, r):
+            out = naive_term_value(l) <= naive_term_value(r)
+        case Not(b):
+            got = go(b)
+            out = None if got is None else not got
+        case And(l, r):
+            out = _all3(go(g) for g in (l, r))
+        case Or(l, r):
+            out = _any3(go(g) for g in (l, r))
+        case Imp(l, r):
+            out = go(Or(Not(l), r))
+        case Iff(l, r):
+            out = go(And(Imp(l, r), Imp(r, l)))
+        case BForall(v, bound, body):
+            out = _all3(over(v, body, range(naive_term_value(bound))))
+        case BExists(v, bound, body):
+            out = _any3(over(v, body, range(naive_term_value(bound))))
+        case Forall(v, Imp(Le(Succ(Var(w)), bound), body)) if w == v and v not in free_vars(bound):
+            out = _all3(over(v, body, range(naive_term_value(bound))))
+        case Exists(v, And(Le(Succ(Var(w)), bound), body)) if w == v and v not in free_vars(bound):
+            out = _any3(over(v, body, range(naive_term_value(bound))))
+        case Forall(v, body) if v not in free_vars(body):
+            out = go(body)
+        case Exists(v, body) if v not in free_vars(body):
+            out = go(body)
+        case Forall(v, body):
+            out = False if _all3(over(v, body, range(budget + 1))) is False else None
+        case Exists(v, body):
+            out = True if _any3(over(v, body, range(budget + 1))) else None
+        case _:
+            raise ValueError(f"not a formula: {f!r}")
+    memo[f] = out
+    return out
+
+
+def closure_refuted(f: Formula, budget: int = 3, work: int = 20_000) -> bool:
+    """Whether the universal closure of f is shown false: some assignment
+    of 0..budget to its free variables makes f false.  Three-valued and
+    budgeted, so an unsettled instance never counts as false, and it works
+    by substitution without the engine's evaluators."""
+    fv = sorted(free_vars(f))
+    left = [work]
+    memo: dict = {}
+    for values in product(range(budget + 1), repeat=len(fv)):
+        g = _instantiate(f, {v: numeral(x) for v, x in zip(fv, values)}, {})
+        if _truth3(g, budget, left, memo) is False:
+            return True
+    return False
 
 
 # --------------------------------------------------- counting by recurrence
@@ -288,7 +405,7 @@ def discharge_reference(p: Proof, h: Formula) -> Proof:
     order = full_postorder(p)
     uses: dict[int, bool] = {}
     for node in order:
-        flag = type(node) is Hyp and expr_equal(node.formula, h)
+        flag = type(node) is Hyp and render(node.formula) == render(h)
         for child in proof_children(node):
             flag = flag or uses[id(child)]
         uses[id(node)] = flag
@@ -330,7 +447,7 @@ def discharge_reference(p: Proof, h: Formula) -> Proof:
 def compile_proof_reference(p: Proof, dedup: bool = True) -> Derivation:
     """Flatten a closed proof tree, keying each step by the rendered text of
     its formula: the compiler as it was before steps were keyed by
-    structure numbers."""
+    structure.  Without dedup every proof node gets its own line."""
     order = full_postorder(p)
     index: dict[int, int] = {}
     by_formula: dict[str, int] = {}

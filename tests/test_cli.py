@@ -39,6 +39,12 @@ class TestParse:
         code, out, _ = run(capsys, "parse")
         assert code == 0 and "s 0 = s 0" in out
 
+    @pytest.mark.parametrize("command", ["parse", "eval", "classify"])
+    def test_deep_successor_chain_is_valid_input(self, capsys, command):
+        code, out, err = run(capsys, command, "s " * 1000 + "0 = 0")
+        assert code == 0 and err == ""
+        assert out.startswith("s s s ") if command == "parse" else out
+
     def test_deep_nesting_is_bad_input(self, capsys):
         text = "~ ( " * 3000 + "0 = 0" + " )" * 3000
         code, out, err = run(capsys, "parse", text)
@@ -295,9 +301,18 @@ class TestConfig:
         code, _, _ = run(capsys, "--config", str(cfg), "parse", "0 = 0")
         assert code == 2
 
-    def test_seed_flag_is_accepted(self, capsys):
-        code, _, _ = run(capsys, "--seed", "7", "parse", "0 = 0")
-        assert code == 0
+    def test_seed_flag_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--seed", "7", "parse", "0 = 0"])
+        assert exc.value.code == 2
+
+    def test_seed_config_key_rejected(self, capsys, tmp_path, monkeypatch):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("seed=7\n")
+        code, _, err = run(capsys, "--config", str(cfg), "parse", "0 = 0")
+        assert code == 2 and err.endswith("expected budget|cap|depth = N\n")
+        monkeypatch.setenv("BERRYKIT_SEED", "not a number")
+        assert run(capsys, "parse", "0 = 0")[0] == 0
 
 
 class TestArgparseErrors:

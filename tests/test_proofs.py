@@ -249,10 +249,13 @@ class TestRules:
         assert not is_valid(d, Q)
 
     def test_non_ast_node_rejected(self):
-        # the schema matches, but a node of the formula is not an AST node
-        d = Derivation((Step(Imp(Not(Not("x")), "x"), "schema", name="neg_elim"),))
+        # a formula cannot hold a foreign node, and a foreign step is refused
         with pytest.raises(TypeError, match="not a term or formula node"):
-            check(d, Q)
+            Imp(Not(Not("x")), "x")
+        for foreign in ("x", Zero()):
+            d = Derivation((Step(foreign, "schema", name="neg_elim"),))
+            with pytest.raises(ProofCheckError, match="step formula is not a formula"):
+                check(d, Q)
 
     def test_unknown_rule(self):
         with pytest.raises(ProofCheckError):

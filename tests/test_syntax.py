@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import copy
+import gc
+import pickle
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import strategies as gen
+from berrykit import syntax as syntax_module
 from berrykit.syntax import (
     Add,
     And,
@@ -22,7 +28,6 @@ from berrykit.syntax import (
     Mul,
     Not,
     Or,
-    StructureKeys,
     Succ,
     Var,
     Zero,
@@ -30,7 +35,6 @@ from berrykit.syntax import (
     alpha_equal,
     classify,
     expand_bounded,
-    expr_equal,
     free_vars,
     from_json_obj,
     is_closed,
@@ -84,8 +88,7 @@ class TestBoundedSugar:
     def test_bexists_expands_to_guarded_exists(self):
         f = BExists(1, Var(0), Le(Var(1), Zero()))
         e = expand_bounded(f)
-        assert isinstance(e, Exists)
-        assert expr_equal(f, e)
+        assert e is Exists(1, And(Le(Succ(Var(1)), Var(0)), Le(Var(1), Zero())))
 
     def test_bound_may_not_mention_binder(self):
         with pytest.raises(ValueError):
@@ -93,7 +96,8 @@ class TestBoundedSugar:
 
     def test_sugar_equal_to_expansion(self):
         f = BForall(2, Var(0), Eq(Var(2), Var(1)))
-        assert expr_equal(f, expand_bounded(f))
+        assert expand_bounded(expand_bounded(f)) is expand_bounded(f)
+        assert render(f) == render(expand_bounded(f))
         assert length(f) == length(expand_bounded(f))
 
     def test_sugar_free_subtrees_are_not_copied(self):
@@ -109,24 +113,12 @@ class TestBoundedSugar:
         assert expand_bounded(e) is e
 
 
-class TestExprEqual:
-    def test_deep_chains_compare_without_recursion(self):
-        a, b = numeral(60_000), numeral(60_000)
-        assert expr_equal(a, b)
-        assert not expr_equal(a, Succ(a))
-
-    def test_distinguishes_structure(self):
-        assert not expr_equal(Eq(Zero(), Zero()), Le(Zero(), Zero()))
-        assert not expr_equal(Var(0), Var(1))
-
-    @settings(max_examples=60, deadline=None)
-    @given(gen.formulas())
-    def test_reflexive(self, f):
-        assert expr_equal(f, f)
+def _fields(x) -> list:
+    return [getattr(x, name) for name in x.__match_args__]
 
 
 def _copy_changing_leaf(e, k: int):
-    """A fresh copy of e (no node shared) whose k-th Zero/Var leaf, in
+    """A copy of e rebuilt node by node whose k-th Zero/Var leaf, in
     pre-order, is replaced by a different leaf; k < 0 changes nothing.
     Returns the copy and the number of leaves."""
     seen = [0]
@@ -137,14 +129,45 @@ def _copy_changing_leaf(e, k: int):
             if seen[0] - 1 == k:
                 return Var(0) if type(x) is Zero else Var(x.index + 1)
             return Zero() if type(x) is Zero else Var(x.index)
-        return type(x)(*(v if type(v) is int else go(v) for v in vars(x).values()))
+        return type(x)(*(v if type(v) is int else go(v) for v in _fields(x)))
 
     return go(e), seen[0]
 
 
+def _nest(n: int):
+    f = Eq(Zero(), Zero())
+    for _ in range(n):
+        f = Not(f)
+    return f
+
+
+class TestExprEqual:
+    """Equality modulo expansion is the identity of the expansions, and
+    equal trees built apart are one object: == and hash are identity."""
+
+    def test_deep_chains_compare_without_recursion(self):
+        a, b = _fresh_chain(60_000, Zero()), _fresh_chain(60_000, Zero())
+        assert a is b and a == b and hash(a) == hash(b)
+        assert a is numeral(60_000)
+        assert a != Succ(a) and expand_bounded(a) is not expand_bounded(Succ(a))
+        assert render(a).count("s") == 60_000
+
+    def test_distinguishes_structure(self):
+        assert Eq(Zero(), Zero()) is not Le(Zero(), Zero())
+        assert Var(0) != Var(1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(gen.formulas())
+    def test_reflexive(self, f):
+        # two trees built independently are the same object
+        assert _copy_changing_leaf(f, -1)[0] is f
+        assert copy.deepcopy(f) is f and pickle.loads(pickle.dumps(f)) is f
+        assert expand_bounded(f) is expand_bounded(f)
+
+
 class TestRenderedEqualityIsStructural:
-    """The kernel compares formulas with expr_equal where it once compared
-    rendered strings; on expanded formulas the two must agree."""
+    """The kernel compares formulas by the identity of their expansions
+    where it once compared rendered strings; the two must agree."""
 
     @settings(max_examples=200, deadline=None)
     @given(gen.formulas(), gen.formulas(), st.sampled_from(["copy", "leaf", "other"]),
@@ -156,22 +179,23 @@ class TestRenderedEqualityIsStructural:
             b, _ = _copy_changing_leaf(a, k % leaves)
         elif how == "other":
             b = expand_bounded(g)
-        assert (render(a) == render(b)) == expr_equal(a, b)
+        assert (render(a) == render(b)) == (expand_bounded(a) is expand_bounded(b))
         if how == "copy":
-            assert a is not b and expr_equal(a, b)
+            assert a is b
         if how == "leaf":
-            assert not expr_equal(a, b)
+            assert a is not b
 
 
 def _copy_changing_binder(e, k: int):
-    """A fresh copy of the expanded formula e whose k-th quantifier binder,
-    in pre-order, is renumbered; returns the copy and the binder count."""
+    """A copy of the expanded formula e rebuilt node by node whose k-th
+    quantifier binder, in pre-order, is renumbered; returns the copy and the
+    binder count."""
     seen = [0]
 
     def go(x):
         if type(x) is Zero or type(x) is Var:
-            return type(x)(*vars(x).values())
-        fields = list(vars(x).values())
+            return type(x)(*_fields(x))
+        fields = _fields(x)
         if type(x) is Forall or type(x) is Exists:
             seen[0] += 1
             if seen[0] - 1 == k:
@@ -188,7 +212,8 @@ def _fresh_chain(n: int, core):
 
 
 class TestStructureKeys:
-    """One table's numbers agree exactly with rendered-string equality."""
+    """An expression's structure key is its interned expansion: two keys
+    are one object exactly when the expressions render alike."""
 
     @settings(max_examples=300, deadline=None)
     @given(gen.formulas(), gen.formulas(),
@@ -201,6 +226,7 @@ class TestStructureKeys:
                 b = f
             case "copy":
                 b = _copy_changing_leaf(f, -1)[0]
+                assert b is f
             case "expanded":
                 b = expanded
             case "leaf":
@@ -210,34 +236,34 @@ class TestStructureKeys:
                 b = _copy_changing_binder(expanded, k % binders)[0] if binders else f
             case _:
                 b = g
-        keys = StructureKeys()
-        assert (keys(f) == keys(b)) == (render(f) == render(b))
+        same = expand_bounded(f) is expand_bounded(b)
+        assert same == (render(f) == render(b))
         if how in ("same", "copy", "expanded"):
-            assert keys(f) == keys(b)
+            assert same
         if how == "leaf" or (how == "binder" and b is not f):
-            assert keys(f) != keys(b)
+            assert not same
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(min_value=0, max_value=3), gen.terms(3), gen.formulas(3))
     def test_bounded_quantifiers_key_as_their_expansion(self, v, t, body):
         if v in all_var_indices(t):
             return
+        key = expand_bounded
         guard = Le(Succ(Var(v)), t)
-        keys = StructureKeys()
         forall, exists = BForall(v, t, body), BExists(v, t, body)
-        assert keys(forall) == keys(Forall(v, Imp(guard, body)))
-        assert keys(exists) == keys(Exists(v, And(guard, body)))
-        assert keys(forall) != keys(exists)
-        assert keys(forall) != keys(Forall(v, And(guard, body)))
-        assert keys(exists) != keys(Exists(v, Imp(guard, body)))
+        assert key(forall) is key(Forall(v, Imp(guard, body)))
+        assert key(exists) is key(Exists(v, And(guard, body)))
+        assert key(forall) is not key(exists)
+        assert key(forall) is not key(Forall(v, And(guard, body)))
+        assert key(exists) is not key(Exists(v, Imp(guard, body)))
         wrapped = Not(And(forall, exists))
-        assert keys(wrapped) == keys(expand_bounded(wrapped))
+        assert key(wrapped) is key(expand_bounded(wrapped))
+        assert key(wrapped) is Not(And(key(forall), key(exists)))
 
     @given(st.integers(min_value=0, max_value=40), st.integers(min_value=0, max_value=40))
     def test_variables(self, i, j):
-        keys = StructureKeys()
-        assert (keys(Var(i)) == keys(Var(j))) == (i == j)
-        assert (keys(Forall(i, Eq(Var(0), Zero()))) == keys(Forall(j, Eq(Var(0), Zero())))) == (i == j)
+        assert (Var(i) is Var(j)) == (i == j)
+        assert (Forall(i, Eq(Var(0), Zero())) is Forall(j, Eq(Var(0), Zero()))) == (i == j)
 
     @settings(max_examples=100, deadline=None)
     @given(gen.terms(3), gen.terms(3))
@@ -246,49 +272,54 @@ class TestStructureKeys:
             Succ(Add(a, b)), Add(Succ(a), b), Add(a, Succ(b)),
             Succ(Mul(a, b)), Mul(Succ(a), b), Succ(Succ(Add(a, b))),
         ]
-        keys = StructureKeys()
         for x in shapes:
             for y in shapes:
-                assert (keys(x) == keys(y)) == (render(x) == render(y))
+                assert (expand_bounded(x) is expand_bounded(y)) == (render(x) == render(y))
 
     def test_deep_successor_chain(self):
-        keys = StructureKeys()
         a = _fresh_chain(50_000, Zero())
-        assert keys(a) == keys(_fresh_chain(50_000, Zero()))
-        assert keys(a) != keys(Succ(a))
-        assert keys(a) != keys(_fresh_chain(50_000, Var(0)))
+        assert a is _fresh_chain(50_000, Zero()) and a == _fresh_chain(50_000, Zero())
+        assert hash(a) == hash(_fresh_chain(50_000, Zero()))
+        assert expand_bounded(a) is a
+        assert a is not Succ(a)
+        assert a is not _fresh_chain(50_000, Var(0))
+        assert render(a) == "s " * 50_000 + "0"
 
     def test_deep_negation_nest(self):
-        def nest(n):
-            f = Eq(Zero(), Zero())
-            for _ in range(n):
-                f = Not(f)
-            return f
+        a = _nest(5_000)
+        assert a is _nest(5_000) and a == _nest(5_000) and hash(a) == hash(_nest(5_000))
+        assert a is not _nest(5_001)
+        assert expand_bounded(a) is a
+        assert render(a).count("~") == 5_000
 
-        keys = StructureKeys()
-        assert keys(nest(5_000)) == keys(nest(5_000))
-        assert keys(nest(5_000)) != keys(nest(5_001))
+    def test_dead_nodes_leave_the_table(self):
+        # the table holds nodes weakly: a dropped tree leaves it, and an
+        # equal tree built later is a fresh, correct node
+        table = syntax_module._TABLE
+        gc.collect()
+        before = len(table)
+        f = Eq(_fresh_chain(3, Var(10_007)), Zero())
+        refs = [weakref.ref(f), weakref.ref(f.left), weakref.ref(f.left.arg.arg.arg)]
+        assert len(table) == before + 5  # Var, three Succ, Eq
+        del f
+        gc.collect()
+        assert [r() for r in refs] == [None, None, None]
+        assert len(table) == before
+        assert render(Eq(_fresh_chain(3, Var(10_007)), Zero())) == "s s s v10007 = 0"
 
-    def test_numbers_survive_dropped_inputs(self):
-        # numbered nodes are kept alive, so a recycled id cannot alias
-        keys = StructureKeys()
-        got = {}
-        for n in range(300):
-            f = Eq(_fresh_chain(n % 7, Var(n % 3)), Zero())
-            got.setdefault(render(f), set()).add(keys(f))
-        assert all(len(v) == 1 for v in got.values())
-        assert len({next(iter(v)) for v in got.values()}) == len(got)
-
-    @pytest.mark.parametrize("bad", [
-        "x", Not("x"), And(Eq(Zero(), Zero()), None), Succ(3.5),
-        BForall(1, Zero(), Not(object)),
-    ])
-    def test_rejects_non_ast_like_render(self, bad):
+    @pytest.mark.parametrize("ctor, args", [
+        (Not, ("x",)), (And, (Eq(Zero(), Zero()), None)), (Succ, (3.5,)),
+        (Not, (object,)), (BForall, (1, Zero(), [1])),
+    ], ids=["x", "bad1", "bad2", "bad3", "bad4"])
+    def test_rejects_non_ast_like_render(self, ctor, args):
+        # a foreign child is refused when the node is built, so no finished
+        # tree holds one
         with pytest.raises(TypeError) as rendered:
-            render(bad)
-        with pytest.raises(TypeError) as keyed:
-            StructureKeys()(bad)
-        assert str(keyed.value) == str(rendered.value)
+            render(args[-1])
+        with pytest.raises(TypeError) as built:
+            ctor(*args)
+        assert str(built.value) == str(rendered.value)
+        assert str(built.value).startswith("not a term or formula node: ")
 
 
 class TestSubstitution:
@@ -370,6 +401,10 @@ class TestJson:
     def test_tagged_shape(self):
         obj = to_json_obj(Mul(Var(2), Zero()))
         assert obj == {"k": "mul", "l": {"k": "var", "i": 2}, "r": {"k": "zero"}}
+
+    def test_deep_round_trip(self):
+        for e in (numeral(50_000), _nest(5_000), Eq(_fresh_chain(50_000, Var(3)), Zero())):
+            assert from_json_obj(to_json_obj(e)) is e
 
 
 class TestMisc:

@@ -29,7 +29,6 @@ from berrykit.syntax import (
     Var,
     Zero,
     expand_bounded,
-    expr_equal,
     numeral,
     render,
 )
@@ -57,7 +56,7 @@ def concludes(p, f):
 class TestLeaves:
     def test_ax(self):
         p = T.ax(Q, "q2")
-        assert expr_equal(p.formula, Q.axiom("q2"))
+        assert p.formula is Q.axiom("q2")
 
     def test_sch_validates_instance(self):
         with pytest.raises(T.TacticError):
@@ -245,8 +244,8 @@ class TestCompile:
     def test_dedup_shrinks_shared_subtrees(self):
         bank = LemmaBank()
         p = T.eq_trans(bank.add_eq(2, 3), T.eq_sym(bank.add_eq(2, 3)))
-        full = T.compile_proof(p, dedup=False)
-        slim = T.compile_proof(p, dedup=True)
+        full = compile_proof_reference(p, dedup=False)
+        slim = T.compile_proof(p)
         assert len(slim) < len(full)
         assert is_valid(slim, Q) and is_valid(full, Q)
         assert render(slim.conclusion) == render(full.conclusion)
@@ -257,14 +256,11 @@ class TestCompile:
 
 
 def _same_lines(tree) -> int:
-    """Both compilers give byte-identical JSON lines, with and without
-    dedup; returns the deduplicated length."""
-    lengths = []
-    for dedup in (True, False):
-        got = list(to_json_lines(T.compile_proof(tree, dedup)))
-        assert got == list(to_json_lines(compile_proof_reference(tree, dedup)))
-        lengths.append(len(got))
-    return lengths[0]
+    """The compiler and the render-keyed reference give byte-identical JSON
+    lines; returns their length."""
+    got = list(to_json_lines(T.compile_proof(tree)))
+    assert got == list(to_json_lines(compile_proof_reference(tree)))
+    return len(got)
 
 
 def _args_to(name: str, run, monkeypatch) -> list[tuple]:
@@ -289,7 +285,7 @@ def _trees_compiled_by(run, monkeypatch) -> list:
 
 
 class TestCompileByStructure:
-    """Steps keyed by structure numbers compile exactly as steps keyed by
+    """Steps keyed by interned expansions compile exactly as steps keyed by
     rendered strings did."""
 
     def test_naming_evidence_matches_render_keyed(self, monkeypatch):
@@ -328,7 +324,7 @@ class TestCompileByStructure:
         # a bounded formula and its expansion render alike, so they dedup
         f = BForall(1, numeral(2), Le(Var(1), numeral(1)))
         tree = T.and_intro(T.excluded_middle(f), T.excluded_middle(expand_bounded(f)))
-        assert _same_lines(tree) < len(T.compile_proof(tree, dedup=False))
+        assert _same_lines(tree) < len(compile_proof_reference(tree, dedup=False))
 
     def test_open_hypothesis_message_unchanged(self):
         tree = T.and_intro(T.eq_refl(Zero()), T.hyp(BForall(1, Var(0), A)))
@@ -473,11 +469,12 @@ class TestClosedFlag:
 
 
 def _closed_lines(tree, discharge, hs) -> list[list[str]]:
-    """Discharge hs in order with the given deduction theorem, then compile
-    with and without dedup."""
+    """Discharge hs in order with the given deduction theorem, then compile,
+    and compile with every proof node on its own line."""
     for h in hs:
         tree = discharge(tree, h)
-    return [list(to_json_lines(T.compile_proof(tree, dedup))) for dedup in (True, False)]
+    return [list(to_json_lines(d)) for d in (
+        T.compile_proof(tree), compile_proof_reference(tree, dedup=False))]
 
 
 def _same_discharge(p, h) -> None:
@@ -486,7 +483,8 @@ def _same_discharge(p, h) -> None:
     new, old = T.discharge(p, h), discharge_reference(p, h)
     hs = []
     for node in full_postorder(old):
-        if type(node) is T.Hyp and not any(expr_equal(node.formula, g) for g in hs):
+        if type(node) is T.Hyp and not any(
+                expand_bounded(node.formula) is expand_bounded(g) for g in hs):
             hs.append(node.formula)
     assert _closed_lines(new, T.discharge, hs) == _closed_lines(old, discharge_reference, hs)
 
@@ -588,21 +586,21 @@ class TestWalkGuards:
     def test_compile_keys_each_distinct_node_once(self, build, monkeypatch):
         keyed = []
 
-        class Counting(syntax_module.StructureKeys):
-            def __call__(self, e):
-                keyed.append(e)
-                return super().__call__(e)
+        def counting(e):
+            keyed.append(e)
+            return expand_bounded(e)
 
         tree = build(LemmaBank())
-        monkeypatch.setattr(T, "StructureKeys", Counting)
+        monkeypatch.setattr(T, "expand_bounded", counting)
         T.compile_proof(tree)
         assert len(keyed) == len(full_postorder(tree))
 
     def test_no_dedup_gives_each_node_its_line(self):
-        # two proof nodes holding one formula object are two lines
+        # two proof nodes holding one formula share a line; the reference
+        # compiler without dedup gives each its own
         p1, p2 = T.Sch("eq_refl", A), T.Sch("eq_refl", A)
         tree = T.and_intro(p1, p2)
-        full = T.compile_proof(tree, dedup=False)
+        full = compile_proof_reference(tree, dedup=False)
         assert sum(step.formula is A for step in full.steps) == 2
         assert len(full) == len(full_postorder(tree))
         assert sum(step.formula is A for step in T.compile_proof(tree).steps) == 1
@@ -618,8 +616,8 @@ class TestWalkGuards:
 
         closed, open_ = chain(T.eq_refl(Zero())), chain(T.hyp(A))
         assert closed.closed and not open_.closed
-        assert len(T.compile_proof(closed, dedup=False)) == 30_001
-        assert expr_equal(T.compile_proof(closed).conclusion, A)
+        assert len(compile_proof_reference(closed, dedup=False)) == 30_001
+        assert T.compile_proof(closed).conclusion is A
         d = T.discharge(open_, A)
         assert d.closed
         assert T.open_hypotheses(d) == []
