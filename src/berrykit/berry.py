@@ -22,6 +22,7 @@ from .syntax import (
     Add,
     And,
     BForall,
+    BINDERS,
     Eq,
     Exists,
     Forall,
@@ -38,6 +39,7 @@ from .syntax import (
     Zero,
     classify,
     expand_bounded,
+    fold,
     free_vars,
     is_closed,
     length,
@@ -141,7 +143,8 @@ def enumerate_formulas(max_len: int, cap: int = DEFAULT_CAP) -> Iterator[Formula
             # each formula is built once; keep those in renaming normal form
             if free_vars(f) - {0} or rename_to_first(f, max_len) is not f:
                 continue
-            out.append((length(f), tuple(tokens(f)), f))
+            toks = tuple(tokens(f))
+            out.append((len(toks), toks, f))
     out.sort(key=lambda item: (item[0], item[1]))
     return iter(f for _, _, f in out)
 
@@ -314,32 +317,15 @@ class PsiConstants:
 
 def _count_free(f: Formula, i: int) -> int:
     """Free occurrences of v_i, binder-aware."""
-    count = 0
-    stack: list[tuple[object, frozenset[int]]] = [(f, frozenset())]
-    while stack:
-        node, shadow = stack.pop()
-        match node:
-            case Var(j):
-                if j == i and j not in shadow:
-                    count += 1
-            case Zero():
-                pass
-            case Succ(a):
-                stack.append((a, shadow))
-            case Add(l, r) | Mul(l, r) | Eq(l, r) | Le(l, r):
-                stack.append((l, shadow))
-                stack.append((r, shadow))
-            case Not(b):
-                stack.append((b, shadow))
-            case And(l, r) | Or(l, r) | Imp(l, r) | Iff(l, r):
-                stack.append((l, shadow))
-                stack.append((r, shadow))
-            case Forall(v, b) | Exists(v, b):
-                stack.append((b, shadow | {v}))
-            case BForall(v, t, b) | BExists(v, t, b):
-                stack.append((t, shadow))
-                stack.append((b, shadow | {v}))
-    return count
+
+    def count(node, kids: tuple) -> int:
+        if type(node) is Var:
+            return int(node.index == i)
+        if type(node) in BINDERS and node.var == i:
+            return kids[0] if len(kids) == 2 else 0  # only a bound is outside
+        return sum(kids)
+
+    return fold(f, count)
 
 
 def budget_term(k: int) -> Term:

@@ -29,6 +29,7 @@ from .syntax import (
     And,
     BExists,
     BForall,
+    BINDERS,
     Eq,
     Exists,
     Forall,
@@ -47,6 +48,7 @@ from .syntax import (
     all_var_indices,
     classify,
     expand_bounded,
+    fold,
     free_vars,
     guarded_exists,
     guarded_forall,
@@ -66,24 +68,9 @@ def _succs(t: Term, n: int) -> Term:
     return t
 
 
-def _binder_indices(f: Formula) -> set[int]:
-    out: set[int] = set()
-    stack: list[Formula] = [f]
-    while stack:
-        g = stack.pop()
-        match g:
-            case Not(b):
-                stack.append(b)
-            case And(l, r) | Or(l, r) | Imp(l, r) | Iff(l, r):
-                stack.append(l)
-                stack.append(r)
-            case Forall(v, b) | Exists(v, b):
-                out.add(v)
-                stack.append(b)
-            case BForall(v, _, b) | BExists(v, _, b):
-                out.add(v)
-                stack.append(b)
-    return out
+def _binders_of(node, kids: tuple) -> frozenset[int]:
+    out = frozenset().union(*kids)
+    return out | {node.var} if type(node) in BINDERS else out
 
 
 class LemmaBank:
@@ -466,7 +453,7 @@ class LemmaBank:
         """
         phi = expand_bounded(phi)  # type: ignore[assignment]
         repl_free = free_vars(t) | free_vars(u)
-        clash = (_binder_indices(phi) - {x}) & repl_free
+        clash = (fold(phi, _binders_of) - {x}) & repl_free
         if clash:
             raise T.TacticError(f"binders would capture the terms: {sorted(clash)}")
         e = Eq(t, u)

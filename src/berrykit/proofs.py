@@ -46,6 +46,7 @@ from .syntax import (
     is_term,
     render,
     substitute,
+    succ_spine,
 )
 
 
@@ -189,14 +190,6 @@ _PATTERN_SCHEMAS: dict[str, tuple] = {
 }
 
 
-def _strip_succ(t: Term) -> tuple[int, Term]:
-    n = 0
-    while type(t) is Succ:
-        n += 1
-        t = t.arg
-    return n, t
-
-
 def _rewrap_succ(n: int, t: Term) -> Term:
     for _ in range(n):
         t = Succ(t)
@@ -215,8 +208,8 @@ def _find_witness(body: Formula, var: int, target: Formula) -> Term | None:
         if is_term(x):
             if not is_term(y):
                 return None
-            nx, cx = _strip_succ(x)
-            ny, cy = _strip_succ(y)
+            nx, cx = succ_spine(x)
+            ny, cy = succ_spine(y)
             if type(cx) is Var and cx.index == var and var not in bound:
                 if ny >= nx:
                     return _rewrap_succ(ny - nx, cy)

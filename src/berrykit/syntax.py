@@ -12,6 +12,18 @@ Nodes are hash-consed (Filliatre & Conchon, Type-Safe Modular Hash-Consing,
 notion of equality, and `==` and `hash` are O(1) at any depth.  Each node
 stores its expansion, so two expressions render alike exactly when
 `expand_bounded` gives the same object for both.
+
+Every bottom-up question (free variables, variable indices, length,
+class) is an algebra for one iterative postorder `fold` over `CHILDREN`
+(Meijer, Fokkinga & Paterson, Functional Programming with Bananas, Lenses,
+Envelopes and Barbed Wire, 1991): a function from a node and its
+children's values to the node's value.  The fold memoizes by identity
+within a call.  Only free variables persist between calls: a node never
+changes, so the fold fills its `_free` slot the first time they are asked
+for, with one shared frozenset per distinct set.  Substitution and
+canonical renaming are one iterative, capture-avoiding rebuild
+(`_rebuild`) that skips subtrees whose stored free variables miss its map;
+two expressions are alpha-equal when their canonical variants are one node.
 """
 
 from __future__ import annotations
@@ -19,7 +31,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import FrozenInstanceError
 from enum import Enum
-from typing import Iterator, Union
+from typing import Callable, Iterator, TypeVar, Union
 
 
 # ---------------------------------------------------------------- AST nodes
@@ -37,9 +49,11 @@ class _Node:
     fields and children when there is one.  `_expanded` holds the node's
     bounded-quantifier expansion, or None when the node is its own (a
     self-reference would be a cycle only the cyclic collector frees).
+    `_free` holds the node's free variables once `free_vars` has been asked
+    for them, else None.
     """
 
-    __slots__ = ("__weakref__", "_expanded")
+    __slots__ = ("__weakref__", "_expanded", "_free")
     __match_args__: tuple[str, ...] = ()
 
     def __new__(cls, *args):
@@ -137,6 +151,7 @@ class BExists(_Node):
 Term = Union[Zero, Var, Succ, Add, Mul]
 Formula = Union[Eq, Le, Not, And, Or, Imp, Iff, Forall, Exists, BForall, BExists]
 Expr = Union[Term, Formula]
+R = TypeVar("R")
 
 # the child fields of each node type, in order; a node's int field, if it
 # has one, comes first
@@ -146,6 +161,7 @@ CHILDREN: dict[type, tuple[str, ...]] = {
     BForall: ("bound", "body"), BExists: ("bound", "body"),
     **{t: ("left", "right") for t in (Add, Mul, Eq, Le, And, Or, Imp, Iff)},
 }
+BINDERS = frozenset((Forall, Exists, BForall, BExists))
 _TERM_TYPES = frozenset((Zero, Var, Succ, Add, Mul))
 _FORMULA_TYPES = frozenset(CHILDREN) - _TERM_TYPES
 _BINARY_CONNECTIVES = {And: "&", Or: "|", Imp: "->", Iff: "<->"}
@@ -176,6 +192,7 @@ def _build(cls: type, args: tuple) -> Expr:
     else:
         expanded = None
     object.__setattr__(node, "_expanded", expanded)
+    object.__setattr__(node, "_free", None)
     return node
 
 
@@ -200,73 +217,94 @@ def numeral(n: int) -> Term:
     return _NUMERALS[n]
 
 
-def numeral_value(t: Term) -> int | None:
-    """Value of a pure successor-chain term, None if it is not one."""
+def succ_spine(t: Expr) -> tuple[int, Expr]:
+    """How many successors sit on top of t, and the node below them."""
     n = 0
     while type(t) is Succ:
         n += 1
         t = t.arg
-    return n if type(t) is Zero else None
+    return n, t
+
+
+def numeral_value(t: Term) -> int | None:
+    """Value of a pure successor-chain term, None if it is not one."""
+    n, core = succ_spine(t)
+    return n if type(core) is Zero else None
 
 
 # ---------------------------------------------------------------- traversal
 
-def free_vars(e: Expr) -> frozenset[int]:
-    out: set[int] = set()
-    # (node, bound-set) pairs; successor chains unrolled to keep the stack flat
-    stack: list[tuple[Expr, frozenset[int]]] = [(e, frozenset())]
+def fold(e: Expr, alg: Callable[[Expr, tuple], R], memo=None) -> R:
+    """The value alg gives e, bottom-up: alg(node, values of its children).
+
+    Iterative postorder over CHILDREN, so depth costs heap, not stack.  A
+    successor spine is one node to the fold: alg sees its top Succ with
+    the value of the first non-successor below.  `memo` (a fresh dict when
+    None; anything with `get` and item assignment) maps nodes to values:
+    the fold reads a node's value there instead of descending, and writes
+    every value it computes.  alg never returns None.
+    """
+    if type(e) not in CHILDREN:
+        raise TypeError(f"not a term or formula node: {e!r}")
+    done = {} if memo is None else memo
+    stack = [e]
     while stack:
-        node, bound = stack.pop()
-        while type(node) is Succ:
-            node = node.arg
-        match node:
-            case Zero():
-                pass
-            case Var(i):
-                if i not in bound:
-                    out.add(i)
-            case Add(l, r) | Mul(l, r) | Eq(l, r) | Le(l, r):
-                stack.append((l, bound))
-                stack.append((r, bound))
-            case Not(b):
-                stack.append((b, bound))
-            case And(l, r) | Or(l, r) | Imp(l, r) | Iff(l, r):
-                stack.append((l, bound))
-                stack.append((r, bound))
-            case Forall(v, b) | Exists(v, b):
-                stack.append((b, bound | {v}))
-            case BForall(v, t, b) | BExists(v, t, b):
-                stack.append((t, bound))
-                stack.append((b, bound | {v}))
-    return frozenset(out)
+        node = stack[-1]
+        if done.get(node) is not None:
+            stack.pop()
+            continue
+        if type(node) is Succ:
+            kids = [succ_spine(node)[1]]
+        else:
+            kids = [getattr(node, name) for name in CHILDREN[type(node)]]
+        values = [done.get(kid) for kid in kids]
+        if None in values:
+            stack += kids
+            continue
+        stack.pop()
+        done[node] = alg(node, tuple(values))
+    return done.get(e)
+
+
+class _FreeSlots:
+    """The memo of the free-variables fold: each node's `_free` slot, so a
+    value found once is kept for the node's life."""
+
+    def get(self, node: Expr) -> frozenset[int] | None:
+        return node._free
+
+    def __setitem__(self, node: Expr, value: frozenset[int]) -> None:
+        object.__setattr__(node, "_free", _VAR_SETS.setdefault(value, value))
+
+
+# one object per distinct set, so every node sharing a set shares the object
+_VAR_SETS: dict[frozenset[int], frozenset[int]] = {}
+
+
+def _free_of(node: Expr, kids: tuple) -> frozenset[int]:
+    if type(node) is Var:
+        return frozenset((node.index,))
+    if type(node) in BINDERS:  # a bound, if any, is outside the binder
+        return kids[-1].difference((node.var,)).union(*kids[:-1])
+    return frozenset().union(*kids)
+
+
+def free_vars(e: Expr) -> frozenset[int]:
+    """Variables with a free occurrence; kept on each node once asked for."""
+    got = getattr(e, "_free", None)
+    return got if got is not None else fold(e, _free_of, _FreeSlots())
+
+
+def _indices_of(node: Expr, kids: tuple) -> frozenset[int]:
+    if type(node) is Var:
+        return frozenset((node.index,))
+    out = frozenset().union(*kids)
+    return out | {node.var} if type(node) in BINDERS else out
 
 
 def all_var_indices(e: Expr) -> frozenset[int]:
     """Every variable index occurring at all, free or bound or as binder."""
-    out: set[int] = set()
-    stack: list[Expr] = [e]
-    while stack:
-        node = stack.pop()
-        while type(node) is Succ:
-            node = node.arg
-        match node:
-            case Zero():
-                pass
-            case Var(i):
-                out.add(i)
-            case Add(l, r) | Mul(l, r) | Eq(l, r) | Le(l, r):
-                stack.extend((l, r))
-            case Not(b):
-                stack.append(b)
-            case And(l, r) | Or(l, r) | Imp(l, r) | Iff(l, r):
-                stack.extend((l, r))
-            case Forall(v, b) | Exists(v, b):
-                out.add(v)
-                stack.append(b)
-            case BForall(v, t, b) | BExists(v, t, b):
-                out.add(v)
-                stack.extend((t, b))
-    return frozenset(out)
+    return fold(e, _indices_of)
 
 
 def is_closed(e: Expr) -> bool:
@@ -368,163 +406,123 @@ def render(e: Expr) -> str:
     return " ".join(token_stream(e))
 
 
-def length(e: Expr) -> int:
-    """Token count of the canonical rendering of the expanded form."""
-    n = 0
-    for _ in token_stream(e):
-        n += 1
+# the tokens a node adds to its children's: its symbol, the parentheses
+# around formula operands, a quantifier prefix
+_OWN_TOKENS = {
+    Zero: 1, Var: 1, Add: 1, Mul: 1, Eq: 1, Le: 1, Not: 3,
+    Forall: 6, Exists: 6, And: 5, Or: 5, Imp: 5, Iff: 5,
+}
+
+
+def _length_of(node: Expr, kids: tuple) -> int:
+    if type(node) is Succ:  # a whole spine: one s each, parentheses on a sum
+        n, core = succ_spine(node)
+        return kids[0] + n + 2 * _is_composite(core)
+    n = sum(kids) + _OWN_TOKENS[type(node)]
+    if type(node) is Add or type(node) is Mul:  # parenthesized composite operands
+        n += 2 * (_is_composite(node.left) + _is_composite(node.right))
     return n
 
 
-def alpha_equal(a: Expr, b: Expr) -> bool:
-    """Equality up to consistent renaming of bound variables."""
-    a = expand_bounded(a)
-    b = expand_bounded(b)
-    stack: list[tuple[Expr, Expr, dict[int, int], dict[int, int]]] = [(a, b, {}, {})]
-    while stack:
-        x, y, fwd, rev = stack.pop()
-        nx = ny = 0
-        while type(x) is Succ:
-            nx += 1
-            x = x.arg
-        while type(y) is Succ:
-            ny += 1
-            y = y.arg
-        if nx != ny or type(x) is not type(y):
+def length(e: Expr) -> int:
+    """Token count of the canonical rendering of the expanded form."""
+    return fold(expand_bounded(e), _length_of)
+
+
+# ---------------------------------------------------------------- rebuilding
+
+def _rebuild(e: Expr, env: dict[int, Term], first: int | None = None) -> Expr:
+    """e with each free v_k in env replaced by env[k], all at once.
+
+    first=None (substitution): a binder keeps its index unless it would
+    capture a variable of a replacement.  Then it takes the least index free
+    in neither its body, the replacements nor the replaced variables, and
+    its body is rebuilt twice: renaming the old index to the new, then under
+    env.  Subtrees whose free variables miss env are kept as they are.
+    first=j (canonical renaming): every binder takes the least index >= j
+    that no free variable of its body takes once renamed, and its body is
+    rebuilt once, under env and that renaming together.
+
+    A bounded quantifier's bound counts as part of its body, as it does in
+    the expansion; it never mentions the binder, so only the choice of a
+    new index sees it.  Iterative, each node rebuilt once per environment.
+    """
+    if type(e) not in CHILDREN:
+        raise TypeError(f"not a term or formula node: {e!r}")
+    done: dict[tuple[Expr, int], Expr] = {}
+    envs = [env]  # every environment stays alive, so its id names it
+
+    def settled(node: Expr, env: dict) -> bool:
+        """Whether node's result under env is known, recording it when it
+        needs no rebuilding: a subtree env misses, or a replaced variable."""
+        key = (node, id(env))
+        if key in done:
+            return True
+        if (first is None or type(node) in _TERM_TYPES) and (
+                node._free or free_vars(node)).isdisjoint(env):
+            done[key] = node
+        elif type(node) is Var:
+            done[key] = env[node.index]
+        else:
             return False
-        match x:
-            case Zero():
-                pass
-            case Var(i):
-                j = y.index  # type: ignore[union-attr]
-                if i in fwd or j in rev:
-                    if fwd.get(i) != j or rev.get(j) != i:
-                        return False
-                elif i != j:
-                    return False
-            case Add(l, r) | Mul(l, r) | Eq(l, r) | Le(l, r):
-                stack.append((l, y.left, fwd, rev))  # type: ignore[union-attr]
-                stack.append((r, y.right, fwd, rev))  # type: ignore[union-attr]
-            case Not(body):
-                stack.append((body, y.body, fwd, rev))  # type: ignore[union-attr]
-            case And(l, r) | Or(l, r) | Imp(l, r) | Iff(l, r):
-                stack.append((l, y.left, fwd, rev))  # type: ignore[union-attr]
-                stack.append((r, y.right, fwd, rev))  # type: ignore[union-attr]
-            case Forall(v, body) | Exists(v, body):
-                w = y.var  # type: ignore[union-attr]
-                stack.append(
-                    (body, y.body, {**fwd, v: w}, {**rev, w: v})  # type: ignore[union-attr]
-                )
-            case _:
-                raise TypeError(f"not a term or formula node: {x!r}")
-    return True
+        return True
 
-
-# ------------------------------------------------------------- substitution
-
-def _subst_term(t: Term, i: int, repl: Term) -> Term:
-    # iterative rebuild; replacement subtrees are inserted without traversal
-    if i not in free_vars(t):
-        return t
-    done: dict[int, Term] = {}
-    stack: list[tuple[Term, bool]] = [(t, False)]
+    # (node, env, None) on the way down; on the way up (node, env, (int
+    # fields, (child, env) pairs, environments the last child goes through
+    # after its own))
+    stack: list[tuple[Expr, dict, tuple | None]] = []
+    if not settled(e, env):
+        stack.append((e, env, None))
     while stack:
-        node, ready = stack.pop()
-        if id(node) in done:
-            continue
-        match node:
-            case Zero():
-                done[id(node)] = node
-            case Var(j):
-                done[id(node)] = repl if j == i else node
-            case Succ(a):
-                # whole successor spines are shared or rewrapped in one go
-                n, core = 1, a
-                while type(core) is Succ:
-                    n += 1
-                    core = core.arg
-                match core:
-                    case Zero():
-                        done[id(node)] = node
-                        continue
-                    case Var(j):
-                        if j != i:
-                            done[id(node)] = node
-                            continue
-                        out = repl
-                        for _ in range(n):
-                            out = Succ(out)
-                        done[id(node)] = out
-                        continue
-                if ready:
-                    out = done[id(core)]
-                    for _ in range(n):
-                        out = Succ(out)
-                    done[id(node)] = out
-                else:
-                    stack.append((node, True))
-                    stack.append((core, False))
-            case Add(l, r) | Mul(l, r):
-                if ready:
-                    done[id(node)] = type(node)(done[id(l)], done[id(r)])
-                else:
-                    stack.append((node, True))
-                    stack.append((l, False))
-                    stack.append((r, False))
-    return done[id(t)]
+        node, env, plan = stack.pop()
+        kind = type(node)
+        if plan is None:
+            if (node, id(env)) in done:
+                continue
+            scope = [getattr(node, name) for name in CHILDREN[kind]]
+            ints, pairs, then = (), [(kid, env) for kid in scope], ()
+            if kind in BINDERS:
+                v = node.var
+                scope_free = frozenset().union(*map(free_vars, scope))
+                inner = {k: t for k, t in env.items() if k != v and k in scope_free}
+                taken = frozenset().union(*map(free_vars, inner.values()))
+                w, body_env = v, inner
+                if first is not None:
+                    w = first
+                    taken |= scope_free - inner.keys() - {v}
+                elif v in taken:  # captured: rename first, then substitute
+                    w, body_env, then = 0, {}, (inner,)
+                    taken |= scope_free | inner.keys()
+                while w in taken:
+                    w += 1
+                if w != v:
+                    body_env[v] = Var(w)
+                envs += (inner, body_env)
+                ints, pairs = (w,), [(kid, inner) for kid in scope[:-1]] + [(scope[-1], body_env)]
+        else:
+            ints, pairs, then = plan
+            if not then:
+                done[node, id(env)] = kind(*ints, *[done[k, id(k_env)] for k, k_env in pairs])
+                continue
+            # the last child's result is rebuilt again, under the next env
+            last, last_env = pairs[-1]
+            pairs = [*pairs[:-1], (done[last, id(last_env)], then[0])]
+            then = then[1:]
+        stack.append((node, env, (ints, pairs, then)))
+        stack += [(kid, kid_env, None) for kid, kid_env in pairs if not settled(kid, kid_env)]
+    return done[e, id(envs[0])]
 
 
-def _fresh_index(avoid: set[int]) -> int:
-    k = 0
-    while k in avoid:
-        k += 1
-    return k
+def alpha_equal(a: Expr, b: Expr) -> bool:
+    """Equality up to consistent renaming of bound variables: the canonical
+    alpha-variants of the expansions are one node."""
+    a, b = expand_bounded(a), expand_bounded(b)
+    return a is b or _rebuild(a, {}, first=0) is _rebuild(b, {}, first=0)
 
 
 def substitute(e: Expr, i: int, repl: Term) -> Expr:
     """Replace free occurrences of v_i by `repl`, renaming binders on capture."""
-    if is_term(e):
-        return _subst_term(e, i, repl)
-    repl_free = free_vars(repl)
-
-    def go(f: Formula) -> Formula:
-        match f:
-            case Eq(l, r):
-                return Eq(_subst_term(l, i, repl), _subst_term(r, i, repl))
-            case Le(l, r):
-                return Le(_subst_term(l, i, repl), _subst_term(r, i, repl))
-            case Not(b):
-                return Not(go(b))
-            case And(l, r):
-                return And(go(l), go(r))
-            case Or(l, r):
-                return Or(go(l), go(r))
-            case Imp(l, r):
-                return Imp(go(l), go(r))
-            case Iff(l, r):
-                return Iff(go(l), go(r))
-            case Forall(v, b) | Exists(v, b):
-                kind = type(f)
-                if v == i or i not in free_vars(b):
-                    return f
-                if v in repl_free:
-                    w = _fresh_index(set(repl_free) | set(free_vars(b)) | {i})
-                    b = substitute(b, v, Var(w))  # type: ignore[assignment]
-                    return kind(w, go(b))  # type: ignore[arg-type]
-                return kind(v, go(b))  # type: ignore[arg-type]
-            case BForall(v, t, b) | BExists(v, t, b):
-                kind = type(f)
-                t2 = _subst_term(t, i, repl)
-                if v == i or i not in free_vars(b):
-                    return kind(v, t2, b)  # type: ignore[arg-type]
-                if v in repl_free:
-                    w = _fresh_index(set(repl_free) | set(free_vars(b)) | {i})
-                    b = substitute(b, v, Var(w))
-                    return kind(w, t2, go(b))  # type: ignore[arg-type]
-                return kind(v, t2, go(b))  # type: ignore[arg-type]
-        raise TypeError(f"not a formula node: {f!r}")
-
-    return go(e)
+    return _rebuild(e, {i: repl})
 
 
 # ------------------------------------------------------------ normalization
@@ -533,68 +531,22 @@ def rename_to_first(f: Formula, j: int) -> Formula:
     """Canonically rename bound variables so all indices stay below j.
 
     Each binder takes the smallest index >= 1 whose variable is not free in
-    that binder's body (with enclosing binders already mapped).  The result
-    is the canonical alpha-variant; formulas already in that shape are fixed
-    points.  Requires free variables within {v0} and length(f) < j.
+    that binder's body (with enclosing binders already mapped).  The map is
+    applied all at once, so binders that trade indices keep their meaning.
+    The result is the canonical alpha-variant; formulas already in that
+    shape are fixed points.  Requires free variables within {v0} and
+    length(f) < j.
     """
+    if not is_formula(f):
+        raise TypeError(f"not a formula node: {f!r}")
     fv = free_vars(f)
     if fv - {0}:
         raise ValueError(f"free variables beyond v0: {sorted(fv - {0})}")
     if length(f) >= j:
         raise ValueError("formula too long for the requested variable window")
-
-    def go(g: Formula, rho: dict[int, int]) -> Formula:
-        match g:
-            case Eq(_, _) | Le(_, _):
-                return _apply_rho(g, rho)
-            case Not(b):
-                return Not(go(b, rho))
-            case And(l, r):
-                return And(go(l, rho), go(r, rho))
-            case Or(l, r):
-                return Or(go(l, rho), go(r, rho))
-            case Imp(l, r):
-                return Imp(go(l, rho), go(r, rho))
-            case Iff(l, r):
-                return Iff(go(l, rho), go(r, rho))
-            case Forall(v, b) | Exists(v, b):
-                kind = type(g)
-                other = {rho.get(y, y) for y in free_vars(b) - {v}}
-                idx = 1
-                while idx in other:
-                    idx += 1
-                return kind(idx, go(b, {**rho, v: idx}))  # type: ignore[arg-type]
-            case BForall(v, t, b) | BExists(v, t, b):
-                kind = type(g)
-                t2 = _apply_rho_term(t, rho)
-                other = {rho.get(y, y) for y in free_vars(b) - {v}}
-                idx = 1
-                while idx in other:
-                    idx += 1
-                return kind(idx, t2, go(b, {**rho, v: idx}))  # type: ignore[arg-type]
-        raise TypeError(f"not a formula node: {g!r}")
-
-    out = go(f, {0: 0})
+    out = _rebuild(f, {}, first=1)
     assert all(v < j for v in all_var_indices(out))
-    return out
-
-
-def _apply_rho_term(t: Term, rho: dict[int, int]) -> Term:
-    out = t
-    for src in sorted(free_vars(t), reverse=True):
-        dst = rho.get(src, src)
-        if dst != src:
-            out = _subst_term(out, src, Var(dst))
-    return out
-
-
-def _apply_rho(g: Formula, rho: dict[int, int]) -> Formula:
-    match g:
-        case Eq(l, r):
-            return Eq(_apply_rho_term(l, rho), _apply_rho_term(r, rho))
-        case Le(l, r):
-            return Le(_apply_rho_term(l, rho), _apply_rho_term(r, rho))
-    raise TypeError(f"expected an atomic formula: {g!r}")
+    return out  # type: ignore[return-value]
 
 
 # ------------------------------------------------------------ classification
@@ -622,50 +574,38 @@ def guarded_exists(f: Formula) -> tuple[int, Term, Formula] | None:
     return None
 
 
-def _is_delta0(f: Formula) -> bool:
-    match f:
-        case Eq(_, _) | Le(_, _):
-            return True
-        case Not(b):
-            return _is_delta0(b)
-        case And(l, r) | Or(l, r) | Imp(l, r) | Iff(l, r):
-            return _is_delta0(l) and _is_delta0(r)
-        case Forall(_, _):
-            g = guarded_forall(f)
-            return g is not None and _is_delta0(g[2])
-        case Exists(_, _):
-            g = guarded_exists(f)
-            return g is not None and _is_delta0(g[2])
-    return False
+# class ranks in the fold: Δ0, Σ, neither, and an implication from a Δ0
+# formula to a Σ one, no Σ formula itself but one under a guarded ∀
+_D0, _SIG, _OTH, _D0_TO_SIG = range(4)
 
 
-def _is_sigma(f: Formula) -> bool:
-    if _is_delta0(f):
-        return True
-    match f:
-        case And(l, r) | Or(l, r):
-            return _is_sigma(l) and _is_sigma(r)
-        case Exists(_, b):
-            g = guarded_exists(f)
-            if g is not None:
-                return _is_sigma(g[2])
-            return _is_sigma(b)
-        case Forall(_, _):
-            g = guarded_forall(f)
-            return g is not None and _is_sigma(g[2])
-    return False
+def _rank_of(node: Expr, kids: tuple) -> int:
+    kind = type(node)
+    if kind is Eq or kind is Le:
+        return _D0
+    if kind is Imp and kids == (_D0, _SIG):
+        return _D0_TO_SIG
+    if kind is Not or kind is Iff or kind is Imp:
+        return _D0 if max(kids) == _D0 else _OTH
+    if kind is And or kind is Or:
+        return min(max(kids), _OTH)
+    if kind is Exists:
+        if guarded_exists(node) is not None:
+            return kids[0]
+        return _SIG if kids[0] <= _SIG else _OTH
+    if kind is Forall and guarded_forall(node) is not None:
+        return {_D0: _D0, _D0_TO_SIG: _SIG}.get(kids[0], _OTH)
+    return _OTH  # terms and unguarded universals; expansions hold no sugar
 
 
 def classify(f: Formula) -> FormulaClass:
     """Most specific syntactic class of the expanded formula."""
     f = expand_bounded(f)  # type: ignore[assignment]
-    if _is_delta0(f):
-        return FormulaClass.DELTA0
-    if type(f) is Exists and _is_delta0(f.body):
+    ranks: dict[Expr, int] = {}
+    rank = fold(f, _rank_of, ranks)
+    if rank == _SIG and type(f) is Exists and ranks[f.body] == _D0:
         return FormulaClass.SIGMA1
-    if _is_sigma(f):
-        return FormulaClass.SIGMA
-    return FormulaClass.OTHER
+    return {_D0: FormulaClass.DELTA0, _SIG: FormulaClass.SIGMA}.get(rank, FormulaClass.OTHER)
 
 
 # ----------------------------------------------------------------- JSON AST
@@ -686,28 +626,20 @@ _JSON_KEYS: dict[type, tuple[str, ...]] = {
 }
 
 
+def _json_of(node: Expr, kids: tuple) -> dict:
+    if type(node) is Succ:  # a whole spine, wrapped from its core outwards
+        obj = kids[0]
+        for _ in range(succ_spine(node)[0]):
+            obj = {"k": "succ", "t": obj}
+        return obj
+    names = node.__match_args__
+    ints = [getattr(node, name) for name in names[:len(names) - len(kids)]]
+    return {"k": _JSON_KINDS[type(node)], **dict(zip(_JSON_KEYS[type(node)], ints + [*kids]))}
+
+
 def to_json_obj(e: Expr) -> dict:
     """The tagged JSON object of e; iterative, so deep terms are safe."""
-    done: dict[Expr, dict] = {}
-    stack = [e]
-    while stack:
-        node = stack[-1]
-        if node in done:
-            stack.pop()
-            continue
-        kind = type(node)
-        values = [getattr(node, name) for name in kind.__match_args__]
-        n_ints = len(values) - len(CHILDREN[kind])
-        kids = [v for v in values[n_ints:] if v not in done]
-        if kids:
-            stack.extend(kids)
-            continue
-        stack.pop()
-        obj = {"k": _JSON_KINDS[kind]}
-        for key, value in zip(_JSON_KEYS[kind], values):
-            obj[key] = done.get(value, value)  # an int field is no key of done
-        done[node] = obj
-    return done[e]
+    return fold(e, _json_of)
 
 
 def from_json_obj(obj: dict) -> Expr:

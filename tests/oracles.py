@@ -1,6 +1,9 @@
 """Independent oracles the engine modules are checked against.
 
 Each oracle deliberately takes a different route than the code under test:
+free variables, indices, classes, substitution and alpha-equality by one
+walker per question instead of one fold and one rebuild, renaming by
+recursion,
 truth by textual substitution instead of environments (three-valued and
 budgeted for the soundness judge, which shows an accepted step false
 without the kernel or the evaluators), formula counting by
@@ -27,10 +30,278 @@ from berrykit.semantics import names_semantic
 from berrykit import tactics as T
 from berrykit.tactics import MP, Ax, Gen, Hyp, Proof, Sch, TacticError
 from berrykit.syntax import (
-    Add, And, BExists, BForall, Eq, Exists, Forall, Formula, Iff, Imp, Le,
-    Mul, Not, Or, Succ, Term, Var, Zero, free_vars, numeral, render,
-    substitute,
+    Add, And, BExists, BForall, Eq, Exists, Forall, Formula, FormulaClass,
+    Iff, Imp, Le, Mul, Not, Or, Succ, Term, Var, Zero, expand_bounded,
+    is_term, numeral, render, tokens,
 )
+
+
+# ------------------------------------------------- one walker per question
+
+def free_vars(e) -> frozenset[int]:
+    out: set[int] = set()
+    # (node, bound-set) pairs; successor chains unrolled to keep the stack flat
+    stack: list[tuple[object, frozenset[int]]] = [(e, frozenset())]
+    while stack:
+        node, bound = stack.pop()
+        while type(node) is Succ:
+            node = node.arg
+        match node:
+            case Zero():
+                pass
+            case Var(i):
+                if i not in bound:
+                    out.add(i)
+            case Add(l, r) | Mul(l, r) | Eq(l, r) | Le(l, r):
+                stack.append((l, bound))
+                stack.append((r, bound))
+            case Not(b):
+                stack.append((b, bound))
+            case And(l, r) | Or(l, r) | Imp(l, r) | Iff(l, r):
+                stack.append((l, bound))
+                stack.append((r, bound))
+            case Forall(v, b) | Exists(v, b):
+                stack.append((b, bound | {v}))
+            case BForall(v, t, b) | BExists(v, t, b):
+                stack.append((t, bound))
+                stack.append((b, bound | {v}))
+    return frozenset(out)
+
+
+def all_var_indices(e) -> frozenset[int]:
+    """Every variable index occurring at all, free or bound or as binder."""
+    out: set[int] = set()
+    stack: list = [e]
+    while stack:
+        node = stack.pop()
+        while type(node) is Succ:
+            node = node.arg
+        match node:
+            case Zero():
+                pass
+            case Var(i):
+                out.add(i)
+            case Add(l, r) | Mul(l, r) | Eq(l, r) | Le(l, r):
+                stack.extend((l, r))
+            case Not(b):
+                stack.append(b)
+            case And(l, r) | Or(l, r) | Imp(l, r) | Iff(l, r):
+                stack.extend((l, r))
+            case Forall(v, b) | Exists(v, b):
+                out.add(v)
+                stack.append(b)
+            case BForall(v, t, b) | BExists(v, t, b):
+                out.add(v)
+                stack.extend((t, b))
+    return frozenset(out)
+
+
+def alpha_equal(a, b) -> bool:
+    """Equality up to consistent renaming of bound variables, by walking
+    both expansions in step with a renaming map each way."""
+    a = expand_bounded(a)
+    b = expand_bounded(b)
+    stack: list[tuple[object, object, dict[int, int], dict[int, int]]] = [(a, b, {}, {})]
+    while stack:
+        x, y, fwd, rev = stack.pop()
+        nx = ny = 0
+        while type(x) is Succ:
+            nx += 1
+            x = x.arg
+        while type(y) is Succ:
+            ny += 1
+            y = y.arg
+        if nx != ny or type(x) is not type(y):
+            return False
+        match x:
+            case Zero():
+                pass
+            case Var(i):
+                j = y.index
+                if i in fwd or j in rev:
+                    if fwd.get(i) != j or rev.get(j) != i:
+                        return False
+                elif i != j:
+                    return False
+            case Add(l, r) | Mul(l, r) | Eq(l, r) | Le(l, r):
+                stack.append((l, y.left, fwd, rev))
+                stack.append((r, y.right, fwd, rev))
+            case Not(body):
+                stack.append((body, y.body, fwd, rev))
+            case And(l, r) | Or(l, r) | Imp(l, r) | Iff(l, r):
+                stack.append((l, y.left, fwd, rev))
+                stack.append((r, y.right, fwd, rev))
+            case Forall(v, body) | Exists(v, body):
+                w = y.var
+                stack.append((body, y.body, {**fwd, v: w}, {**rev, w: v}))
+            case _:
+                raise TypeError(f"not a term or formula node: {x!r}")
+    return True
+
+
+def _guarded_body(f: Formula) -> Formula | None:
+    """The body of (A v)((s v <= b) -> body) or (E v)((s v <= b) & body)."""
+    match f:
+        case Forall(v, Imp(Le(Succ(Var(w)), b), body)) | Exists(
+            v, And(Le(Succ(Var(w)), b), body)
+        ) if w == v and v not in free_vars(b):
+            return body
+    return None
+
+
+def _is_delta0(f: Formula) -> bool:
+    match f:
+        case Eq(_, _) | Le(_, _):
+            return True
+        case Not(b):
+            return _is_delta0(b)
+        case And(l, r) | Or(l, r) | Imp(l, r) | Iff(l, r):
+            return _is_delta0(l) and _is_delta0(r)
+        case Forall(_, _):
+            g = _guarded_body(f)
+            return g is not None and _is_delta0(g)
+        case Exists(_, _):
+            g = _guarded_body(f)
+            return g is not None and _is_delta0(g)
+    return False
+
+
+def _is_sigma(f: Formula) -> bool:
+    if _is_delta0(f):
+        return True
+    match f:
+        case And(l, r) | Or(l, r):
+            return _is_sigma(l) and _is_sigma(r)
+        case Exists(_, b):
+            g = _guarded_body(f)
+            if g is not None:
+                return _is_sigma(g)
+            return _is_sigma(b)
+        case Forall(_, _):
+            g = _guarded_body(f)
+            return g is not None and _is_sigma(g)
+    return False
+
+
+def classify(f: Formula) -> FormulaClass:
+    """Most specific syntactic class of the expanded formula."""
+    f = expand_bounded(f)
+    if _is_delta0(f):
+        return FormulaClass.DELTA0
+    if type(f) is Exists and _is_delta0(f.body):
+        return FormulaClass.SIGMA1
+    if _is_sigma(f):
+        return FormulaClass.SIGMA
+    return FormulaClass.OTHER
+
+
+def _subst_term(t: Term, i: int, repl: Term) -> Term:
+    n = 0
+    while type(t) is Succ:
+        n += 1
+        t = t.arg
+    match t:
+        case Var(j) if j == i:
+            out = repl
+        case Add(l, r) | Mul(l, r):
+            out = type(t)(_subst_term(l, i, repl), _subst_term(r, i, repl))
+        case _:
+            out = t
+    for _ in range(n):
+        out = Succ(out)
+    return out
+
+
+def _fresh_index(avoid: set[int]) -> int:
+    k = 0
+    while k in avoid:
+        k += 1
+    return k
+
+
+def substitute(e, i: int, repl: Term):
+    """Replace free occurrences of v_i by `repl`, one variable at a time,
+    renaming a binder on capture by a nested substitution.  A bounded
+    quantifier's bound is rebuilt but not consulted for the new index, so a
+    renamed binder that the bound mentions raises ValueError."""
+    if is_term(e):
+        return _subst_term(e, i, repl)
+    repl_free = free_vars(repl)
+
+    def go(f: Formula) -> Formula:
+        match f:
+            case Eq(l, r):
+                return Eq(_subst_term(l, i, repl), _subst_term(r, i, repl))
+            case Le(l, r):
+                return Le(_subst_term(l, i, repl), _subst_term(r, i, repl))
+            case Not(b):
+                return Not(go(b))
+            case And(l, r) | Or(l, r) | Imp(l, r) | Iff(l, r):
+                return type(f)(go(l), go(r))
+            case Forall(v, b) | Exists(v, b):
+                if v == i or i not in free_vars(b):
+                    return f
+                if v in repl_free:
+                    w = _fresh_index(set(repl_free) | set(free_vars(b)) | {i})
+                    return type(f)(w, go(substitute(b, v, Var(w))))
+                return type(f)(v, go(b))
+            case BForall(v, t, b) | BExists(v, t, b):
+                t2 = _subst_term(t, i, repl)
+                if v == i or i not in free_vars(b):
+                    return type(f)(v, t2, b)
+                if v in repl_free:
+                    w = _fresh_index(set(repl_free) | set(free_vars(b)) | {i})
+                    return type(f)(w, t2, go(substitute(b, v, Var(w))))
+                return type(f)(v, t2, go(b))
+        raise TypeError(f"not a formula node: {f!r}")
+
+    return go(e)
+
+
+def rename_to_first(f: Formula, j: int) -> Formula:
+    """The canonical alpha-variant by direct recursion with one renaming
+    map: each binder takes the least index >= 1 that no free variable of
+    its body (a bounded quantifier's bound included) takes once renamed."""
+    fv = free_vars(f)
+    if fv - {0}:
+        raise ValueError(f"free variables beyond v0: {sorted(fv - {0})}")
+    if len(tokens(f)) >= j:
+        raise ValueError("formula too long for the requested variable window")
+
+    def term(t: Term, rho: dict[int, int]) -> Term:
+        match t:
+            case Var(i):
+                return Var(rho.get(i, i))
+            case Succ(a):
+                return Succ(term(a, rho))
+            case Add(l, r) | Mul(l, r):
+                return type(t)(term(l, rho), term(r, rho))
+        return t
+
+    def binder(v: int, parts, rho: dict[int, int]) -> tuple[int, dict[int, int]]:
+        taken = {rho.get(y, y) for p in parts for y in free_vars(p) - {v}}
+        idx = 1
+        while idx in taken:
+            idx += 1
+        return idx, {**rho, v: idx}
+
+    def go(g: Formula, rho: dict[int, int]) -> Formula:
+        match g:
+            case Eq(l, r) | Le(l, r):
+                return type(g)(term(l, rho), term(r, rho))
+            case Not(b):
+                return Not(go(b, rho))
+            case And(l, r) | Or(l, r) | Imp(l, r) | Iff(l, r):
+                return type(g)(go(l, rho), go(r, rho))
+            case Forall(v, b) | Exists(v, b):
+                idx, inner = binder(v, (b,), rho)
+                return type(g)(idx, go(b, inner))
+            case BForall(v, t, b) | BExists(v, t, b):
+                idx, inner = binder(v, (t, b), rho)
+                return type(g)(idx, term(t, rho), go(b, inner))
+        raise TypeError(f"not a formula node: {g!r}")
+
+    return go(f, {})
 
 
 # ------------------------------------------------ substitution-based truth

@@ -10,7 +10,10 @@ from mutants of them that change a premise index, a numeral, a schema name,
 a `gen` variable or a quantifier's capture.  A changed subformula is
 changed in every later step too, so a mutant stays consistent past the
 step it alters: a kernel that wrongly accepts that step then derives from
-it, and a false conclusion shows up downstream.
+it, and a false conclusion shows up downstream.  Three hand-built
+derivations attack one side condition each (`ex_shift`, `all_shift`, and
+`imp_k`'s repeated metavariable), so a kernel missing one is caught on
+every run, not only when a random mutant happens to exploit it.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 from dataclasses import replace
 from functools import cache
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -251,6 +255,70 @@ def test_accepted_mutants_conclude_nothing_false(mutant):
     for step in steps[:_accepted(steps)]:
         if step.formula not in known:
             assert not closure_refuted(step.formula), render(step.formula)
+
+
+# --------------------------------------------- attacks on each side condition
+
+def _imp_refl(a) -> list[Step]:
+    """Steps 0..4: a -> a, from imp_k and imp_s."""
+    aa = Imp(a, a)
+    return [
+        Step(Imp(a, Imp(aa, a)), "schema", name="imp_k"),
+        Step(Imp(Imp(a, Imp(aa, a)), Imp(Imp(a, aa), aa)), "schema", name="imp_s"),
+        Step(Imp(Imp(a, aa), aa), "mp", premises=(1, 0)),
+        Step(Imp(a, aa), "schema", name="imp_k"),
+        Step(aa, "mp", premises=(2, 3)),
+    ]
+
+
+def _ex_shift_attack() -> tuple[list[Step], int]:
+    # (E v0)(v0 = 0) -> v0 = 0 by ex_shift, though v0 is free in v0 = 0
+    a = Eq(Var(0), Zero())
+    some = Exists(0, a)
+    return _imp_refl(a) + [
+        Step(Forall(0, Imp(a, a)), "gen", premises=(4,), var=0),
+        Step(Imp(Forall(0, Imp(a, a)), Imp(some, a)), "schema", name="ex_shift"),
+        Step(Imp(some, a), "mp", premises=(6, 5)),
+        Step(Imp(Eq(Zero(), Zero()), some), "schema", name="ex_intro"),
+        Step(Eq(Zero(), Zero()), "schema", name="eq_refl"),
+        Step(some, "mp", premises=(8, 9)),
+        Step(a, "mp", premises=(7, 10)),
+    ], 6
+
+
+def _all_shift_attack() -> tuple[list[Step], int]:
+    # v0 = 0 -> (A v0) v0 = 0 by all_shift, though v0 is free in v0 = 0
+    a = Eq(Var(0), Zero())
+    every = Forall(0, Imp(a, a))
+    return _imp_refl(a) + [
+        Step(every, "gen", premises=(4,), var=0),
+        Step(Imp(every, Imp(a, Forall(0, a))), "schema", name="all_shift"),
+        Step(Imp(a, Forall(0, a)), "mp", premises=(6, 5)),
+    ], 6
+
+
+def _imp_k_attack() -> tuple[list[Step], int]:
+    # an imp_k instance whose second A is not its first
+    true, false = Eq(Zero(), Zero()), Eq(Zero(), Succ(Zero()))
+    return [
+        Step(true, "schema", name="eq_refl"),
+        Step(Imp(true, Imp(true, false)), "schema", name="imp_k"),
+        Step(Imp(true, false), "mp", premises=(1, 0)),
+        Step(false, "mp", premises=(2, 0)),
+    ], 1
+
+
+@pytest.mark.parametrize("attack", [_ex_shift_attack, _all_shift_attack, _imp_k_attack],
+                         ids=["ex_shift", "all_shift", "imp_k"])
+def test_side_condition_attacks_are_rejected(attack):
+    # each derivation is sound but for one step, which a kernel missing
+    # that step's check would accept; the last step is false
+    steps, bad = attack()
+    assert closure_refuted(steps[-1].formula), render(steps[-1].formula)
+    assert _accepted(steps) == bad
+    assert _accepted(steps[:bad]) == bad
+    for step in steps[:bad]:
+        assert not closure_refuted(step.formula), render(step.formula)
 
 
 def test_seeded_false_conclusions_are_refuted():

@@ -11,8 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 import strategies as gen
 from berrykit import syntax as syntax_module
+from berrykit.parser import parse_formula
 from berrykit.syntax import (
     Add,
     And,
@@ -134,8 +136,8 @@ def _copy_changing_leaf(e, k: int):
     return go(e), seen[0]
 
 
-def _nest(n: int):
-    f = Eq(Zero(), Zero())
+def _nest(n: int, f=None):
+    f = Eq(Zero(), Zero()) if f is None else f
     for _ in range(n):
         f = Not(f)
     return f
@@ -284,13 +286,36 @@ class TestStructureKeys:
         assert a is not Succ(a)
         assert a is not _fresh_chain(50_000, Var(0))
         assert render(a) == "s " * 50_000 + "0"
+        # every bottom-up question and both rebuilds, on an atom over it
+        f = Eq(numeral(50_000), Var(0))
+        assert free_vars(f) == {0} and not is_closed(f) and is_closed(f.left)
+        assert all_var_indices(f) == {0}
+        assert length(f) == 50_003 and length(f.left) == 50_001
+        assert classify(f) is FormulaClass.DELTA0
+        assert substitute(f, 0, Zero()) is Eq(f.left, Zero())
+        assert substitute(Eq(_fresh_chain(50_000, Var(0)), Zero()), 0, Zero()) is Eq(
+            numeral(50_000), Zero())
+        assert rename_to_first(f, 50_004) is f
+        assert render(f) == "s " * 50_000 + "0 = v0"
 
     def test_deep_negation_nest(self):
-        a = _nest(5_000)
-        assert a is _nest(5_000) and a == _nest(5_000) and hash(a) == hash(_nest(5_000))
-        assert a is not _nest(5_001)
+        a = _nest(50_000)
+        assert a is _nest(50_000) and a == _nest(50_000) and hash(a) == hash(_nest(50_000))
+        assert a is not _nest(50_001)
         assert expand_bounded(a) is a
-        assert render(a).count("~") == 5_000
+        assert render(a).count("~") == 50_000
+        # every bottom-up question and both rebuilds, on a nest over v0
+        f = _nest(50_000, Eq(Var(0), Zero()))
+        assert free_vars(f) == {0} and not is_closed(f) and is_closed(a)
+        assert all_var_indices(f) == {0}
+        assert length(f) == 3 + 3 * 50_000
+        assert classify(f) is FormulaClass.DELTA0
+        assert substitute(f, 0, Zero()) is a
+        assert substitute(f, 1, Zero()) is f
+        assert rename_to_first(f, 200_000) is f
+        renamed = rename_to_first(_nest(50_000, Exists(7, Eq(Var(7), Var(0)))), 200_000)
+        assert renamed is _nest(50_000, Exists(1, Eq(Var(1), Var(0))))
+        assert render(f).count("~") == 50_000
 
     def test_dead_nodes_leave_the_table(self):
         # the table holds nodes weakly: a dropped tree leaves it, and an
@@ -350,6 +375,21 @@ class TestSubstitution:
         if v not in free_vars(f):
             assert render(substitute(f, v, numeral(7))) == render(f)
 
+    def test_bound_counts_as_body_when_renaming(self):
+        # a renamed bounded binder avoids its bound's variables, as its
+        # expansion's binder does; the one-variable-at-a-time reference
+        # picks v1 here and cannot build the node
+        f = BForall(0, Var(1), Eq(Var(0), Var(2)))
+        assert substitute(f, 2, Var(0)) is BForall(3, Var(1), Eq(Var(3), Var(0)))
+        with pytest.raises(ValueError):
+            oracles.substitute(f, 2, Var(0))
+        # a replaced variable free only in the bound still renames the binder
+        g = BExists(0, Var(1), Eq(Var(0), Var(0)))
+        assert substitute(g, 1, Var(0)) is BExists(2, Var(0), Eq(Var(2), Var(2)))
+        for h, i in ((f, 2), (g, 1)):
+            assert oracles.alpha_equal(substitute(h, i, Var(0)),
+                                       oracles.substitute(expand_bounded(h), i, Var(0)))
+
 
 class TestRenaming:
     def test_fixpoint_on_well_named(self):
@@ -372,6 +412,28 @@ class TestRenaming:
         f = Forall(2, Exists(3, Eq(Var(2), Var(3))))
         assert length(rename_to_first(f, 19)) == length(f)
 
+    @pytest.mark.parametrize("text, want", [
+        ("( A v2 ) ( ( A v1 ) ( v1 + v2 = 0 ) )", "( A v1 ) ( ( A v2 ) ( v2 + v1 = 0 ) )"),
+        ("( A v2 ) ( ( E v1 ) ( v2 * v1 <= s v1 ) )",
+         "( A v1 ) ( ( E v2 ) ( v1 * v2 <= s v2 ) )"),
+    ], ids=["swap", "swap-under-exists"])
+    def test_swapped_binders_keep_their_meaning(self, text, want):
+        # the renaming is one simultaneous map: two binders trading indices
+        # must not collapse into one variable
+        f = parse_formula(text)
+        r = rename_to_first(f, 30)
+        assert render(r) == want
+        assert alpha_equal(f, r) and rename_to_first(r, 30) is r
+
+    @settings(max_examples=150, deadline=None)
+    @given(gen.formulas(), st.integers(min_value=1, max_value=20))
+    def test_renaming_is_a_meaning_preserving_projection(self, f, extra):
+        f = _close_beyond_v0(f)
+        j = length(f) + extra
+        r = rename_to_first(f, j)
+        assert alpha_equal(f, r)
+        assert rename_to_first(r, j) is r
+
 
 class TestClassify:
     def test_atoms_are_bounded(self):
@@ -390,6 +452,78 @@ class TestClassify:
 
     def test_negated_existential_is_other(self):
         assert classify(Not(Exists(0, Eq(Var(0), Zero())))) is FormulaClass.OTHER
+
+
+class TestAgainstReference:
+    """The fold and the rebuild give what one walker per question gives
+    (`tests/oracles.py`), node for node."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(gen.formulas(), gen.terms()))
+    def test_bottom_up_questions(self, e):
+        assert free_vars(e) == oracles.free_vars(e)
+        assert free_vars(e) is free_vars(e)
+        assert is_closed(e) == (not oracles.free_vars(e))
+        assert all_var_indices(e) == oracles.all_var_indices(e)
+        assert length(e) == len(tokens(e))
+        assert classify(e) is oracles.classify(e)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(gen.formulas(), gen.terms()), st.integers(min_value=0, max_value=3),
+           gen.terms(3))
+    def test_substitute(self, e, i, repl):
+        # replacements over v0..v3 make binders capture, so renaming runs
+        got = substitute(e, i, repl)
+        try:
+            want = oracles.substitute(e, i, repl)
+        except ValueError:
+            # the reference cannot build a renamed bounded binder its bound
+            # mentions; the expansion has no such binder
+            assert any(type(x) in (BForall, BExists) for x in _nodes(e))
+            want = oracles.substitute(expand_bounded(e), i, repl)
+            assert oracles.alpha_equal(got, want)
+            return
+        assert got is want
+
+    @settings(max_examples=300, deadline=None)
+    @given(gen.formulas(), gen.formulas(), st.sampled_from(["binder", "renamed", "other"]),
+           st.integers(min_value=0, max_value=10_000))
+    def test_alpha_equal(self, f, g, how, k):
+        # a renumbered binder may or may not capture; a canonical renaming
+        # never changes the meaning
+        if how == "binder":
+            _, binders = _copy_changing_binder(expand_bounded(f), -1)
+            g = _copy_changing_binder(expand_bounded(f), k % binders)[0] if binders else f
+        elif how == "renamed":
+            f = _close_beyond_v0(f)
+            g = rename_to_first(f, length(f) + 1)
+        assert alpha_equal(f, g) == oracles.alpha_equal(f, g)
+        assert alpha_equal(g, f) == alpha_equal(f, g)
+        if how == "renamed":
+            assert alpha_equal(f, g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(gen.formulas(), st.integers(min_value=1, max_value=20))
+    def test_rename_to_first(self, f, extra):
+        f = _close_beyond_v0(f)
+        j = length(f) + extra
+        assert rename_to_first(f, j) is oracles.rename_to_first(f, j)
+
+
+def _close_beyond_v0(f):
+    """f under a quantifier for each of its free variables but v0."""
+    for v in sorted(free_vars(f) - {0}):
+        f = Forall(v, f) if v % 2 else Exists(v, f)
+    return f
+
+
+def _nodes(e) -> list:
+    out, stack = [], [e]
+    while stack:
+        x = stack.pop()
+        out.append(x)
+        stack.extend(v for v in _fields(x) if type(v) is not int)
+    return out
 
 
 class TestJson:
