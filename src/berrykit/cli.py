@@ -108,8 +108,41 @@ def _settings(args: argparse.Namespace) -> Settings:
     return Settings(merged["budget"], merged["cap"], merged["depth"], args.json)
 
 
+def _dumps(obj: object) -> str:
+    """`json.dumps(obj)`, with dicts and lists walked on an explicit stack.
+
+    The stdlib encoder recurses once per nesting level, and an AST in JSON
+    nests once per node.  Scalars and keys go through `json.dumps` itself.
+    """
+    out: list[str] = []
+    stack: list[tuple[bool, object]] = [(False, obj)]
+    while stack:
+        literal, item = stack.pop()
+        if literal:
+            out.append(item)  # type: ignore[arg-type]
+            continue
+        if isinstance(item, dict):
+            seq: list[tuple[bool, object]] = [(True, "{")]
+            for i, (k, v) in enumerate(item.items()):
+                key = json.dumps({k: 0})[1:-4]  # a key as json.dumps writes keys
+                seq += [(True, (", " if i else "") + key + ": "), (False, v)]
+            seq.append((True, "}"))
+        elif isinstance(item, (list, tuple)):
+            seq = [(True, "[")]
+            for i, v in enumerate(item):
+                if i:
+                    seq.append((True, ", "))
+                seq.append((False, v))
+            seq.append((True, "]"))
+        else:
+            out.append(json.dumps(item))
+            continue
+        stack.extend(reversed(seq))
+    return "".join(out)
+
+
 def _emit(obj: dict, text: str, st: Settings) -> None:
-    print(json.dumps(obj) if st.as_json else text)
+    print(_dumps(obj) if st.as_json else text)
 
 
 def _read_arg_or_stdin(value: str | None) -> str:
@@ -248,14 +281,13 @@ def _emit_verdict(v, st: Settings) -> int:
 
 def _cmd_check_proof(args, st: Settings) -> int:
     if args.file == "-":
-        lines = sys.stdin.readlines()
+        d = from_json_lines(sys.stdin)
     else:
         try:
             with open(args.file, encoding="utf-8") as fh:
-                lines = fh.readlines()
+                d = from_json_lines(fh)
         except OSError as err:
             raise InputError(f"cannot read {args.file}: {err}") from err
-    d = from_json_lines(lines)
     check(d, robinson_arithmetic())
     _emit(
         {"v": 1, "valid": True, "steps": len(d), "conclusion": render(d.conclusion)},

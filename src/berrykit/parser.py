@@ -3,6 +3,11 @@
 Accepts everything `render` produces (and harmless redundant outer
 parentheses).  Errors carry the 1-based token position and the tokens that
 would have been acceptable there.
+
+`parse_formula` with a memo reads the lines of a derivation: it looks a
+text up whole, then splits `( X ) c ( Y )` at a left operand X that is
+already a key, walking the right spine in a loop, and tokenizes only what
+is left; the parse is the one without the memo, error texts included.
 """
 
 from __future__ import annotations
@@ -152,11 +157,36 @@ class _Parser:
             self.memo[key] = f
         return f
 
+    def negation(self) -> Formula:
+        # `~ ( ~ ( ... ) )` is read in a loop, so its depth is not bounded by
+        # the interpreter's stack; each `~ ( ... )` is `~` and a subformula
+        opened: list[tuple[int | None, str]] = []
+        while True:
+            self.pos += 1
+            close, key = self.closer(), ""
+            if close is not None:
+                key = " ".join(self.toks[self.pos + 1:close])
+                f = self.memo.get(key)
+                if f is not None:
+                    self.pos = close + 1
+                    f = Not(f)
+                    break
+            self.eat("(")
+            opened.append((close, key))
+            if self.peek() != "~":
+                f = self.formula()
+                break
+        for close, key in reversed(opened):
+            self.eat(")")
+            if close is not None:
+                self.memo[key] = f
+            f = Not(f)
+        return f
+
     def formula(self) -> Formula:
         tok = self.peek()
         if tok == "~":
-            self.pos += 1
-            return Not(self.subformula())
+            return self.negation()
         if tok == "(" and self.peek(1) in ("A", "E"):
             self.pos += 1
             kind = Forall if self.peek() == "A" else Exists
@@ -204,19 +234,7 @@ def _tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text)
 
 
-def parse_formula(text: str, memo: dict[str, Formula] | None = None) -> Formula:
-    """Parse one formula.
-
-    With `memo`, a dict kept across calls, the whole text and the token
-    text of each parenthesized subformula are looked up before they are
-    parsed, so equal texts give the same node.  A text that fails to parse
-    is parsed again without the memo, so the error is the one reported
-    without it.
-    """
-    if memo is not None:
-        f = memo.get(text)
-        if f is not None:
-            return f
+def _parse_tokens(text: str, memo: dict[str, Formula] | None) -> Formula:
     toks = _tokenize(text)
     p = _Parser(toks, memo)
     try:
@@ -224,12 +242,80 @@ def parse_formula(text: str, memo: dict[str, Formula] | None = None) -> Formula:
         if p.pos != len(toks):
             p.fail("end of input")
     except _Fail:
-        if memo is not None:
-            return parse_formula(text)
         raise p.error() from None
     if memo is not None:
         memo[text] = f
     return f
+
+
+# a binary connective between parenthesized operands, spaced as `render`
+# spaces it
+_SPLIT_RE = re.compile(r" \) (<->|->|&|\|) \( ")
+
+
+def _split(text: str) -> re.Match | None:
+    """For a text `( X ) c ( Y )`, the ` ) c ( ` match that ends X.
+
+    That is the first candidate before which the parentheses balance.  X
+    and Y are only likely operands until each of them is read.
+    """
+    if not (text.startswith("( ") and text.endswith(" )")):
+        return None
+    depth, i = 0, 2
+    for m in _SPLIT_RE.finditer(text, 2, len(text) - 2):
+        j = m.start()
+        depth += text.count("(", i, j) - text.count(")", i, j)
+        if depth == 0:
+            return m
+        i = m.end()
+    return None
+
+
+def _read(text: str, memo: dict[str, Formula]) -> Formula:
+    """Parse `text` through raw slices of it that are memo keys.
+
+    The right spine of `( X ) c ( Y )` texts is walked in a loop: each X
+    is looked up (or tokenized alone), and the walk goes on into Y until a
+    text is a memo key or has no such split.  When X and Y both parse,
+    they are properly nested, so the split is the line's only top-level
+    one and the result is the token parse of the whole text.
+    """
+    spine: list[tuple[str, type, Formula]] = []
+    while (f := memo.get(text)) is None:
+        m = _split(text)
+        if m is None:
+            f = _parse_tokens(text, memo)
+            break
+        x = text[2:m.start()]
+        left = memo.get(x)
+        if left is None:
+            left = _parse_tokens(x, memo)
+        spine.append((text, _CONNECTIVES[m.group(1)], left))
+        text = text[m.end():-2]
+    for t, conn, left in reversed(spine):
+        f = memo[t] = conn(left, f)
+    return f
+
+
+def parse_formula(text: str, memo: dict[str, Formula] | None = None) -> Formula:
+    """Parse one formula.
+
+    With `memo`, a dict kept across calls that maps texts to their parses,
+    equal texts give the same node and a text is read through its raw
+    slices before it is tokenized: the whole text is looked up; a text
+    `( X ) c ( Y )` whose X is a key (or reads alone) is read as the
+    connective over X and Y, Y the same way, down the right spine.  What
+    does not split so is tokenized, and the token text of each of its
+    parenthesized subformulas is looked up before it is parsed.  A text
+    that fails to parse is parsed again without the memo, so the error is
+    the one reported without it.
+    """
+    if memo is None:
+        return _parse_tokens(text, None)
+    try:
+        return _read(text, memo)
+    except ParseError:
+        return _parse_tokens(text, None)
 
 
 def parse_term(text: str) -> Term:

@@ -5,11 +5,29 @@ import json
 
 import pytest
 
+from berrykit import cli
 from berrykit.cli import main
 from berrykit.coding import encode
 from berrykit.syntax import Eq, Not, Var, Zero, numeral, render
 
 NAMER = encode(Eq(Var(0), Zero()))
+
+
+@pytest.fixture(autouse=True)
+def dumps_matches_stdlib(monkeypatch):
+    """Every --json output here is checked against the stdlib encoder."""
+    dumps = cli._dumps
+
+    def checked(obj):
+        out = dumps(obj)
+        try:
+            expected = json.dumps(obj)
+        except RecursionError:
+            return out
+        assert out == expected
+        return out
+
+    monkeypatch.setattr(cli, "_dumps", checked)
 
 
 def run(capsys, *argv):
@@ -45,8 +63,26 @@ class TestParse:
         assert code == 0 and err == ""
         assert out.startswith("s s s ") if command == "parse" else out
 
+    @pytest.mark.parametrize(
+        "flags, text",
+        [
+            (("--json",), "s " * 1000 + "0 = 0"),
+            (("--json",), "~ ( " * 2000 + "0 = 0" + " )" * 2000),
+            ((), "~ ( " * 2000 + "0 = 0" + " )" * 2000),
+        ],
+        ids=["json-successors", "json-negations", "negations"],
+    )
+    def test_deep_input_parses(self, capsys, flags, text):
+        code, out, err = run(capsys, *flags, "parse", text)
+        assert code == 0 and err == ""
+        if flags:
+            assert out.startswith('{"v": 1, "kind": "formula", "text": "' + text + '"')
+            assert out.count("{") == out.count("}") and out.endswith("}\n")
+        else:
+            assert out.startswith(text + "\n")
+
     def test_deep_nesting_is_bad_input(self, capsys):
-        text = "~ ( " * 3000 + "0 = 0" + " )" * 3000
+        text = "( A v0 ) ( " * 3000 + "0 = 0" + " )" * 3000
         code, out, err = run(capsys, "parse", text)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -203,6 +239,23 @@ class TestProofPipeline:
         code, _, _ = run(capsys, "check-proof", "/nonexistent/d.jsonl")
         assert code == 2
 
+    def test_undecodable_bytes(self, capsys, tmp_path):
+        good = b'{"i": 0, "f": "0 = 0", "rule": "schema", "name": "eq_refl"}\n'
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(good + b'{"f": "\xff"}\n')
+        code, out, err = run(capsys, "check-proof", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: 'utf-8' codec can't decode byte 0xff in position {len(good) + 7}: invalid start byte\n"
+
+    def test_bad_json_before_undecodable_bytes(self, capsys, tmp_path):
+        # the file is read as it is checked: a bad line in the first block
+        # is reported before undecodable bytes further on
+        good = b'{"i": 0, "f": "0 = 0", "rule": "schema", "name": "eq_refl"}\n'
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(b"{nope}\n" + good * 200 + b"\xff\n")
+        code, _, err = run(capsys, "check-proof", str(path))
+        assert code == 2 and err.startswith("error: line 0: bad JSON: ")
+
 
 class TestBerry:
     def test_reports_least_unnamed(self, capsys):
@@ -325,3 +378,27 @@ class TestArgparseErrors:
         with pytest.raises(SystemExit) as exc:
             main(["berry"])
         assert exc.value.code == 2
+
+
+class TestJsonWriter:
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {},
+            [],
+            {"v": 1, "a": [], "b": {}, "c": [1, [2, [3]], {"d": None}]},
+            {"s": "é\n\t\"\\   \U0001f600", "t": True, "f": False, "n": None, "x": -0.5},
+            {1: "int key", True: "bool key", None: "none key", 2.5: "float key"},
+            ("a", ("b",)),
+            {"deep": [[[[[[[[[[0]]]]]]]]]]},
+        ],
+    )
+    def test_matches_stdlib(self, obj):
+        assert cli._dumps(obj) == json.dumps(obj)
+
+    def test_depth_beyond_the_stdlib(self):
+        obj: object = 0
+        for _ in range(20_000):
+            obj = {"a": [obj]}
+        out = cli._dumps(obj)
+        assert out == '{"a": [' * 20_000 + "0" + "]}" * 20_000

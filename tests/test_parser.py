@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import gzip
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 import strategies as gen
 from berrykit.errors import InputError
 from berrykit.parser import ParseError, _tokenize, parse, parse_formula, parse_term
-from berrykit.syntax import expand_bounded, render
+from berrykit.proofs import from_json_lines, to_json_lines
+from berrykit.syntax import And, Iff, Imp, Or, expand_bounded, render
 
 
 @settings(max_examples=120, deadline=None)
@@ -151,3 +156,107 @@ def test_memo_keeps_error_text(text):
         parse_formula, text
     )
     assert text not in memo
+
+
+# ------------------------------------------ reading by raw slices (memo path)
+
+FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
+
+
+@pytest.mark.parametrize("name", ["naming_v0_5", "naming_v0_10"])
+def test_fixture_lines_read_as_without_memo(name):
+    with gzip.open(FIXTURES / f"{name}.jsonl.gz", "rt", encoding="utf-8") as fh:
+        data = fh.read()
+    lines = data.splitlines()
+    d = from_json_lines(lines)
+    assert len(d) == len(lines)
+    for line, step in zip(lines, d.steps):
+        assert step.formula is parse_formula(json.loads(line)["f"])
+    assert "".join(line + "\n" for line in to_json_lines(d)) == data
+
+
+def _outcome(text, memo=None):
+    try:
+        return parse_formula(text, memo)
+    except ParseError as err:
+        return ("error", str(err), err.position)
+
+
+def _malformed(text: str, rng: random.Random) -> list[str]:
+    """Variants of a rendered formula, most of them malformed."""
+    toks = text.split(" ")
+    out = []
+    for paren in "()":
+        spots = [i for i, t in enumerate(toks) if t == paren]
+        if spots:
+            i = rng.choice(spots)
+            out.append(" ".join(toks[:i] + toks[i + 1:]))
+            out.append(" ".join(toks[:i] + [paren] + toks[i:]))
+    conns = [i for i, t in enumerate(toks) if t in ("&", "|", "->", "<->")]
+    if conns:
+        i = rng.choice(conns)
+        for other in ("&", "<->", "=", "~", "A"):
+            out.append(" ".join(toks[:i] + [other] + toks[i + 1:]))
+    i = rng.randrange(len(toks) + 1)
+    out.append(" ".join(toks[:i] + [rng.choice(["x", "v", "<", "-", "$"])] + toks[i:]))
+    for cut in (1, 2, 3, len(toks) // 3):
+        out.append(" ".join(toks[:-cut] + [")"]))
+        out.append(" ".join(toks[:-cut]))
+    return out
+
+
+def _respaced(text: str, rng: random.Random) -> list[str]:
+    return [
+        "  ".join(text.split(" ")),
+        "\t".join(text.split(" ")),
+        " " + text + " ",
+        "( " + text + " )",
+        "( ( " + text + " ) )",
+        "".join(rng.choice((" ", "  ", "\t")) + t for t in text.split(" ")),
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(gen.formulas(), gen.formulas(), st.sampled_from([And, Or, Imp, Iff]),
+       st.randoms(use_true_random=False))
+def test_known_left_operand_reads_as_without_memo(a, b, conn, rng):
+    a, b = expand_bounded(a), expand_bounded(b)  # what their texts read as
+    f = conn(a, b)
+    text = render(f)
+    memo: dict = {}
+    assert parse_formula(render(a), memo) is a
+    assert parse_formula(text, memo) is f
+    for variant in _malformed(text, rng) + _respaced(text, rng):
+        for fresh in ({render(a): a}, {render(a): a, render(b): b}, memo):
+            got = _outcome(variant, fresh)
+            assert got == _outcome(variant), variant
+            if isinstance(got, tuple):
+                assert variant not in fresh
+                try:
+                    oracles.scan_tokens(variant)
+                except ParseError as err:
+                    assert got == ("error", str(err), err.position)
+
+
+def test_deep_right_nested_chain_reads_without_recursion():
+    depth = 3000
+    last = "v0 = 0"
+
+    def lines():
+        nonlocal last
+        yield json.dumps({"i": 0, "f": last, "rule": "axiom"})
+        for i in range(1, depth + 1):
+            last = f"( v0 = 0 ) -> ( {last} )"
+            yield json.dumps({"i": i, "f": last, "rule": "axiom"})
+
+    d = from_json_lines(lines())
+    assert len(d) == depth + 1
+    assert render(d.conclusion) == last
+    f = left = d.steps[0].formula
+    for _ in range(depth):
+        f = Imp(left, f)
+    assert d.conclusion is f
+    # the last line alone: its right spine is walked, not recursed into
+    alone = from_json_lines([json.dumps({"f": "v0 = 0", "rule": "axiom"}),
+                             json.dumps({"f": last, "rule": "axiom"})])
+    assert alone.conclusion is f
