@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .berry import (
     BACKENDS,
+    DEFAULT_CAP,
     ConcretePhi,
     MockPhi,
     berry_number,
@@ -50,14 +51,12 @@ from .syntax import (
     is_closed,
     is_formula,
     length,
-    numeral,
     render,
-    substitute,
     to_json_obj,
 )
 
 ENV_PREFIX = "BERRYKIT_"
-_DEFAULTS = {"budget": 64, "cap": 8, "depth": 6}
+_DEFAULTS = {"budget": 64, "cap": DEFAULT_CAP, "depth": 6}
 
 
 @dataclass(frozen=True)
@@ -205,10 +204,10 @@ def _find_quantifier_example(f: Formula, verdict: Truth, budget: int) -> int | N
             want = Truth.FALSE
         case _:
             return None
-    for j in range(budget + 1):
-        if eval_budgeted(substitute(body, v, numeral(j)), budget) is want:
-            return j
-    return None
+    return next(
+        (j for j in range(budget + 1) if eval_budgeted(body, budget, {v: j}) is want),
+        None,
+    )
 
 
 def _cmd_eval(args, st: Settings) -> int:

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .berry import (
+    BACKENDS,
+    DEFAULT_CAP,
     ConcretePhi,
     MockPhi,
     berry_number,
@@ -398,12 +400,12 @@ def run_demo(
     """Build one report, executing every desk-checkable step now."""
     if corollary not in _DEMOS:
         raise InputError("demos are numbered 1 through 5")
-    if scale > 8:
+    if scale > DEFAULT_CAP:
         raise InputError(
             f"scale {scale} is past the feasibility cap; the fragment explodes"
-            " combinatorially, stay at 8 or below"
+            f" combinatorially, stay at {DEFAULT_CAP} or below"
         )
-    if backend not in ("semantic", "prover"):
+    if backend not in BACKENDS:
         raise InputError(f"unknown backend {backend!r}")
     theory = theory or robinson_arithmetic()
     return _DEMOS[corollary](backend, budget, scale, theory)

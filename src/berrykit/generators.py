@@ -23,7 +23,7 @@ from .errors import (
     RefusedError,
 )
 from .proofs import SCHEMA_NAMES, Derivation, Theory, _check_schema, robinson_arithmetic
-from .semantics import Truth, eval_budgeted, eval_term
+from .semantics import SemanticNaming, Truth, eval_budgeted, eval_term
 from .syntax import (
     Add,
     And,
@@ -588,9 +588,6 @@ class LemmaBank:
 
     # --------------------------------------- true/false bounded sentences
 
-    def _truth(self, f: Formula, budget: int) -> Truth:
-        return eval_budgeted(f, budget)
-
     def prove_true(self, f: Formula, budget: int = 64) -> T.Proof:
         gp = _guard_parts(f)
         if gp is not None:
@@ -628,9 +625,8 @@ class LemmaBank:
                 return T.gen(v, T.discharge(c, guard))
             # bounded existential: first true instance is the witness
             for k in range(m):
-                inst = substitute(body, v, numeral(k))
-                if self._truth(inst, budget) is Truth.TRUE:
-                    pk = self.prove_true(inst, budget)
+                if eval_budgeted(body, budget, {v: k}) is Truth.TRUE:
+                    pk = self.prove_true(substitute(body, v, numeral(k)), budget)
                     wit = T.le_transport(
                         T.eq_refl(numeral(k + 1)),
                         T.eq_sym(self.eval_closed(bound)),
@@ -652,11 +648,11 @@ class LemmaBank:
                     self.prove_true(l, budget), self.prove_true(r, budget)
                 )
             case Or(l, r):
-                if self._truth(l, budget) is Truth.TRUE:
+                if eval_budgeted(l, budget) is Truth.TRUE:
                     return T.or_left(
                         self.prove_true(l, budget), expand_bounded(r)
                     )
-                if self._truth(r, budget) is Truth.TRUE:
+                if eval_budgeted(r, budget) is Truth.TRUE:
                     return T.or_right(
                         expand_bounded(l), self.prove_true(r, budget)
                     )
@@ -665,20 +661,20 @@ class LemmaBank:
                 )
             case Imp(l, r):
                 lx = expand_bounded(l)
-                if self._truth(l, budget) is Truth.FALSE:
+                if eval_budgeted(l, budget) is Truth.FALSE:
                     nl = self.prove_false(l, budget)
                     hl = T.hyp(lx)
                     return T.discharge(
                         T.contradiction_to(hl, nl, expand_bounded(r)), lx
                     )
-                if self._truth(r, budget) is Truth.TRUE:
+                if eval_budgeted(r, budget) is Truth.TRUE:
                     return T.k_lift(self.prove_true(r, budget), lx)
                 raise BudgetExhaustedError(
                     "antecedent and consequent both unsettled", budget=budget
                 )
             case Iff(l, r):
                 lx, rx = expand_bounded(l), expand_bounded(r)
-                tl = self._truth(l, budget)
+                tl = eval_budgeted(l, budget)
                 if tl is Truth.TRUE:
                     pl, pr = self.prove_true(l, budget), self.prove_true(r, budget)
                     return T.iff_intro(T.k_lift(pr, lx), T.k_lift(pl, rx))
@@ -711,8 +707,8 @@ class LemmaBank:
             case Exists(v, body):
                 bodyx = expand_bounded(body)
                 for k in range(budget + 1):
-                    inst = substitute(body, v, numeral(k))
-                    if self._truth(inst, budget) is Truth.TRUE:
+                    if eval_budgeted(body, budget, {v: k}) is Truth.TRUE:
+                        inst = substitute(body, v, numeral(k))
                         return T.exists_intro(
                             v, bodyx, numeral(k), self.prove_true(inst, budget)
                         )
@@ -734,14 +730,11 @@ class LemmaBank:
             guard = Le(Succ(Var(v)), bound)
             if kind == "ball":
                 whole = Forall(v, Imp(guard, bodyx))
-                failing = None
-                for k in range(m):
-                    if (
-                        self._truth(substitute(body, v, numeral(k)), budget)
-                        is Truth.FALSE
-                    ):
-                        failing = k
-                        break
+                failing = next(
+                    (k for k in range(m)
+                     if eval_budgeted(body, budget, {v: k}) is Truth.FALSE),
+                    None,
+                )
                 if failing is None:
                     raise RefusedError("no failing instance; the sentence is true")
                 ha = T.hyp(whole)
@@ -792,11 +785,11 @@ class LemmaBank:
             case And(l, r):
                 whole = And(expand_bounded(l), expand_bounded(r))
                 hc = T.hyp(whole)
-                if self._truth(l, budget) is Truth.FALSE:
+                if eval_budgeted(l, budget) is Truth.FALSE:
                     c = T.contradiction_to(
                         T.and_left(hc), self.prove_false(l, budget), _C0
                     )
-                elif self._truth(r, budget) is Truth.FALSE:
+                elif eval_budgeted(r, budget) is Truth.FALSE:
                     c = T.contradiction_to(
                         T.and_right(hc), self.prove_false(r, budget), _C0
                     )
@@ -825,12 +818,12 @@ class LemmaBank:
                 lx, rx = expand_bounded(l), expand_bounded(r)
                 whole = Iff(lx, rx)
                 hc = T.hyp(whole)
-                if self._truth(l, budget) is Truth.TRUE:
+                if eval_budgeted(l, budget) is Truth.TRUE:
                     pos = T.mp(T.iff_left(hc), self.prove_true(l, budget))
                     c = T.contradiction_to(
                         pos, self.prove_false(r, budget), _C0
                     )
-                elif self._truth(r, budget) is Truth.TRUE:
+                elif eval_budgeted(r, budget) is Truth.TRUE:
                     pos = T.mp(T.iff_right(hc), self.prove_true(r, budget))
                     c = T.contradiction_to(
                         pos, self.prove_false(l, budget), _C0
@@ -1153,11 +1146,13 @@ def naming_statement(mu: Formula, i: int) -> Formula:
 class NamingTable:
     """One formula's naming decision for every number at once.
 
-    Classification, the syntactic bound on v0 and the instance truths over
-    0..scan_hi (the bound, or the budget when there is none) are settled on
-    construction.  ``kind(i)`` then reads the verdict off the table; an
-    instance above scan_hi is evaluated only when asked for, and remembered.
-    ``evidence(i)`` builds the derivation behind that verdict.
+    Classification and the syntactic bound on v0 are settled on
+    construction, and so are the instance truths over 0..scan_hi (the
+    bound, or the budget when there is none), read from the formula's
+    SemanticNaming table.  ``kind(i)`` then reads the verdict off the table;
+    an instance above scan_hi is evaluated only when asked for, and
+    remembered there.  ``evidence(i)`` builds the derivation behind that
+    verdict.
     """
 
     def __init__(self, mu: Formula, budget: int, bank: LemmaBank):
@@ -1166,12 +1161,13 @@ class NamingTable:
         self.mu = mu
         self.budget = budget
         self.bank = bank
+        self.table = SemanticNaming(mu, budget)
         # set when every number is unknown, saying why
         self.reason: str | None = None
         self.bound: tuple[int, Callable[[T.Proof], T.Proof]] | None = None
-        self.truths: list[bool] = []
+        # the first two numbers mu holds at; two refute every number, one
+        # refutes all but itself
         self._true_at: list[int] = []
-        self._above: dict[int, bool] = {}
         if classify(mu) is not FormulaClass.DELTA0:
             self.reason = "only bounded formulas are decided"
             return
@@ -1184,20 +1180,9 @@ class NamingTable:
         else:
             scan_hi = got[0]
             self.bound = got
-        self.truths = [self._eval(j) for j in range(scan_hi + 1)]
-        # two true instances refute every number; one refutes all but itself
-        self._true_at = [j for j, tv in enumerate(self.truths) if tv][:2]
-
-    def _eval(self, j: int) -> bool:
-        inst = substitute(self.mu, 0, numeral(j))
-        return eval_budgeted(inst, self.budget) is Truth.TRUE
-
-    def holds_at(self, i: int) -> bool:
-        if i < len(self.truths):
-            return self.truths[i]
-        if i not in self._above:
-            self._above[i] = self._eval(i)
-        return self._above[i]
+        truth = self.table.truth
+        true_at = [j for j in range(scan_hi + 1) if truth(j) is Truth.TRUE]
+        self._true_at = true_at[:2]
 
     def kind(self, i: int) -> str:
         """"names", "refuted" or "unknown", as ``evidence(i).kind``."""
@@ -1205,7 +1190,7 @@ class NamingTable:
             raise InputError("the number must be natural")
         if self.reason is not None:
             return "unknown"
-        if any(j != i for j in self._true_at) or not self.holds_at(i):
+        if any(j != i for j in self._true_at) or self.table.truth(i) is not Truth.TRUE:
             return "refuted"
         return "unknown" if self.bound is None else "names"
 
@@ -1221,7 +1206,7 @@ class NamingTable:
 
         # a true instance other than i refutes the equivalence immediately,
         # bound or no bound
-        bad = next((j for j, tv in enumerate(self.truths) if tv and j != i), None)
+        bad = next((j for j in self._true_at if j != i), None)
         if bad is not None:
             h = T.hyp(statement)
             inst = T.forall_elim(h, numeral(bad))
@@ -1233,7 +1218,7 @@ class NamingTable:
                 "refuted", i, bad,
                 T.compile_proof(bank._refute(statement, c)),
             )
-        if not self.holds_at(i):
+        if self.table.truth(i) is not Truth.TRUE:
             h = T.hyp(statement)
             inst = T.forall_elim(h, numeral(i))
             back = T.mp(T.iff_right(inst), T.eq_refl(numeral(i)))

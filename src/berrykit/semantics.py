@@ -1,28 +1,31 @@
 """Evaluation over the standard naturals.
 
-Two evaluators share the term core.  ``eval_delta0`` is exact and refuses
-unbounded quantifiers.  ``eval_budgeted`` handles the full language but may
-answer UNKNOWN: unbounded quantifier witnesses are only scanned up to the
-budget, and connectives combine verdicts with strong Kleene tables so a
-decided answer is always sound.
+One evaluator, ``eval_budgeted``, walks a formula's bounded-quantifier
+expansion over an environment of variable values.  It answers three-valued:
+guarded quantifiers are scanned below their bounds, unbounded quantifier
+witnesses only up to the budget, and connectives combine verdicts with
+strong Kleene tables, so a decided answer is always sound and a Δ0 formula
+is always decided.  ``eval_delta0`` is the exact two-valued reading of the
+same evaluator for Δ0 formulas and refuses any other.  A formula's truth at
+a number is read under ``{v: j}``, never by substituting a numeral first.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import add, mul
 from typing import Literal
 
 from .errors import InputError, NotDelta0Error
 from .syntax import (
     Add,
     And,
-    BExists,
-    BForall,
     Eq,
     Exists,
     Forall,
     Formula,
+    FormulaClass,
     Iff,
     Imp,
     Le,
@@ -33,9 +36,12 @@ from .syntax import (
     Term,
     Var,
     Zero,
+    classify,
+    expand_bounded,
     free_vars,
     guarded_exists,
     guarded_forall,
+    succ_spine,
 )
 
 Env = dict[int, int]
@@ -47,13 +53,12 @@ class Truth(enum.Enum):
     UNKNOWN = "unknown"
 
     def __invert__(self) -> Truth:
-        match self:
-            case Truth.TRUE:
-                return Truth.FALSE
-            case Truth.FALSE:
-                return Truth.TRUE
-            case _:
-                return Truth.UNKNOWN
+        return _NEGATION[self]
+
+
+_NEGATION = {
+    Truth.TRUE: Truth.FALSE, Truth.FALSE: Truth.TRUE, Truth.UNKNOWN: Truth.UNKNOWN,
+}
 
 
 def _of_bool(b: bool) -> Truth:
@@ -84,113 +89,62 @@ def _t_iff(a: Truth, b: Truth) -> Truth:
 
 def eval_term(t: Term, env: Env | None = None) -> int:
     env = env or {}
-    # shunt into an explicit machine so deep successor chains cannot overflow
-    out: list[object] = []
-    work: list[object] = [t]
+    # an explicit machine, so deep terms cannot overflow: under each node's
+    # operands `work` keeps what combines their values, a successor spine's
+    # height or the operator of an Add or Mul
+    values: list[int] = []
+    work: list = [t]
     while work:
         node = work.pop()
-        if type(node) is str:
-            out.append(node)
-            continue
-        n = 0
-        while type(node) is Succ:
-            n += 1
-            node = node.arg
-        if n:
-            out.append(("s", n))
-        match node:
-            case Zero():
-                out.append(("n", 0))
-            case Var(i):
-                if i not in env:
-                    raise InputError(f"unbound variable v{i}")
-                out.append(("n", env[i]))
-            case Add(l, r):
-                out.append("+")
-                work.append(r)
-                work.append(l)
-            case Mul(l, r):
-                out.append("*")
-                work.append(r)
-                work.append(l)
-            case _:
-                raise InputError(f"not a term: {node!r}")
-    # out is reverse Polish read back to front
-    vstack: list[int] = []
-    for item in reversed(out):
-        match item:
-            case ("n", v):
-                vstack.append(v)
-            case ("s", n):
-                vstack.append(vstack.pop() + n)
-            case "+":
-                vstack.append(vstack.pop() + vstack.pop())
-            case "*":
-                vstack.append(vstack.pop() * vstack.pop())
-    (result,) = vstack
-    return result
-
-
-def _bounded_range(bound: Term, env: Env) -> range:
-    return range(eval_term(bound, env))
+        kind = type(node)
+        if kind is int:
+            values[-1] += node
+        elif node is add or node is mul:
+            values.append(node(values.pop(), values.pop()))
+        elif kind is Zero:
+            values.append(0)
+        elif kind is Var:
+            if node.index not in env:
+                raise InputError(f"unbound variable v{node.index}")
+            values.append(env[node.index])
+        elif kind is Succ:
+            work += succ_spine(node)
+        elif kind is Add or kind is Mul:
+            work += (add if kind is Add else mul, node.right, node.left)
+        else:
+            raise InputError(f"not a term: {node!r}")
+    return values[0]
 
 
 def eval_delta0(f: Formula, env: Env | None = None) -> bool:
-    """Exact truth value; raises NotDelta0Error on an unbounded quantifier."""
-    env = dict(env or {})
+    """Exact truth value of a bounded (Δ0) formula.
 
-    def go(f: Formula, env: Env) -> bool:
-        match f:
-            case Eq(l, r):
-                return eval_term(l, env) == eval_term(r, env)
-            case Le(l, r):
-                return eval_term(l, env) <= eval_term(r, env)
-            case Not(b):
-                return not go(b, env)
-            case And(l, r):
-                return go(l, env) and go(r, env)
-            case Or(l, r):
-                return go(l, env) or go(r, env)
-            case Imp(l, r):
-                return (not go(l, env)) or go(r, env)
-            case Iff(l, r):
-                return go(l, env) is go(r, env)
-            case BForall(v, b, body):
-                return all(go(body, {**env, v: j}) for j in _bounded_range(b, env))
-            case BExists(v, b, body):
-                return any(go(body, {**env, v: j}) for j in _bounded_range(b, env))
-            case Forall(v, _) | Exists(v, _):
-                if (g := guarded_forall(f)) is not None:
-                    w, bound, body = g
-                    return all(
-                        go(body, {**env, w: j}) for j in _bounded_range(bound, env)
-                    )
-                if (g := guarded_exists(f)) is not None:
-                    w, bound, body = g
-                    return any(
-                        go(body, {**env, w: j}) for j in _bounded_range(bound, env)
-                    )
-                raise NotDelta0Error(f"unbounded quantifier on v{v}")
-        raise InputError(f"not a formula: {f!r}")
-
-    return go(f, env)
+    Refuses any formula whose expansion has an unbounded quantifier,
+    wherever it sits, with NotDelta0Error; the truth itself is the
+    three-valued evaluator's, which never needs its budget on Δ0.
+    """
+    if classify(f) is not FormulaClass.DELTA0:
+        raise NotDelta0Error("not a formula whose quantifiers are all bounded")
+    return eval_budgeted(f, 0, env) is Truth.TRUE
 
 
 def eval_budgeted(f: Formula, budget: int, env: Env | None = None) -> Truth:
     """Three-valued truth with unbounded witness search capped at budget.
 
-    Decided answers are sound for the standard model.  A quantifier whose
-    variable does not occur free in its body is evaluated as the body, so
-    padding never costs budget.
+    The walk is over the expansion, where a bounded quantifier is a guarded
+    one and is scanned below its bound.  Decided answers are sound for the
+    standard model.  A quantifier whose variable does not occur free in its
+    body is evaluated as the body, so padding never costs budget.
     """
     if budget < 0:
         raise InputError("budget must be nonnegative")
-    env = dict(env or {})
 
     def go(f: Formula, env: Env) -> Truth:
         match f:
-            case Eq() | Le():
-                return _of_bool(eval_delta0(f, env))
+            case Eq(l, r):
+                return _of_bool(eval_term(l, env) == eval_term(r, env))
+            case Le(l, r):
+                return _of_bool(eval_term(l, env) <= eval_term(r, env))
             case Not(b):
                 return ~go(b, env)
             case And(l, r):
@@ -201,53 +155,30 @@ def eval_budgeted(f: Formula, budget: int, env: Env | None = None) -> Truth:
                 return _t_or(~go(l, env), go(r, env))
             case Iff(l, r):
                 return _t_iff(go(l, env), go(r, env))
-            case BForall(v, b, body):
-                out = Truth.TRUE
-                for j in _bounded_range(b, env):
-                    out = _t_and(out, go(body, {**env, v: j}))
-                    if out is Truth.FALSE:
-                        break
-                return out
-            case BExists(v, b, body):
-                out = Truth.FALSE
-                for j in _bounded_range(b, env):
-                    out = _t_or(out, go(body, {**env, v: j}))
-                    if out is Truth.TRUE:
-                        break
-                return out
-            case Forall(v, body):
-                if (g := guarded_forall(f)) is not None:
-                    w, bound, inner = g
-                    out = Truth.TRUE
-                    for j in _bounded_range(bound, env):
-                        out = _t_and(out, go(inner, {**env, w: j}))
-                        if out is Truth.FALSE:
-                            break
-                    return out
-                if v not in free_vars(body):
+            case Forall(v, body) | Exists(v, body):
+                # a universal is settled by a false instance, an existential
+                # by a true one
+                stop = Truth.FALSE if type(f) is Forall else Truth.TRUE
+                g = guarded_forall(f) if stop is Truth.FALSE else guarded_exists(f)
+                if g is not None:  # every value below the bound is scanned
+                    v, bound, body = g
+                    values = range(eval_term(bound, env))
+                    out = ~stop
+                elif v not in free_vars(body):
                     return go(body, env)
-                for j in range(budget + 1):
-                    if go(body, {**env, v: j}) is Truth.FALSE:
-                        return Truth.FALSE
-                return Truth.UNKNOWN
-            case Exists(v, body):
-                if (g := guarded_exists(f)) is not None:
-                    w, bound, inner = g
-                    out = Truth.FALSE
-                    for j in _bounded_range(bound, env):
-                        out = _t_or(out, go(inner, {**env, w: j}))
-                        if out is Truth.TRUE:
-                            break
-                    return out
-                if v not in free_vars(body):
-                    return go(body, env)
-                for j in range(budget + 1):
-                    if go(body, {**env, v: j}) is Truth.TRUE:
-                        return Truth.TRUE
-                return Truth.UNKNOWN
+                else:  # a scan up to the budget settles only by stopping
+                    values = range(budget + 1)
+                    out = Truth.UNKNOWN
+                for j in values:
+                    got = go(body, {**env, v: j})
+                    if got is stop:
+                        return stop
+                    if got is Truth.UNKNOWN:
+                        out = got
+                return out
         raise InputError(f"not a formula: {f!r}")
 
-    return go(f, env)
+    return go(expand_bounded(f), env or {})
 
 
 @dataclass(frozen=True)
@@ -279,7 +210,8 @@ class SemanticNaming:
     The truth table over candidates 0..budget (plus any larger number asked
     about) is shared by all numbers and filled in scan order, on demand, so
     no instance is evaluated twice and none is evaluated that a single
-    number's scan would not reach.
+    number's scan would not reach.  ``truth(j)`` reads it; a NamingTable
+    reads its instance truths from the same table.
     """
 
     def __init__(self, mu: Formula, budget: int):
@@ -289,12 +221,13 @@ class SemanticNaming:
             raise InputError(f"naming formula must use only v0 free (has {extra})")
         self.mu = mu
         self.budget = budget
-        self._truth: dict[int, Truth] = {}
+        self._truths: dict[int, Truth] = {}
 
-    def _value(self, j: int) -> Truth:
-        got = self._truth.get(j)
+    def truth(self, j: int) -> Truth:
+        """mu's truth at v0 = j under the budget, evaluated once."""
+        got = self._truths.get(j)
         if got is None:
-            got = self._truth[j] = eval_budgeted(self.mu, self.budget, {0: j})
+            got = self._truths[j] = eval_budgeted(self.mu, self.budget, {0: j})
         return got
 
     def verdict(self, i: int) -> NamingVerdict:
@@ -305,7 +238,7 @@ class SemanticNaming:
         candidates = range(budget + 1) if i <= budget else [*range(budget + 1), i]
         undecided = False
         for j in candidates:
-            value = self._value(j)
+            value = self.truth(j)
             if value is (Truth.FALSE if j == i else Truth.TRUE):
                 return NamingVerdict("refuted", i, budget, witness=j)
             if value is Truth.UNKNOWN:

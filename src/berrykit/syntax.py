@@ -31,6 +31,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import FrozenInstanceError
 from enum import Enum
+from operator import attrgetter
 from typing import Callable, Iterator, TypeVar, Union
 
 
@@ -234,10 +235,25 @@ def numeral_value(t: Term) -> int | None:
 
 # ---------------------------------------------------------------- traversal
 
+def _children_getter(names: tuple[str, ...]) -> Callable[[Expr], tuple]:
+    if len(names) > 1:
+        return attrgetter(*names)
+    if names:
+        one = attrgetter(*names)
+        return lambda node: (one(node),)
+    return lambda node: ()
+
+
+# each node type's children as a tuple, in CHILDREN order
+_KIDS = {kind: _children_getter(names) for kind, names in CHILDREN.items()}
+
+
 def fold(e: Expr, alg: Callable[[Expr, tuple], R], memo=None) -> R:
     """The value alg gives e, bottom-up: alg(node, values of its children).
 
-    Iterative postorder over CHILDREN, so depth costs heap, not stack.  A
+    Iterative postorder over CHILDREN, so depth costs heap, not stack: a
+    node is expanded once, pushing an exit entry and then only those
+    children without a value, and its value is computed at the exit.  A
     successor spine is one node to the fold: alg sees its top Succ with
     the value of the first non-successor below.  `memo` (a fresh dict when
     None; anything with `get` and item assignment) maps nodes to values:
@@ -247,23 +263,25 @@ def fold(e: Expr, alg: Callable[[Expr, tuple], R], memo=None) -> R:
     if type(e) not in CHILDREN:
         raise TypeError(f"not a term or formula node: {e!r}")
     done = {} if memo is None else memo
-    stack = [e]
+    get = done.get
+    stack: list = [e]
     while stack:
-        node = stack[-1]
-        if done.get(node) is not None:
-            stack.pop()
+        node = stack.pop()
+        if type(node) is tuple:  # the exit entry of an expanded node
+            node, kids = node
+            done[node] = alg(node, tuple(map(get, kids)))
+            continue
+        if get(node) is not None:  # reached again through a shared child
             continue
         if type(node) is Succ:
-            kids = [succ_spine(node)[1]]
+            kids = (succ_spine(node)[1],)
         else:
-            kids = [getattr(node, name) for name in CHILDREN[type(node)]]
-        values = [done.get(kid) for kid in kids]
-        if None in values:
-            stack += kids
-            continue
-        stack.pop()
-        done[node] = alg(node, tuple(values))
-    return done.get(e)
+            kids = _KIDS[type(node)](node)
+        stack.append((node, kids))
+        for kid in kids:
+            if get(kid) is None:
+                stack.append(kid)
+    return get(e)
 
 
 class _FreeSlots:
@@ -479,7 +497,7 @@ def _rebuild(e: Expr, env: dict[int, Term], first: int | None = None) -> Expr:
         if plan is None:
             if (node, id(env)) in done:
                 continue
-            scope = [getattr(node, name) for name in CHILDREN[kind]]
+            scope = _KIDS[kind](node)
             ints, pairs, then = (), [(kid, env) for kid in scope], ()
             if kind in BINDERS:
                 v = node.var

@@ -13,7 +13,9 @@ reports, by re-probing every formula at every number), tokens by a
 match-at-a-time loop instead of one findall, derivations by deduplicating
 proof steps on rendered strings instead of interned expansions, the deduction
 theorem by walking the whole proof tree instead of its open part, and
-primes by a plain sieve.  Expected values frozen in tests come from here.
+primes by a plain sieve.  The evaluator is checked against the two
+interpreters it replaced, one match ladder per question over the surface
+syntax.  Expected values frozen in tests come from here.
 """
 
 from __future__ import annotations
@@ -22,17 +24,19 @@ import re
 from itertools import product
 
 from berrykit.berry import BerryReport, NumberRecord, enumerate_formulas
-from berrykit.errors import BudgetExhaustedError, InputError
+from berrykit.errors import BudgetExhaustedError, InputError, NotDelta0Error
 from berrykit.generators import LemmaBank, names_provable
 from berrykit.parser import ParseError, parse_formula
 from berrykit.proofs import Derivation, Step
-from berrykit.semantics import names_semantic
+from berrykit.semantics import (
+    Env, Truth, _of_bool, _t_and, _t_iff, _t_or, eval_term, names_semantic,
+)
 from berrykit import tactics as T
 from berrykit.tactics import MP, Ax, Gen, Hyp, Proof, Sch, TacticError
 from berrykit.syntax import (
     Add, And, BExists, BForall, Eq, Exists, Forall, Formula, FormulaClass,
     Iff, Imp, Le, Mul, Not, Or, Succ, Term, Var, Zero, expand_bounded,
-    is_term, numeral, render, tokens,
+    guarded_exists, guarded_forall, is_term, numeral, render, tokens,
 )
 
 
@@ -302,6 +306,134 @@ def rename_to_first(f: Formula, j: int) -> Formula:
         raise TypeError(f"not a formula node: {g!r}")
 
     return go(f, {})
+
+
+# ------------------------------------------------ the two-interpreter truth
+
+# The evaluators as they stood before one walker served both questions: an
+# exact one over the surface syntax and a budgeted one that sends atoms to
+# it, each with its own bounded-quantifier loops.  Kept verbatim (free
+# variables come from the reference walker above) as references for
+# berrykit.semantics.
+
+
+def _bounded_range(bound: Term, env: Env) -> range:
+    return range(eval_term(bound, env))
+
+
+def eval_delta0(f: Formula, env: Env | None = None) -> bool:
+    """Exact truth value; raises NotDelta0Error on an unbounded quantifier."""
+    env = dict(env or {})
+
+    def go(f: Formula, env: Env) -> bool:
+        match f:
+            case Eq(l, r):
+                return eval_term(l, env) == eval_term(r, env)
+            case Le(l, r):
+                return eval_term(l, env) <= eval_term(r, env)
+            case Not(b):
+                return not go(b, env)
+            case And(l, r):
+                return go(l, env) and go(r, env)
+            case Or(l, r):
+                return go(l, env) or go(r, env)
+            case Imp(l, r):
+                return (not go(l, env)) or go(r, env)
+            case Iff(l, r):
+                return go(l, env) is go(r, env)
+            case BForall(v, b, body):
+                return all(go(body, {**env, v: j}) for j in _bounded_range(b, env))
+            case BExists(v, b, body):
+                return any(go(body, {**env, v: j}) for j in _bounded_range(b, env))
+            case Forall(v, _) | Exists(v, _):
+                if (g := guarded_forall(f)) is not None:
+                    w, bound, body = g
+                    return all(
+                        go(body, {**env, w: j}) for j in _bounded_range(bound, env)
+                    )
+                if (g := guarded_exists(f)) is not None:
+                    w, bound, body = g
+                    return any(
+                        go(body, {**env, w: j}) for j in _bounded_range(bound, env)
+                    )
+                raise NotDelta0Error(f"unbounded quantifier on v{v}")
+        raise InputError(f"not a formula: {f!r}")
+
+    return go(f, env)
+
+
+def eval_budgeted(f: Formula, budget: int, env: Env | None = None) -> Truth:
+    """Three-valued truth with unbounded witness search capped at budget.
+
+    Decided answers are sound for the standard model.  A quantifier whose
+    variable does not occur free in its body is evaluated as the body, so
+    padding never costs budget.
+    """
+    if budget < 0:
+        raise InputError("budget must be nonnegative")
+    env = dict(env or {})
+
+    def go(f: Formula, env: Env) -> Truth:
+        match f:
+            case Eq() | Le():
+                return _of_bool(eval_delta0(f, env))
+            case Not(b):
+                return ~go(b, env)
+            case And(l, r):
+                return _t_and(go(l, env), go(r, env))
+            case Or(l, r):
+                return _t_or(go(l, env), go(r, env))
+            case Imp(l, r):
+                return _t_or(~go(l, env), go(r, env))
+            case Iff(l, r):
+                return _t_iff(go(l, env), go(r, env))
+            case BForall(v, b, body):
+                out = Truth.TRUE
+                for j in _bounded_range(b, env):
+                    out = _t_and(out, go(body, {**env, v: j}))
+                    if out is Truth.FALSE:
+                        break
+                return out
+            case BExists(v, b, body):
+                out = Truth.FALSE
+                for j in _bounded_range(b, env):
+                    out = _t_or(out, go(body, {**env, v: j}))
+                    if out is Truth.TRUE:
+                        break
+                return out
+            case Forall(v, body):
+                if (g := guarded_forall(f)) is not None:
+                    w, bound, inner = g
+                    out = Truth.TRUE
+                    for j in _bounded_range(bound, env):
+                        out = _t_and(out, go(inner, {**env, w: j}))
+                        if out is Truth.FALSE:
+                            break
+                    return out
+                if v not in free_vars(body):
+                    return go(body, env)
+                for j in range(budget + 1):
+                    if go(body, {**env, v: j}) is Truth.FALSE:
+                        return Truth.FALSE
+                return Truth.UNKNOWN
+            case Exists(v, body):
+                if (g := guarded_exists(f)) is not None:
+                    w, bound, inner = g
+                    out = Truth.FALSE
+                    for j in _bounded_range(bound, env):
+                        out = _t_or(out, go(inner, {**env, w: j}))
+                        if out is Truth.TRUE:
+                            break
+                    return out
+                if v not in free_vars(body):
+                    return go(body, env)
+                for j in range(budget + 1):
+                    if go(body, {**env, v: j}) is Truth.TRUE:
+                        return Truth.TRUE
+                return Truth.UNKNOWN
+        raise InputError(f"not a formula: {f!r}")
+
+    return go(f, env)
 
 
 # ------------------------------------------------ substitution-based truth

@@ -97,9 +97,13 @@ class TestValidation:
             run_demo(6)
 
     def test_scale_cap(self):
-        with pytest.raises(InputError, match="feasibility cap"):
+        with pytest.raises(InputError) as err:
             run_demo(1, scale=9)
+        assert str(err.value) == (
+            "scale 9 is past the feasibility cap; the fragment explodes"
+            " combinatorially, stay at 8 or below"
+        )
 
     def test_bad_backend(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="^unknown backend 'guesswork'$"):
             run_demo(1, backend="guesswork")

@@ -1,4 +1,5 @@
-"""Evaluators against the substitute-and-recurse oracle, plus budget laws."""
+"""The evaluator against the substitute-and-recurse oracle and the two
+interpreters it replaced, plus budget laws."""
 
 from __future__ import annotations
 
@@ -6,9 +7,12 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import strategies as gen
+from berrykit.berry import enumerate_formulas
 from berrykit.errors import InputError, NotDelta0Error
+from berrykit.parser import parse_formula
 from berrykit.semantics import (
     Truth,
     eval_budgeted,
@@ -18,19 +22,23 @@ from berrykit.semantics import (
 )
 from berrykit.syntax import (
     Add,
+    BExists,
     BForall,
     Eq,
     Exists,
     Forall,
+    FormulaClass,
     Le,
     Mul,
     Not,
     Succ,
     Var,
     Zero,
+    classify,
     numeral,
     substitute,
 )
+import oracles
 from oracles import naive_eval, naive_term_value
 
 
@@ -66,12 +74,28 @@ class TestDelta0:
         hits = 0
         for _ in range(300):
             f = gen.random_formula(rng, depth=2)
+            env = {i: rng.randrange(4) for i in range(4)}
             try:
-                got = eval_delta0(f, {i: rng.randrange(4) for i in range(4)})
+                got = eval_delta0(f, env)
             except NotDelta0Error:
                 continue
+            closed = f
+            for i, value in env.items():
+                closed = oracles.substitute(closed, i, numeral(value))
+            assert got == naive_eval(closed), f
             hits += 1
         assert hits > 50
+
+    @pytest.mark.parametrize("text", [
+        "( 0 = 0 ) | ( ( E v1 ) ( v1 = v1 ) )",
+        "( ( E v1 ) ( v1 = v1 ) ) | ( 0 = 0 )",
+        "( 0 = s 0 ) & ( ( E v1 ) ( v1 = v1 ) )",
+        "( ( E v1 ) ( v1 = v1 ) ) & ( 0 = s 0 )",
+    ])
+    def test_unbounded_quantifier_rejected_in_either_operand(self, text):
+        # the operand that settles the connective used to hide the other
+        with pytest.raises(NotDelta0Error):
+            eval_delta0(parse_formula(text))
 
     def test_bounded_quantifier_semantics(self):
         f = BForall(0, numeral(4), Le(Var(0), numeral(3)))
@@ -155,3 +179,52 @@ class TestNamesSemantic:
     def test_json_shape(self):
         obj = names_semantic(Eq(Var(0), Zero()), 0, 9).to_json_obj()
         assert obj["kind"] == "names" and obj["budget"] == 9
+
+
+class TestAgainstTwoInterpreters:
+    """The one evaluator against the two it replaced (tests/oracles.py)."""
+
+    FORMULAS = list(enumerate_formulas(8, 8))
+
+    @pytest.mark.parametrize("budget", [0, 3, 32])
+    def test_truth_at_a_number_matches_the_substituted_instance(self, budget):
+        assert len(self.FORMULAS) == 912
+        for mu in self.FORMULAS:
+            delta0 = classify(mu) is FormulaClass.DELTA0
+            for j in range(budget + 1):
+                inst = oracles.substitute(mu, 0, numeral(j))
+                want = oracles.eval_budgeted(inst, budget)
+                assert eval_budgeted(mu, budget, {0: j}) is want, (mu, j)
+                if delta0:
+                    assert eval_delta0(mu, {0: j}) is oracles.eval_delta0(inst), (mu, j)
+            if not delta0:
+                with pytest.raises(NotDelta0Error):
+                    eval_delta0(mu, {0: 0})
+
+    @pytest.mark.parametrize("budget", [0, 3, 5])
+    def test_closures_match_the_reference(self, budget):
+        # unbounded scans end at the budget, and an unsettled instance
+        # leaves a bounded scan that nothing stops unsettled
+        for mu in self.FORMULAS:
+            for f in (
+                Exists(0, mu),
+                Forall(0, mu),
+                BForall(1, numeral(2), Exists(0, mu)),
+                BExists(1, numeral(2), Forall(0, mu)),
+            ):
+                assert eval_budgeted(f, budget) is oracles.eval_budgeted(f, budget), f
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        gen.formulas(),
+        st.lists(st.integers(min_value=0, max_value=3), min_size=4, max_size=4),
+        st.integers(min_value=0, max_value=4),
+    )
+    def test_surface_formulas_under_an_env(self, f, values, budget):
+        env = dict(enumerate(values))
+        assert eval_budgeted(f, budget, env) is oracles.eval_budgeted(f, budget, env)
+        if classify(f) is FormulaClass.DELTA0:
+            assert eval_delta0(f, env) is oracles.eval_delta0(f, env)
+        else:
+            with pytest.raises(NotDelta0Error):
+                eval_delta0(f, env)
