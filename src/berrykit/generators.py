@@ -1303,7 +1303,7 @@ def _search(
             return bank._ax(label)
     for name in SCHEMA_NAMES:
         if _check_schema(name, target) is None:
-            return T.sch(name, target)
+            return T.Sch(name, target)
     if not free_vars(target) and classify(target) in _SIGMA_CLASSES:
         try:
             if eval_budgeted(target, budget) is Truth.TRUE:

@@ -16,8 +16,9 @@ standard model under all assignments to its free variables.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from dataclasses import dataclass, fields
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator
 
 from .errors import CheckFailedError, InputError
 from .parser import parse_formula
@@ -112,6 +113,7 @@ def robinson_arithmetic() -> Theory:
 
 # Patterns are tiny tuple trees.  ("F", name) binds a formula metavariable,
 # ("T", name) a term metavariable; bindings must agree across occurrences.
+# `_stage` unrolls each pattern once, at import, into flat tests.
 
 _F = lambda n: ("F", n)  # noqa: E731
 _T = lambda n: ("T", n)  # noqa: E731
@@ -130,22 +132,43 @@ _PATTERN_NODES: dict[str, tuple[type, tuple[str, ...]]] = {
 }
 
 
-def _pattern_match(pattern, expr, binding: dict) -> bool:
-    tag = pattern[0]
-    if tag in ("F", "T") and len(pattern) == 2:
-        if not (is_formula(expr) if tag == "F" else is_term(expr)):
+def _stage(pattern) -> Callable[[Formula], bool]:
+    """The matcher of one pattern, staged once (Feeley & Lapalme, Using
+    Closures for Code Generation, 1987): the node type at each path below
+    the root, parents first, then each metavariable's sort test and the
+    paths of its occurrences, which must share the first one's expansion."""
+    root = _PATTERN_NODES[pattern[0]][0]
+    shape: list[tuple[Callable, type]] = []
+    occurrences: dict[tuple, list[Callable]] = {}
+    todo = [(pattern, "")]
+    for pat, path in todo:  # grows while read: breadth-first, parents first
+        if pat[0] in ("F", "T"):
+            occurrences.setdefault(pat, []).append(attrgetter(path))
+            continue
+        kind, names = _PATTERN_NODES[pat[0]]
+        if path:
+            shape.append((attrgetter(path), kind))
+        todo += [(sub, f"{path}.{name}" if path else name) for sub, name in zip(pat[1:], names)]
+    metas = [(is_formula if sort == "F" else is_term, first, rest)
+             for (sort, _), (first, *rest) in occurrences.items()]
+
+    def matches(f: Formula) -> bool:
+        if type(f) is not root:
             return False
-        prev = binding.setdefault(pattern[1], expr)
-        return prev is expr or expand_bounded(prev) is expand_bounded(expr)
-    node = _PATTERN_NODES.get(tag)
-    if node is None or len(pattern) != len(node[1]) + 1:
-        raise InputError(f"bad pattern {pattern!r}")
-    if type(expr) is not node[0]:
-        return False
-    for sub, field in zip(pattern[1:], node[1]):
-        if not _pattern_match(sub, getattr(expr, field), binding):
-            return False
-    return True
+        for get, kind in shape:
+            if type(get(f)) is not kind:
+                return False
+        for sort, first, rest in metas:
+            a = first(f)
+            if not sort(a):
+                return False
+            for get in rest:
+                b = get(f)
+                if b is not a and (b._expanded or b) is not (a._expanded or a):
+                    return False
+        return True
+
+    return matches
 
 
 _A, _B, _C = _F("A"), _F("B"), _F("C")
@@ -188,6 +211,8 @@ _PATTERN_SCHEMAS: dict[str, tuple] = {
         _imp(("eq", _t2, _u2), _imp(("le", _t1, _t2), ("le", _u1, _u2))),
     ),
 }
+
+_MATCHERS = {name: _stage(pattern) for name, pattern in _PATTERN_SCHEMAS.items()}
 
 
 def _rewrap_succ(n: int, t: Term) -> Term:
@@ -259,11 +284,9 @@ def _is_substitution_instance(body: Formula, var: int, target: Formula) -> bool:
 
 def _check_schema(name: str, f: Formula) -> str | None:
     """None when f is an instance of the named schema, else a reason."""
-    pattern = _PATTERN_SCHEMAS.get(name)
-    if pattern is not None:
-        if _pattern_match(pattern, f, {}):
-            return None
-        return f"not an instance of {name}"
+    matches = _MATCHERS.get(name)
+    if matches is not None:
+        return None if matches(f) else f"not an instance of {name}"
     match name:
         case "all_inst":
             match f:
@@ -316,13 +339,31 @@ SCHEMA_NAMES: tuple[str, ...] = tuple(_PATTERN_SCHEMAS) + (
 
 # ---------------------------------------------------------------- derivations
 
-@dataclass(frozen=True)
+def _slot_writers(cls: type) -> tuple:
+    """The setters of a slotted dataclass's field slots, in field order, for
+    an `__init__` that skips the frozen `__setattr__` a generated one calls."""
+    return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
+
+
+@dataclass(frozen=True, slots=True)
 class Step:
     formula: Formula
     rule: str  # "axiom" | "schema" | "mp" | "gen"
     premises: tuple[int, ...] = ()
     name: str | None = None
     var: int | None = None
+
+    def __init__(self, formula: Formula, rule: str, premises: tuple[int, ...] = (),
+                 name: str | None = None, var: int | None = None) -> None:
+        set_formula, set_rule, set_premises, set_name, set_var = _STEP_SLOTS
+        set_formula(self, formula)
+        set_rule(self, rule)
+        set_premises(self, premises)
+        set_name(self, name)
+        set_var(self, var)
+
+
+_STEP_SLOTS = _slot_writers(Step)
 
 
 @dataclass(frozen=True)
@@ -426,7 +467,8 @@ def to_json_lines(derivation: Derivation) -> Iterator[str]:
 
 
 def from_json_lines(lines: Iterable[str]) -> Derivation:
-    """Read a derivation; equal subformula texts become one shared node."""
+    """Read a derivation; equal subformula texts become one shared node.
+    A field of the wrong JSON type (`true` as a premise, say) raises InputError."""
     steps: list[Step] = []
     memo: dict[str, Formula] = {}
     for lineno, line in enumerate(lines):
@@ -441,16 +483,15 @@ def from_json_lines(lines: Iterable[str]) -> Derivation:
             raise InputError(f"line {lineno}: step needs 'f' and 'rule'")
         if not isinstance(obj["f"], str):
             raise InputError(f"line {lineno}: 'f' must be a formula text")
-        expected = obj.get("i")
+        rule, name, premises = obj["rule"], obj.get("name"), obj.get("prem", [])
+        if type(rule) is not str or name is not None and type(name) is not str:
+            raise InputError(f"line {lineno}: 'rule' and 'name' must be strings")
+        if type(premises) is not list or any(type(p) is not int for p in premises):
+            raise InputError(f"line {lineno}: 'prem' must be a list of step indices")
+        expected, var = obj.get("i"), obj.get("var")
+        if any(x is not None and type(x) is not int for x in (expected, var)):
+            raise InputError(f"line {lineno}: 'i' and 'var' must be integers")
         if expected is not None and expected != len(steps):
             raise InputError(f"line {lineno}: index {expected} out of order")
-        steps.append(
-            Step(
-                formula=parse_formula(obj["f"], memo),
-                rule=obj["rule"],
-                premises=tuple(obj.get("prem", ())),
-                name=obj.get("name"),
-                var=obj.get("var"),
-            )
-        )
+        steps.append(Step(parse_formula(obj["f"], memo), rule, tuple(premises), name, var))
     return Derivation(tuple(steps))

@@ -38,8 +38,8 @@ from typing import Callable, Iterator, TypeVar, Union
 # ---------------------------------------------------------------- AST nodes
 
 # the live node of each (type, int fields, children) key; children hash and
-# compare by identity, so a lookup is O(1) at any depth.  Not locked: nodes
-# are built from one thread.
+# compare by identity, so a lookup (in the dict of weak references) is O(1)
+# at any depth.  Not locked: nodes are built from one thread.
 _TABLE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
@@ -47,9 +47,10 @@ class _Node:
     """Base of every AST node: immutable, slotted and interned.
 
     Constructing a node returns the live node with the same type, int
-    fields and children when there is one.  `_expanded` holds the node's
-    bounded-quantifier expansion, or None when the node is its own (a
-    self-reference would be a cycle only the cyclic collector frees).
+    fields and children when there is one, else `_build` makes it from
+    its type's layout.  `_expanded` holds the node's bounded-quantifier
+    expansion, or None when the node is its own (a self-reference would be
+    a cycle only the cyclic collector frees).
     `_free` holds the node's free variables once `free_vars` has been asked
     for them, else None.
     """
@@ -60,9 +61,10 @@ class _Node:
     def __new__(cls, *args):
         key = (cls, *args)
         try:
-            node = _TABLE.get(key)
+            ref = _TABLE.data.get(key)
         except TypeError:  # an unhashable child; _build names it
-            node = None
+            ref = None
+        node = None if ref is None else ref()
         if node is None:
             node = _build(cls, args)
             _TABLE[key] = node
@@ -168,19 +170,31 @@ _FORMULA_TYPES = frozenset(CHILDREN) - _TERM_TYPES
 _BINARY_CONNECTIVES = {And: "&", Or: "|", Imp: "->", Iff: "<->"}
 
 
+# each node type's layout, computed once: the setters `_build` writes its
+# field slots through, in field order, and its number of int fields
+_LAYOUT: dict[type, tuple[tuple, int]] = {
+    cls: (tuple(cls.__dict__[n].__set__ for n in cls.__match_args__),
+          len(cls.__match_args__) - len(kids))
+    for cls, kids in CHILDREN.items()
+}
+_SET_EXPANDED = _Node.__dict__["_expanded"].__set__
+_SET_FREE = _Node.__dict__["_free"].__set__
+
+
 def _build(cls: type, args: tuple) -> Expr:
-    """A new node of type cls, validated, with its expansion stored."""
-    names = cls.__match_args__
-    if len(args) != len(names):
-        raise TypeError(f"{cls.__name__} takes {len(names)} fields, got {len(args)}")
-    n_ints = len(names) - len(CHILDREN[cls])
-    ints, kids = args[:n_ints], args[n_ints:]
-    for kid in kids:
+    """A new validated node of type cls, written through its layout, with its expansion stored."""
+    writers, n_ints = _LAYOUT[cls]
+    if len(args) != len(writers):
+        raise TypeError(f"{cls.__name__} takes {len(writers)} fields, got {len(args)}")
+    sugared = False  # whether a child has an expansion of its own
+    for kid in args[n_ints:]:
         if type(kid) not in CHILDREN:
             raise TypeError(f"not a term or formula node: {kid!r}")
+        if kid._expanded is not None:
+            sugared = True
     node = object.__new__(cls)
-    for name, value in zip(names, args):
-        object.__setattr__(node, name, value)
+    for write, value in zip(writers, args):
+        write(node, value)
     if cls is BForall or cls is BExists:
         v, bound, body = args
         if v in free_vars(bound):
@@ -188,12 +202,12 @@ def _build(cls: type, args: tuple) -> Expr:
         body = body._expanded or body
         guard = Le(Succ(Var(v)), bound)
         expanded = Forall(v, Imp(guard, body)) if cls is BForall else Exists(v, And(guard, body))
-    elif any(kid._expanded is not None for kid in kids):
-        expanded = cls(*ints, *(k._expanded or k for k in kids))
+    elif sugared:
+        expanded = cls(*args[:n_ints], *(k._expanded or k for k in args[n_ints:]))
     else:
         expanded = None
-    object.__setattr__(node, "_expanded", expanded)
-    object.__setattr__(node, "_free", None)
+    _SET_EXPANDED(node, expanded)
+    _SET_FREE(node, None)
     return node
 
 
@@ -292,7 +306,7 @@ class _FreeSlots:
         return node._free
 
     def __setitem__(self, node: Expr, value: frozenset[int]) -> None:
-        object.__setattr__(node, "_free", _VAR_SETS.setdefault(value, value))
+        _SET_FREE(node, _VAR_SETS.setdefault(value, value))
 
 
 # one object per distinct set, so every node sharing a set shares the object

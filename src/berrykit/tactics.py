@@ -3,14 +3,15 @@
 Proofs are built as trees (really DAGs: sublemmas are shared) whose leaves
 are axioms, schema instances, and open hypotheses, and whose inner nodes
 are modus ponens and generalization.  Every node carries `closed`: true
-when its subtree holds no open hypothesis, set once when the node is built
-(as in Edinburgh LCF, where a theorem carries its hypotheses).
+when its subtree holds no open hypothesis, set once by the node's `__init__`
+(as in Edinburgh LCF, where a theorem carries its hypotheses), which writes
+each field through its slot's setter, collected once per type.
 `discharge` is the deduction theorem: it compiles away one open
 hypothesis, producing a proof of the implication, and walks and rebuilds
 only the open part of the tree; closed subtrees are lifted whole.
 `compile_proof` flattens a closed tree into a checkable Derivation in one
-walk, deduplicating steps by structure: nodes whose formulas render alike
-have the same interned expansion and share one line.
+walk: nodes whose formulas render alike have the same interned expansion
+and share one line, whose step is built once.
 
 Every constructor validates its shape, so a finished tree cannot encode an
 incorrect inference; the flat checker re-validates everything anyway.
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Union
 
 from .errors import BerrykitError
-from .proofs import Derivation, Step, Theory, _check_schema
+from .proofs import Derivation, Step, Theory, _check_schema, _slot_writers
 from .syntax import (
     Add,
     And,
@@ -57,6 +58,11 @@ class Ax:
     formula: Formula
     closed = True
 
+    def __init__(self, label: str, formula: Formula) -> None:
+        set_label, set_formula = _AX_SLOTS
+        set_label(self, label)
+        set_formula(self, formula)
+
 
 @dataclass(frozen=True, eq=False, slots=True)
 class Sch:
@@ -64,11 +70,19 @@ class Sch:
     formula: Formula
     closed = True
 
+    def __init__(self, name: str, formula: Formula) -> None:
+        set_name, set_formula = _SCH_SLOTS
+        set_name(self, name)
+        set_formula(self, formula)
+
 
 @dataclass(frozen=True, eq=False, slots=True)
 class Hyp:
     formula: Formula
     closed = False
+
+    def __init__(self, formula: Formula) -> None:
+        _HYP_SLOTS[0](self, formula)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -78,8 +92,12 @@ class MP:
     formula: Formula
     closed: bool = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "closed", self.imp.closed and self.arg.closed)
+    def __init__(self, imp: "Proof", arg: "Proof", formula: Formula) -> None:
+        set_imp, set_arg, set_formula, set_closed = _MP_SLOTS
+        set_imp(self, imp)
+        set_arg(self, arg)
+        set_formula(self, formula)
+        set_closed(self, imp.closed and arg.closed)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -89,9 +107,16 @@ class Gen:
     formula: Formula
     closed: bool = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "closed", self.arg.closed)
+    def __init__(self, var: int, arg: "Proof", formula: Formula) -> None:
+        set_var, set_arg, set_formula, set_closed = _GEN_SLOTS
+        set_var(self, var)
+        set_arg(self, arg)
+        set_formula(self, formula)
+        set_closed(self, arg.closed)
 
+
+_AX_SLOTS, _SCH_SLOTS, _HYP_SLOTS, _MP_SLOTS, _GEN_SLOTS = map(
+    _slot_writers, (Ax, Sch, Hyp, MP, Gen))
 
 Proof = Union[Ax, Sch, Hyp, MP, Gen]
 
@@ -523,23 +548,23 @@ def discharge(p: Proof, h: Formula) -> Proof:
 def compile_proof(p: Proof) -> Derivation:
     """Flatten a closed proof tree into a checkable Derivation.
 
-    One iterative postorder walk gives every proof node its line, recorded
-    by node id.  A node whose formula renders like an earlier line's, that
-    is has the same expansion, reuses that line.
+    One iterative postorder walk gives every proof node its line.  A node
+    whose formula renders like an earlier line's, that is has the same
+    expansion, reuses that line.
     """
-    line: dict[int, int] = {}  # id(proof node) -> its line
+    line: dict[Proof, int] = {}  # proof node (hashed by identity) -> its line
     line_of_key: dict[Formula, int] = {}  # expanded formula -> its line
     steps: list[Step] = []
     stack: list[Proof] = [p]
     while stack:
         node = stack[-1]
-        if id(node) in line:
+        if node in line:
             stack.pop()
             continue
         kind = type(node)
         if kind is MP:
-            a = line.get(id(node.imp))
-            b = line.get(id(node.arg))
+            a = line.get(node.imp)
+            b = line.get(node.arg)
             if a is None or b is None:
                 # arg on top: its subtree gets the earlier lines
                 if a is None:
@@ -547,17 +572,17 @@ def compile_proof(p: Proof) -> Derivation:
                 if b is None:
                     stack.append(node.arg)
                 continue
-            step = Step(node.formula, "mp", premises=(a, b))
+            justification = ("mp", (a, b))
         elif kind is Gen:
-            a = line.get(id(node.arg))
+            a = line.get(node.arg)
             if a is None:
                 stack.append(node.arg)
                 continue
-            step = Step(node.formula, "gen", premises=(a,), var=node.var)
+            justification = ("gen", (a,), None, node.var)
         elif kind is Ax:
-            step = Step(node.formula, "axiom", name=node.label)
+            justification = ("axiom", (), node.label)
         elif kind is Sch:
-            step = Step(node.formula, "schema", name=node.name)
+            justification = ("schema", (), node.name)
         else:
             raise TacticError(
                 f"open hypothesis {render(node.formula)!r}: discharge before compiling"
@@ -565,12 +590,12 @@ def compile_proof(p: Proof) -> Derivation:
         stack.pop()
         key = expand_bounded(node.formula)
         at = line_of_key.get(key)
-        if at is None:
+        if at is None:  # a new line: only now is its step built
             at = line_of_key[key] = len(steps)
-            steps.append(step)
-        line[id(node)] = at
+            steps.append(Step(node.formula, *justification))
+        line[node] = at
     # dedup can leave the root's line in the middle; the conclusion must be last
-    root_line = line[id(p)]
+    root_line = line[p]
     if root_line != len(steps) - 1:
         steps.append(steps[root_line])
     return Derivation(tuple(steps))

@@ -12,8 +12,9 @@ by grammar-blind brute force over raw token strings (and, for whole
 reports, by re-probing every formula at every number), tokens by a
 match-at-a-time loop instead of one findall, derivations by deduplicating
 proof steps on rendered strings instead of interned expansions, the deduction
-theorem by walking the whole proof tree instead of its open part, and
-primes by a plain sieve.  The evaluator is checked against the two
+theorem by walking the whole proof tree instead of its open part, schema
+instances by a recursive pattern interpreter instead of staged flat tests,
+and primes by a plain sieve.  The evaluator is checked against the two
 interpreters it replaced, one match ladder per question over the surface
 syntax.  Expected values frozen in tests come from here.
 """
@@ -27,7 +28,7 @@ from berrykit.berry import BerryReport, NumberRecord, enumerate_formulas
 from berrykit.errors import BudgetExhaustedError, InputError, NotDelta0Error
 from berrykit.generators import LemmaBank, names_provable
 from berrykit.parser import ParseError, parse_formula
-from berrykit.proofs import Derivation, Step
+from berrykit.proofs import _PATTERN_NODES, Derivation, Step
 from berrykit.semantics import (
     Env, Truth, _of_bool, _t_and, _t_iff, _t_or, eval_term, names_semantic,
 )
@@ -36,7 +37,7 @@ from berrykit.tactics import MP, Ax, Gen, Hyp, Proof, Sch, TacticError
 from berrykit.syntax import (
     Add, And, BExists, BForall, Eq, Exists, Forall, Formula, FormulaClass,
     Iff, Imp, Le, Mul, Not, Or, Succ, Term, Var, Zero, expand_bounded,
-    guarded_exists, guarded_forall, is_term, numeral, render, tokens,
+    guarded_exists, guarded_forall, is_formula, is_term, numeral, render, tokens,
 )
 
 
@@ -888,6 +889,29 @@ def compile_proof_reference(p: Proof, dedup: bool = True) -> Derivation:
     if root_line != len(steps) - 1:
         steps.append(steps[root_line])
     return Derivation(tuple(steps))
+
+
+# ------------------------------------------------ schema pattern interpreter
+
+def pattern_match(pattern, expr, binding: dict) -> bool:
+    """Whether expr matches a `proofs._PATTERN_SCHEMAS` pattern under
+    binding, walking the pattern recursively: the kernel's matcher before
+    each pattern was staged into flat tests."""
+    tag = pattern[0]
+    if tag in ("F", "T") and len(pattern) == 2:
+        if not (is_formula(expr) if tag == "F" else is_term(expr)):
+            return False
+        prev = binding.setdefault(pattern[1], expr)
+        return prev is expr or expand_bounded(prev) is expand_bounded(expr)
+    node = _PATTERN_NODES.get(tag)
+    if node is None or len(pattern) != len(node[1]) + 1:
+        raise InputError(f"bad pattern {pattern!r}")
+    if type(expr) is not node[0]:
+        return False
+    for sub, field in zip(pattern[1:], node[1]):
+        if not pattern_match(sub, getattr(expr, field), binding):
+            return False
+    return True
 
 
 # ------------------------------------------------------- character-loop scan

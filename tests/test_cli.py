@@ -257,6 +257,34 @@ class TestProofPipeline:
         assert code == 2 and err.startswith("error: line 0: bad JSON: ")
 
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("prem", [True, 0], "'prem' must be a list of step indices"),
+        ("prem", [1, 0.0], "'prem' must be a list of step indices"),
+        ("prem", ["a", 1], "'prem' must be a list of step indices"),
+        ("prem", 1, "'prem' must be a list of step indices"),
+        ("name", {"a": 1}, "'rule' and 'name' must be strings"),
+        ("rule", 3, "'rule' and 'name' must be strings"),
+        ("var", "0", "'i' and 'var' must be integers"),
+        ("i", True, "'i' and 'var' must be integers"),
+    ], ids=["true-premise", "float-premise", "string-premise", "premise-not-a-list",
+            "dict-name", "int-rule", "string-var", "true-index"])
+    def test_malformed_step_field_is_bad_input(self, capsys, tmp_path, field, value, message):
+        # JSON true once read as premise 1, and the others leaked Python errors
+        lines = [
+            {"i": 0, "f": "0 = 0", "rule": "schema", "name": "eq_refl"},
+            {"i": 1, "f": "( 0 = 0 ) -> ( ( 0 = 0 ) -> ( 0 = 0 ) )", "rule": "schema",
+             "name": "imp_k"},
+            {"i": 2, "f": "( 0 = 0 ) -> ( 0 = 0 )", "rule": "mp", "prem": [1, 0]},
+        ]
+        path = tmp_path / "d.jsonl"
+        path.write_text("".join(json.dumps(o) + "\n" for o in lines))
+        assert run(capsys, "check-proof", str(path))[0] == 0
+        lines[2][field] = value
+        path.write_text("".join(json.dumps(o) + "\n" for o in lines))
+        code, out, err = run(capsys, "check-proof", str(path))
+        assert (code, out, err) == (2, "", f"error: line 2: {message}\n")
+
+
 class TestBerry:
     def test_reports_least_unnamed(self, capsys):
         code, out, _ = run(capsys, "--json", "berry", "--max-len", "6")

@@ -1,9 +1,15 @@
 from __future__ import annotations
 
+import copy
+import itertools
 import json
+import pickle
 import re
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from berrykit.errors import CheckFailedError, InputError
 from berrykit.proofs import (
@@ -34,6 +40,7 @@ from berrykit.syntax import (
     Succ,
     Var,
     Zero,
+    expand_bounded,
     numeral,
     render,
 )
@@ -42,6 +49,8 @@ from berrykit import syntax as syntax_module
 from berrykit import tactics as T
 from berrykit.generators import LemmaBank, names_provable, prove_ne_numerals
 from berrykit.parser import parse_formula
+import strategies as gen
+from oracles import pattern_match
 
 Q = robinson_arithmetic()
 
@@ -163,6 +172,117 @@ class TestSchemas:
             Imp(Le(Succ(Zero()), numeral(2)), Le(Zero(), numeral(2))),
         )
         assert is_valid(single(inst, "all_inst"), Q)
+
+
+def _preorder(pattern):
+    """Every sub-pattern of a schema pattern, parents first."""
+    yield pattern
+    if pattern[0] not in ("F", "T"):
+        for sub in pattern[1:]:
+            yield from _preorder(sub)
+
+
+# a node type with the same fields, or a constructor of another shape
+_OTHER = {Imp: And, And: Or, Or: Iff, Iff: Imp, Eq: Le, Le: Eq, Add: Mul, Mul: Add,
+          Not: lambda body: Forall(0, body), Succ: lambda t: Add(t, t)}
+
+
+def _instance(pattern, fill, swap_at: int = -1):
+    """The expression a pattern describes.  The sub-pattern at preorder
+    position k is fill(metavariable, k) when it is a metavariable; the node
+    at position swap_at is built by its _OTHER constructor instead."""
+    position = itertools.count()
+
+    def build(p):
+        k = next(position)
+        if p[0] in ("F", "T"):
+            return fill(p, k)
+        kind = proofs_module._PATTERN_NODES[p[0]][0]
+        return (_OTHER[kind] if k == swap_at else kind)(*map(build, p[1:]))
+
+    return build(pattern)
+
+
+class TestStagedMatcher:
+    """The staged pattern matcher gives the recursive interpreter's verdict
+    on instances of every pattern schema and on their near misses."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(gen.formulas(3), min_size=6, max_size=6),
+           st.lists(gen.terms(3), min_size=8, max_size=8))
+    def test_same_verdict_as_the_interpreter(self, fs, ts):
+        for name, pattern in proofs_module._PATTERN_SCHEMAS.items():
+            subs = list(_preorder(pattern))
+            metas = sorted({p for p in subs if p[0] in ("F", "T")})
+            # the i-th metavariable of a sort: a value, another of its sort,
+            # and one of the other sort (3 formula and 4 term metavariables at most)
+            value, other, swapped = {}, {}, {}
+            for i, m in enumerate(x for x in metas if x[0] == "F"):
+                value[m], other[m], swapped[m] = fs[i], fs[i + 3], ts[i]
+            for i, m in enumerate(x for x in metas if x[0] == "T"):
+                value[m], other[m], swapped[m] = ts[i], ts[i + 4], fs[i]
+            instance = _instance(pattern, lambda m, k: value[m])
+            # occurrences alternate between a formula and its expansion
+            unsugared = _instance(
+                pattern, lambda m, k: expand_bounded(value[m]) if k % 2 else value[m])
+            candidates = [instance, unsugared]
+            for j in range(len(subs)):
+                candidates += [
+                    _instance(pattern, lambda m, k: other[m] if k == j else value[m]),
+                    _instance(pattern, lambda m, k: swapped[m] if k == j else value[m]),
+                    _instance(pattern, lambda m, k: value[m], swap_at=j),
+                ]
+            for m in metas:  # every occurrence of one metavariable of the other sort
+                candidates.append(
+                    _instance(pattern, lambda n, k: swapped[n] if n == m else value[n]))
+            verdicts = [proofs_module._check_schema(name, f) is None for f in candidates]
+            assert verdicts == [pattern_match(pattern, f, {}) for f in candidates], name
+            assert verdicts[:2] == [True, True], name
+
+
+class TestStepRecord:
+    """Step keeps a frozen dataclass's behaviour under its hand-written
+    __init__."""
+
+    f = Eq(Zero(), Zero())
+
+    def test_fields_and_replace(self):
+        s = Step(self.f, "mp", (0, 1))
+        assert [x.name for x in fields(Step)] == ["formula", "rule", "premises", "name", "var"]
+        assert (s.formula, s.rule, s.premises, s.name, s.var) == (self.f, "mp", (0, 1), None, None)
+        assert replace(s, rule="gen", premises=(2,), var=3) == Step(self.f, "gen", (2,), var=3)
+        assert repr(s) == ("Step(formula=Eq(left=Zero(), right=Zero()), rule='mp',"
+                           " premises=(0, 1), name=None, var=None)")
+
+    def test_value_equality_and_hash(self):
+        s = Step(self.f, "schema", name="eq_refl")
+        same = Step(formula=Eq(Zero(), Zero()), rule="schema", premises=(), name="eq_refl")
+        assert s == same and hash(s) == hash(same)
+        assert s != replace(s, name="imp_k") and s != replace(s, var=0)
+
+    def test_frozen_and_slotted(self):
+        s = Step(self.f, "gen", (0,), var=0)
+        assert not hasattr(s, "__dict__")
+        for x in fields(Step):
+            with pytest.raises(FrozenInstanceError):
+                setattr(s, x.name, getattr(s, x.name))
+        with pytest.raises(FrozenInstanceError):
+            del s.rule
+
+    def test_copy_and_pickle_round_trip(self):
+        s = Step(self.f, "gen", (0,), var=0)
+        for twin in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+            assert twin == s and hash(twin) == hash(s) and twin.formula is s.formula
+
+    @pytest.mark.parametrize("build", [
+        lambda f: Step(f, "mp", premise=(0, 1)),
+        lambda f: Step(f, "axiom", name="q1", label="q1"),
+        lambda f: Step(f),
+        lambda f: Step(f, "gen", (0,), None, 0, 1),
+    ], ids=["unknown keyword", "extra keyword", "missing rule", "extra field"])
+    def test_constructor_arguments_checked(self, build):
+        with pytest.raises(TypeError):
+            build(self.f)
 
 
 class TestRules:

@@ -468,6 +468,24 @@ class TestClosedFlag:
             build()
 
 
+    @pytest.mark.parametrize("build", [
+        lambda: T.Ax("q1"),
+        lambda: T.Ax("q1", A, A),
+        lambda: T.Sch("eq_refl"),
+        lambda: T.Sch("eq_refl", A, "imp_k"),
+        lambda: T.Hyp(),
+        lambda: T.Hyp(A, B),
+        lambda: T.MP(T.eq_refl(Zero()), T.eq_refl(Zero())),
+        lambda: T.MP(T.eq_refl(Zero()), T.eq_refl(Zero()), A, B),
+        lambda: T.Gen(0, T.eq_refl(Zero())),
+        lambda: T.Gen(0, T.eq_refl(Zero()), Forall(0, A), 1),
+    ], ids=["ax-1", "ax-3", "sch-1", "sch-3", "hyp-0", "hyp-2", "mp-2", "mp-4", "gen-2",
+            "gen-4"])
+    def test_constructor_arity_is_checked(self, build):
+        with pytest.raises(TypeError, match="argument"):
+            build()
+
+
 def _closed_lines(tree, discharge, hs) -> list[list[str]]:
     """Discharge hs in order with the given deduction theorem, then compile,
     and compile with every proof node on its own line."""
