@@ -17,7 +17,7 @@ from typing import Iterator
 from .errors import BudgetExhaustedError, CapExceededError, InputError, RefusedError
 from .generators import LemmaBank, NamingEvidence, NamingTable, refute_delta0
 from .proofs import Derivation, Theory
-from .semantics import NamingVerdict, SemanticNaming
+from .semantics import DEFAULT_BUDGET, SEARCH_BUDGET, NamingVerdict, SemanticNaming
 from .syntax import (
     Add,
     And,
@@ -199,7 +199,7 @@ BACKENDS = ("semantic", "prover")
 def berry_number(
     max_len: int,
     backend: str = "semantic",
-    budget: int = 32,
+    budget: int = SEARCH_BUDGET,
     cap: int = DEFAULT_CAP,
     theory: Theory | None = None,
 ) -> BerryReport:
@@ -451,7 +451,7 @@ def refute_witnesses(
     n: int,
     t: Term,
     upto: int,
-    budget: int = 64,
+    budget: int = DEFAULT_BUDGET,
     bank: LemmaBank | None = None,
 ) -> list[Derivation]:
     """Derivations refuting every witness instance 0..upto.

@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from typing import Iterator
 
 from .berry import (
     BACKENDS,
@@ -32,7 +33,7 @@ from .errors import (
     CheckFailedError,
     InputError,
 )
-from .generators import prove_sigma
+from .generators import DEFAULT_DEPTH, prove_sigma
 from .parser import parse, parse_formula
 from .proofs import (
     check,
@@ -41,7 +42,7 @@ from .proofs import (
     to_json_lines,
 )
 from .relations import b_rel, fm, lh, neg, nm, prc, snt
-from .semantics import Truth, eval_budgeted
+from .semantics import DEFAULT_BUDGET, Truth, eval_budgeted
 from .syntax import (
     Exists,
     Forall,
@@ -56,7 +57,7 @@ from .syntax import (
 )
 
 ENV_PREFIX = "BERRYKIT_"
-_DEFAULTS = {"budget": 64, "cap": DEFAULT_CAP, "depth": 6}
+_DEFAULTS = {"budget": DEFAULT_BUDGET, "cap": DEFAULT_CAP, "depth": DEFAULT_DEPTH}
 
 
 @dataclass(frozen=True)
@@ -67,14 +68,33 @@ class Settings:
     as_json: bool
 
 
-def _load_config(path: str) -> dict[str, int]:
-    out: dict[str, int] = {}
+def _read_text(path: str, what: str = "") -> str:
+    """The text of a UTF-8 file; a file that cannot be read or decoded is
+    bad input, named in the error."""
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
+            return fh.read()
     except OSError as err:
-        raise InputError(f"cannot read config {path}: {err}") from err
-    for lineno, raw in enumerate(lines, 1):
+        raise InputError(f"cannot read {what}{path}: {err}") from err
+    except UnicodeDecodeError as err:
+        raise InputError(f"{what}{path}: not UTF-8 text at byte {err.start}") from err
+
+
+def _utf8_lines(path: str, fh) -> Iterator[str]:
+    """The lines of a binary file, each decoded alone, so an undecodable one
+    is named by its number (counted from 0, as `from_json_lines` counts)."""
+    for lineno, raw in enumerate(fh):
+        try:
+            yield raw.decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise InputError(
+                f"{path}: line {lineno}: not UTF-8 text at byte {err.start} of the line"
+            ) from err
+
+
+def _load_config(path: str) -> dict[str, int]:
+    out: dict[str, int] = {}
+    for lineno, raw in enumerate(_read_text(path, "config ").split("\n"), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -283,8 +303,8 @@ def _cmd_check_proof(args, st: Settings) -> int:
         d = from_json_lines(sys.stdin)
     else:
         try:
-            with open(args.file, encoding="utf-8") as fh:
-                d = from_json_lines(fh)
+            with open(args.file, "rb") as fh:
+                d = from_json_lines(_utf8_lines(args.file, fh))
         except OSError as err:
             raise InputError(f"cannot read {args.file}: {err}") from err
     check(d, robinson_arithmetic())
@@ -334,12 +354,7 @@ def _cmd_berry(args, st: Settings) -> int:
 
 def _provider(args) -> ConcretePhi | MockPhi:
     if getattr(args, "phi_file", None):
-        try:
-            with open(args.phi_file, encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as err:
-            raise InputError(f"cannot read {args.phi_file}: {err}") from err
-        return ConcretePhi(parse_formula(text))
+        return ConcretePhi(parse_formula(_read_text(args.phi_file)))
     if getattr(args, "phi_mock", None):
         ln, sep, occ = args.phi_mock.partition(":")
         if not sep:
@@ -388,10 +403,7 @@ def _cmd_boolos(args, st: Settings) -> int:
 def _cmd_demo(args, st: Settings) -> int:
     if args.replay:
         try:
-            with open(args.replay, encoding="utf-8") as fh:
-                obj = json.load(fh)
-        except OSError as err:
-            raise InputError(f"cannot read {args.replay}: {err}") from err
+            obj = json.loads(_read_text(args.replay))
         except json.JSONDecodeError as err:
             raise InputError(f"{args.replay}: bad JSON: {err}") from err
         ok, diffs = replay_demo(obj)

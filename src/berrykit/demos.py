@@ -26,7 +26,7 @@ from .errors import InputError, RefusedError
 from .generators import LemmaBank, prove_sigma, refute_delta0
 from .proofs import Theory, is_valid, robinson_arithmetic
 from .relations import b_rel, lh, nm, prc
-from .semantics import eval_delta0
+from .semantics import SEARCH_BUDGET, eval_delta0
 from .syntax import (
     And,
     BForall,
@@ -393,7 +393,7 @@ _DEMOS = {1: _demo1, 2: _demo2, 3: _demo3, 4: _demo4, 5: _demo5}
 def run_demo(
     corollary: int,
     backend: str = "semantic",
-    budget: int = 32,
+    budget: int = SEARCH_BUDGET,
     scale: int = 6,
     theory: Theory | None = None,
 ) -> DemoReport:

@@ -23,12 +23,10 @@ from .errors import (
     RefusedError,
 )
 from .proofs import SCHEMA_NAMES, Derivation, Theory, _check_schema, robinson_arithmetic
-from .semantics import SemanticNaming, Truth, eval_budgeted, eval_term
+from .semantics import DEFAULT_BUDGET, SemanticNaming, Truth, eval_budgeted, eval_term
 from .syntax import (
     Add,
     And,
-    BExists,
-    BForall,
     BINDERS,
     Eq,
     Exists,
@@ -82,6 +80,21 @@ class LemmaBank:
 
     def _ax(self, label: str) -> T.Proof:
         return T.ax(self.theory, label)
+
+    def _ladder(
+        self,
+        tag: str,
+        n: int,
+        zero: Callable[[], T.Proof],
+        step: Callable[[int], T.Proof],
+    ) -> T.Proof:
+        """Rung n of a lemma proved for 0, then for each m from rung m-1;
+        every rung up to n is cached."""
+        if (tag, n) not in self._cache:
+            for m in range(n + 1):
+                if (tag, m) not in self._cache:
+                    self._cache[tag, m] = zero() if m == 0 else step(m)
+        return self._cache[tag, n]
 
     # -------------------------------------------------- numeral arithmetic
 
@@ -196,19 +209,14 @@ class LemmaBank:
 
     def u_lemma(self, n: int) -> T.Proof:
         """(A v0)(v0 + n = s^n v0): adding a numeral is iterated successor."""
-        key = ("u", n)
-        if key not in self._cache:
-            self._cache[("u", 0)] = self._ax("q4")
-            for m in range(1, n + 1):
-                if ("u", m) in self._cache:
-                    continue
-                prev = self._cache[("u", m - 1)]
-                q5i = T.forall_elim(
-                    T.forall_elim(self._ax("q5"), Var(0)), numeral(m - 1)
-                )
-                ih = T.forall_elim(prev, Var(0))
-                self._cache[("u", m)] = T.gen(0, T.eq_trans(q5i, T.eq_succ(ih)))
-        return self._cache[key]
+        return self._ladder("u", n, lambda: self._ax("q4"), self._u_step)
+
+    def _u_step(self, m: int) -> T.Proof:
+        q5i = T.forall_elim(
+            T.forall_elim(self._ax("q5"), Var(0)), numeral(m - 1)
+        )
+        ih = T.forall_elim(self._cache[("u", m - 1)], Var(0))
+        return T.gen(0, T.eq_trans(q5i, T.eq_succ(ih)))
 
     def nle(self, j: int, n: int) -> T.Proof:
         """~(j <= n) for numerals with j > n."""
@@ -282,15 +290,7 @@ class LemmaBank:
 
     def l7(self, n: int) -> T.Proof:
         """(A v0)((v0 <= n) -> (v0=0 | v0=1 | ... | v0=n)), right-nested."""
-        key = ("l7", n)
-        if key not in self._cache:
-            for m in range(n + 1):
-                if ("l7", m) in self._cache:
-                    continue
-                self._cache[("l7", m)] = (
-                    self._l7_zero() if m == 0 else self._l7_step(m)
-                )
-        return self._cache[key]
+        return self._ladder("l7", n, self._l7_zero, self._l7_step)
 
     def _l7_zero(self) -> T.Proof:
         h = Le(Var(0), Zero())
@@ -399,15 +399,7 @@ class LemmaBank:
 
     def tot(self, n: int) -> T.Proof:
         """(A v0)((v0 <= n) | (n <= v0))."""
-        key = ("tot", n)
-        if key not in self._cache:
-            for m in range(n + 1):
-                if ("tot", m) in self._cache:
-                    continue
-                self._cache[("tot", m)] = (
-                    self._tot_zero() if m == 0 else self._tot_step(m)
-                )
-        return self._cache[key]
+        return self._ladder("tot", n, self._tot_zero, self._tot_step)
 
     def _tot_zero(self) -> T.Proof:
         g1i = T.forall_elim(self.g1(), Var(0))
@@ -588,57 +580,74 @@ class LemmaBank:
 
     # --------------------------------------- true/false bounded sentences
 
-    def prove_true(self, f: Formula, budget: int = 64) -> T.Proof:
+    def _lt(self, k: int, bound: Term, m: int) -> T.Proof:
+        """s k <= bound, for the closed bound of value m above k."""
+        return T.le_transport(
+            T.eq_refl(numeral(k + 1)),
+            T.eq_sym(self.eval_closed(bound)),
+            self.le(k + 1, m),
+        )
+
+    def _below(
+        self,
+        v: int,
+        bound: Term,
+        m: int,
+        p_guard: T.Proof,
+        goal: Formula,
+        branch: Callable[[int, T.Proof], T.Proof] | None,
+    ) -> T.Proof:
+        """The case split on v below a closed bound, from p_guard proving
+        s v <= bound for the bound of value m.
+
+        At m = 0 the guard is absurd, and goal follows from q2.  Otherwise
+        v is one of 0..m-1, and branch(k, proof of v = k) proves goal in
+        each case; with no branch the result is v <= m-1 itself.
+        """
+        up = T.le_transport(T.eq_refl(Succ(Var(v))), self.eval_closed(bound), p_guard)
+        if m == 0:
+            zi = T.forall_elim(self.l7(0), Succ(Var(v)))
+            q2i = T.forall_elim(self._ax("q2"), Var(v))
+            return T.contradiction_to(T.mp(zi, up), q2i, goal)
+        m2i = T.forall_elim(T.forall_elim(self.m2(), Var(v)), numeral(m - 1))
+        below = T.mp(m2i, up)
+        if branch is None:
+            return below
+        dis = T.mp(T.forall_elim(self.l7(m - 1), Var(v)), below)
+        return _elim_cases(dis, [Eq(Var(v), numeral(k)) for k in range(m)], branch)
+
+    def prove_true(self, f: Formula, budget: int) -> T.Proof:
+        """A proof of the true closed sentence f.
+
+        f is read as its expansion, so a bounded quantifier is the guarded
+        quantifier it stands for.  Each choice (the disjunct, the witness,
+        a false antecedent before a true consequent) is the evaluator's at
+        the budget; a false sentence is refused and an unsettled one raises
+        the budget error.
+        """
+        f = expand_bounded(f)
         gp = _guard_parts(f)
         if gp is not None:
             kind, v, bound, body = gp
             if free_vars(bound):
                 raise InputError("quantifier bound is not closed here")
             m = eval_term(bound, {})
-            bodyx = expand_bounded(body)
             if kind == "ball":
                 guard = Le(Succ(Var(v)), bound)
-                hg = T.hyp(guard)
-                up = T.le_transport(
-                    T.eq_refl(Succ(Var(v))), self.eval_closed(bound), hg
-                )
-                if m == 0:
-                    zi = T.forall_elim(self.l7(0), Succ(Var(v)))
-                    q2i = T.forall_elim(self._ax("q2"), Var(v))
-                    c = T.contradiction_to(T.mp(zi, up), q2i, bodyx)
-                else:
-                    m2i = T.forall_elim(
-                        T.forall_elim(self.m2(), Var(v)), numeral(m - 1)
-                    )
-                    below = T.mp(m2i, up)
-                    dis = T.mp(T.forall_elim(self.l7(m - 1), Var(v)), below)
-                    cs = [Eq(Var(v), numeral(k)) for k in range(m)]
 
-                    def branch(k: int, hek: T.Proof) -> T.Proof:
-                        pk = self.prove_true(
-                            substitute(body, v, numeral(k)), budget
-                        )
-                        lb = self.leib(bodyx, v, numeral(k), Var(v))
-                        return T.mp(T.mp(lb, T.eq_sym(hek)), pk)
+                def branch(k: int, hek: T.Proof) -> T.Proof:
+                    pk = self.prove_true(substitute(body, v, numeral(k)), budget)
+                    lb = self.leib(body, v, numeral(k), Var(v))
+                    return T.mp(T.mp(lb, T.eq_sym(hek)), pk)
 
-                    c = _elim_cases(dis, cs, branch)
+                c = self._below(v, bound, m, T.hyp(guard), body, branch)
                 return T.gen(v, T.discharge(c, guard))
             # bounded existential: first true instance is the witness
             for k in range(m):
                 if eval_budgeted(body, budget, {v: k}) is Truth.TRUE:
                     pk = self.prove_true(substitute(body, v, numeral(k)), budget)
-                    wit = T.le_transport(
-                        T.eq_refl(numeral(k + 1)),
-                        T.eq_sym(self.eval_closed(bound)),
-                        self.le(k + 1, m),
-                    )
-                    pair = T.and_intro(wit, pk)
-                    return T.exists_intro(
-                        v,
-                        And(Le(Succ(Var(v)), bound), bodyx),
-                        numeral(k),
-                        pair,
-                    )
+                    pair = T.and_intro(self._lt(k, bound, m), pk)
+                    return T.exists_intro(v, f.body, numeral(k), pair)
             raise RefusedError("no witness below the bound; the sentence is false")
         match f:
             case Not(g):
@@ -649,43 +658,30 @@ class LemmaBank:
                 )
             case Or(l, r):
                 if eval_budgeted(l, budget) is Truth.TRUE:
-                    return T.or_left(
-                        self.prove_true(l, budget), expand_bounded(r)
-                    )
+                    return T.or_left(self.prove_true(l, budget), r)
                 if eval_budgeted(r, budget) is Truth.TRUE:
-                    return T.or_right(
-                        expand_bounded(l), self.prove_true(r, budget)
-                    )
+                    return T.or_right(l, self.prove_true(r, budget))
                 raise BudgetExhaustedError(
                     "neither disjunct settles as true", budget=budget
                 )
             case Imp(l, r):
-                lx = expand_bounded(l)
                 if eval_budgeted(l, budget) is Truth.FALSE:
                     nl = self.prove_false(l, budget)
-                    hl = T.hyp(lx)
-                    return T.discharge(
-                        T.contradiction_to(hl, nl, expand_bounded(r)), lx
-                    )
+                    return T.discharge(T.contradiction_to(T.hyp(l), nl, r), l)
                 if eval_budgeted(r, budget) is Truth.TRUE:
-                    return T.k_lift(self.prove_true(r, budget), lx)
+                    return T.k_lift(self.prove_true(r, budget), l)
                 raise BudgetExhaustedError(
                     "antecedent and consequent both unsettled", budget=budget
                 )
             case Iff(l, r):
-                lx, rx = expand_bounded(l), expand_bounded(r)
                 tl = eval_budgeted(l, budget)
                 if tl is Truth.TRUE:
                     pl, pr = self.prove_true(l, budget), self.prove_true(r, budget)
-                    return T.iff_intro(T.k_lift(pr, lx), T.k_lift(pl, rx))
+                    return T.iff_intro(T.k_lift(pr, l), T.k_lift(pl, r))
                 if tl is Truth.FALSE:
                     nl, nr = self.prove_false(l, budget), self.prove_false(r, budget)
-                    fwd = T.discharge(
-                        T.contradiction_to(T.hyp(lx), nl, rx), lx
-                    )
-                    back = T.discharge(
-                        T.contradiction_to(T.hyp(rx), nr, lx), rx
-                    )
+                    fwd = T.discharge(T.contradiction_to(T.hyp(l), nl, r), l)
+                    back = T.discharge(T.contradiction_to(T.hyp(r), nr, l), r)
                     return T.iff_intro(fwd, back)
                 raise BudgetExhaustedError("biconditional unsettled", budget=budget)
             case Eq(t, u):
@@ -705,12 +701,11 @@ class LemmaBank:
                     self.le(vt, vu),
                 )
             case Exists(v, body):
-                bodyx = expand_bounded(body)
                 for k in range(budget + 1):
                     if eval_budgeted(body, budget, {v: k}) is Truth.TRUE:
                         inst = substitute(body, v, numeral(k))
                         return T.exists_intro(
-                            v, bodyx, numeral(k), self.prove_true(inst, budget)
+                            v, body, numeral(k), self.prove_true(inst, budget)
                         )
                 raise BudgetExhaustedError(
                     f"no witness at or below {budget}", budget=budget
@@ -719,17 +714,20 @@ class LemmaBank:
                 raise InputError("unbounded universal outside the supported fragment")
         raise InputError(f"cannot establish {render(f)!r}")
 
-    def prove_false(self, f: Formula, budget: int = 64) -> T.Proof:
+    def prove_false(self, f: Formula, budget: int) -> T.Proof:
+        """A proof of the negation of the false closed sentence f.
+
+        f is read as its expansion, as in `prove_true`; the failing
+        instance, conjunct or side is the evaluator's first.
+        """
+        f = expand_bounded(f)
         gp = _guard_parts(f)
         if gp is not None:
             kind, v, bound, body = gp
             if free_vars(bound):
                 raise InputError("quantifier bound is not closed here")
             m = eval_term(bound, {})
-            bodyx = expand_bounded(body)
-            guard = Le(Succ(Var(v)), bound)
             if kind == "ball":
-                whole = Forall(v, Imp(guard, bodyx))
                 failing = next(
                     (k for k in range(m)
                      if eval_budgeted(body, budget, {v: k}) is Truth.FALSE),
@@ -737,45 +735,22 @@ class LemmaBank:
                 )
                 if failing is None:
                     raise RefusedError("no failing instance; the sentence is true")
-                ha = T.hyp(whole)
-                inst = T.forall_elim(ha, numeral(failing))
-                wit = T.le_transport(
-                    T.eq_refl(numeral(failing + 1)),
-                    T.eq_sym(self.eval_closed(bound)),
-                    self.le(failing + 1, m),
-                )
-                pos = T.mp(inst, wit)
+                inst = T.forall_elim(T.hyp(f), numeral(failing))
+                pos = T.mp(inst, self._lt(failing, bound, m))
                 neg = self.prove_false(
                     substitute(body, v, numeral(failing)), budget
                 )
-                return self._refute(whole, T.contradiction_to(pos, neg, _C0))
-            whole = Exists(v, And(guard, bodyx))
-            conj = And(guard, bodyx)
+                return self._refute(f, T.contradiction_to(pos, neg, _C0))
+            conj = f.body
             hc = T.hyp(conj)
-            up = T.le_transport(
-                T.eq_refl(Succ(Var(v))), self.eval_closed(bound), T.and_left(hc)
-            )
-            if m == 0:
-                zi = T.forall_elim(self.l7(0), Succ(Var(v)))
-                q2i = T.forall_elim(self._ax("q2"), Var(v))
-                c = T.contradiction_to(T.mp(zi, up), q2i, _C0)
-            else:
-                m2i = T.forall_elim(
-                    T.forall_elim(self.m2(), Var(v)), numeral(m - 1)
-                )
-                below = T.mp(m2i, up)
-                dis = T.mp(T.forall_elim(self.l7(m - 1), Var(v)), below)
-                cs = [Eq(Var(v), numeral(k)) for k in range(m)]
 
-                def branch(k: int, hek: T.Proof) -> T.Proof:
-                    nk = self.prove_false(
-                        substitute(body, v, numeral(k)), budget
-                    )
-                    lb = self.leib(bodyx, v, Var(v), numeral(k))
-                    pos = T.mp(T.mp(lb, hek), T.and_right(hc))
-                    return T.contradiction_to(pos, nk, _C0)
+            def branch(k: int, hek: T.Proof) -> T.Proof:
+                nk = self.prove_false(substitute(body, v, numeral(k)), budget)
+                lb = self.leib(body, v, Var(v), numeral(k))
+                pos = T.mp(T.mp(lb, hek), T.and_right(hc))
+                return T.contradiction_to(pos, nk, _C0)
 
-                c = _elim_cases(dis, cs, branch)
+            c = self._below(v, bound, m, T.and_left(hc), _C0, branch)
             shifted = T.gen(v, T.discharge(c, conj))
             exs = T.mp(T.s_ex_shift(v, conj, _C0), shifted)
             return T.contrapose(exs, self.ne(0, 1))
@@ -783,8 +758,7 @@ class LemmaBank:
             case Not(g):
                 return T.dn_intro(self.prove_true(g, budget))
             case And(l, r):
-                whole = And(expand_bounded(l), expand_bounded(r))
-                hc = T.hyp(whole)
+                hc = T.hyp(f)
                 if eval_budgeted(l, budget) is Truth.FALSE:
                     c = T.contradiction_to(
                         T.and_left(hc), self.prove_false(l, budget), _C0
@@ -797,27 +771,19 @@ class LemmaBank:
                     raise BudgetExhaustedError(
                         "neither conjunct settles as false", budget=budget
                     )
-                return self._refute(whole, c)
+                return self._refute(f, c)
             case Or(l, r):
-                lx, rx = expand_bounded(l), expand_bounded(r)
-                whole = Or(lx, rx)
                 nl = self.prove_false(l, budget)
                 nr = self.prove_false(r, budget)
-                bl = T.discharge(T.contradiction_to(T.hyp(lx), nl, _C0), lx)
-                br = T.discharge(T.contradiction_to(T.hyp(rx), nr, _C0), rx)
-                return self._refute(
-                    whole, T.or_elim(T.hyp(whole), bl, br)
-                )
+                bl = T.discharge(T.contradiction_to(T.hyp(l), nl, _C0), l)
+                br = T.discharge(T.contradiction_to(T.hyp(r), nr, _C0), r)
+                return self._refute(f, T.or_elim(T.hyp(f), bl, br))
             case Imp(l, r):
-                whole = Imp(expand_bounded(l), expand_bounded(r))
-                hc = T.hyp(whole)
-                pos = T.mp(hc, self.prove_true(l, budget))
+                pos = T.mp(T.hyp(f), self.prove_true(l, budget))
                 c = T.contradiction_to(pos, self.prove_false(r, budget), _C0)
-                return self._refute(whole, c)
+                return self._refute(f, c)
             case Iff(l, r):
-                lx, rx = expand_bounded(l), expand_bounded(r)
-                whole = Iff(lx, rx)
-                hc = T.hyp(whole)
+                hc = T.hyp(f)
                 if eval_budgeted(l, budget) is Truth.TRUE:
                     pos = T.mp(T.iff_left(hc), self.prove_true(l, budget))
                     c = T.contradiction_to(
@@ -832,29 +798,25 @@ class LemmaBank:
                     raise BudgetExhaustedError(
                         "biconditional unsettled", budget=budget
                     )
-                return self._refute(whole, c)
+                return self._refute(f, c)
             case Eq(t, u):
                 vt, vu = eval_term(t, {}), eval_term(u, {})
                 if vt == vu:
                     raise RefusedError("the sides agree; the equation is true")
-                whole = Eq(t, u)
-                he = T.hyp(whole)
                 chain = T.eq_chain(
-                    T.eq_sym(self.eval_closed(t)), he, self.eval_closed(u)
+                    T.eq_sym(self.eval_closed(t)), T.hyp(f), self.eval_closed(u)
                 )
                 c = T.contradiction_to(chain, self.ne(vt, vu), _C0)
-                return self._refute(whole, c)
+                return self._refute(f, c)
             case Le(t, u):
                 vt, vu = eval_term(t, {}), eval_term(u, {})
                 if vt <= vu:
                     raise RefusedError("the comparison holds; the sentence is true")
-                whole = Le(t, u)
-                he = T.hyp(whole)
                 moved = T.le_transport(
-                    self.eval_closed(t), self.eval_closed(u), he
+                    self.eval_closed(t), self.eval_closed(u), T.hyp(f)
                 )
                 c = T.contradiction_to(moved, self.nle(vt, vu), _C0)
-                return self._refute(whole, c)
+                return self._refute(f, c)
             case Exists(_, _):
                 raise RefusedError("cannot refute an unbounded existential")
             case Forall(_, _):
@@ -869,26 +831,17 @@ class LemmaBank:
         """A numeral bound m with a transformer taking a proof of mu to a
         proof of v0 <= m.  None when no conjunct pins down v0."""
         match mu:
-            case Eq(Var(0), t) if not free_vars(t):
+            case Eq(Var(0), t) | Eq(t, Var(0)) if not free_vars(t):
                 m = eval_term(t, {})
+                flip = mu.right is Var(0)  # mu is t = v0
 
                 def fn_eq(p: T.Proof) -> T.Proof:
-                    e = T.eq_trans(p, self.eval_closed(t))
+                    e = T.eq_trans(T.eq_sym(p) if flip else p, self.eval_closed(t))
                     return T.le_transport(
                         T.eq_sym(e), T.eq_refl(numeral(m)), self.le(m, m)
                     )
 
                 return m, fn_eq
-            case Eq(t, Var(0)) if not free_vars(t):
-                m = eval_term(t, {})
-
-                def fn_eq_rev(p: T.Proof) -> T.Proof:
-                    e = T.eq_trans(T.eq_sym(p), self.eval_closed(t))
-                    return T.le_transport(
-                        T.eq_sym(e), T.eq_refl(numeral(m)), self.le(m, m)
-                    )
-
-                return m, fn_eq_rev
             case Le(Var(0), t) if not free_vars(t):
                 m = eval_term(t, {})
 
@@ -902,19 +855,7 @@ class LemmaBank:
                 m = eval_term(t, {})
 
                 def fn_lt(p: T.Proof) -> T.Proof:
-                    up = T.le_transport(
-                        T.eq_refl(Succ(Var(0))), self.eval_closed(t), p
-                    )
-                    if m == 0:
-                        zi = T.forall_elim(self.l7(0), Succ(Var(0)))
-                        q2i = T.forall_elim(self._ax("q2"), Var(0))
-                        return T.contradiction_to(
-                            T.mp(zi, up), q2i, Le(Var(0), Zero())
-                        )
-                    m2i = T.forall_elim(
-                        T.forall_elim(self.m2(), Var(0)), numeral(m - 1)
-                    )
-                    return T.mp(m2i, up)
+                    return self._below(0, t, m, p, Le(Var(0), Zero()), None)
 
                 return (0 if m == 0 else m - 1), fn_lt
             case And(l, r):
@@ -939,11 +880,6 @@ def _eq_value(p: T.Proof) -> int:
 
 
 def _guard_parts(f: Formula) -> tuple[str, int, Term, Formula] | None:
-    match f:
-        case BForall(v, b, body):
-            return "ball", v, b, body
-        case BExists(v, b, body):
-            return "bex", v, b, body
     got = guarded_forall(f)
     if got is not None:
         return ("ball", *got)
@@ -1074,7 +1010,7 @@ _SIGMA_CLASSES = (FormulaClass.DELTA0, FormulaClass.SIGMA1, FormulaClass.SIGMA)
 
 def prove_sigma(
     sentence: Formula,
-    budget: int = 64,
+    budget: int = DEFAULT_BUDGET,
     bank: LemmaBank | None = None,
 ) -> Derivation:
     """A derivation of the closed true sentence from the bounded-or-
@@ -1097,7 +1033,7 @@ def prove_sigma(
 
 def refute_delta0(
     sentence: Formula,
-    budget: int = 64,
+    budget: int = DEFAULT_BUDGET,
     bank: LemmaBank | None = None,
 ) -> Derivation:
     """A derivation of the negation of a false closed bounded sentence."""
@@ -1264,7 +1200,7 @@ class NamingTable:
 def names_provable(
     mu: Formula,
     i: int,
-    budget: int = 64,
+    budget: int = DEFAULT_BUDGET,
     bank: LemmaBank | None = None,
 ) -> NamingEvidence:
     """Decide the naming equivalence for a bounded formula, with evidence.
@@ -1278,11 +1214,13 @@ def names_provable(
 
 # ------------------------------------------------------------ proof search
 
+DEFAULT_DEPTH = 6  # the structural peeling search_proof tries
+
 def search_proof(
     target: Formula,
     theory: Theory | None = None,
-    depth: int = 6,
-    budget: int = 64,
+    depth: int = DEFAULT_DEPTH,
+    budget: int = DEFAULT_BUDGET,
 ) -> Derivation | None:
     """Search for a derivation of the target, or None.
 

@@ -7,13 +7,14 @@ would have been acceptable there.
 `parse_formula` with a memo reads the lines of a derivation: it looks a
 text up whole, then splits `( X ) c ( Y )` at a left operand X that is
 already a key, walking the right spine in a loop, and tokenizes only what
-is left; the parse is the one without the memo, error texts included.
+is left.  The memo holds raw texts only; equal subformulas inside a
+tokenized text are one node because nodes are interned.  The parse is the
+one without the memo, error texts included.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import accumulate, repeat
 
 from .errors import InputError
 from .syntax import (
@@ -23,7 +24,6 @@ from .syntax import (
 
 _VAR_RE = re.compile(r"^v(\d+)$")
 _CONNECTIVES = {"&": And, "|": Or, "->": Imp, "<->": Iff}
-_DEPTH = {"(": 1, ")": -1}
 
 
 class ParseError(InputError, ValueError):
@@ -41,12 +41,8 @@ class _Fail(Exception):
 
 
 class _Parser:
-    def __init__(self, toks: list[str], memo: dict[str, Formula] | None = None):
+    def __init__(self, toks: list[str]):
         self.toks = toks
-        self.memo = memo
-        # parenthesis depth after each token, for finding a group's end
-        self.depth = (list(accumulate(map(_DEPTH.get, toks, repeat(0))))
-                      if memo is not None else [])
         self.pos = 0
         self.far_pos = 0
         self.far_expected: set[str] = set()
@@ -69,15 +65,6 @@ class _Parser:
         if self.peek() != tok:
             self.fail(tok)
         self.pos += 1
-
-    def closer(self) -> int | None:
-        """Position of the ')' closing the '(' at the cursor, when memoizing."""
-        if self.memo is None or self.peek() != "(":
-            return None
-        try:
-            return self.depth.index(self.depth[self.pos] - 1, self.pos)
-        except ValueError:
-            return None
 
     def error(self) -> ParseError:
         pos = self.far_pos
@@ -141,45 +128,24 @@ class _Parser:
         raise AssertionError
 
     def subformula(self) -> Formula:
-        # a parenthesized formula parses the same wherever it stands: the
-        # parse never reads past its closing parenthesis
-        close = self.closer()
-        if close is not None:
-            key = " ".join(self.toks[self.pos + 1:close])
-            f = self.memo.get(key)
-            if f is not None:
-                self.pos = close + 1
-                return f
         self.eat("(")
         f = self.formula()
         self.eat(")")
-        if close is not None:
-            self.memo[key] = f
         return f
 
     def negation(self) -> Formula:
         # `~ ( ~ ( ... ) )` is read in a loop, so its depth is not bounded by
         # the interpreter's stack; each `~ ( ... )` is `~` and a subformula
-        opened: list[tuple[int | None, str]] = []
+        opened = 0
         while True:
             self.pos += 1
-            close, key = self.closer(), ""
-            if close is not None:
-                key = " ".join(self.toks[self.pos + 1:close])
-                f = self.memo.get(key)
-                if f is not None:
-                    self.pos = close + 1
-                    f = Not(f)
-                    break
             self.eat("(")
-            opened.append((close, key))
+            opened += 1
             if self.peek() != "~":
                 f = self.formula()
                 break
-        for close, key in reversed(opened):
+        for _ in range(opened):
             self.eat(")")
-            if close is not None:
-                self.memo[key] = f
             f = Not(f)
         return f
 
@@ -234,17 +200,15 @@ def _tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text)
 
 
-def _parse_tokens(text: str, memo: dict[str, Formula] | None) -> Formula:
+def _parse_tokens(text: str) -> Formula:
     toks = _tokenize(text)
-    p = _Parser(toks, memo)
+    p = _Parser(toks)
     try:
         f = p.formula()
         if p.pos != len(toks):
             p.fail("end of input")
     except _Fail:
         raise p.error() from None
-    if memo is not None:
-        memo[text] = f
     return f
 
 
@@ -278,18 +242,19 @@ def _read(text: str, memo: dict[str, Formula]) -> Formula:
     is looked up (or tokenized alone), and the walk goes on into Y until a
     text is a memo key or has no such split.  When X and Y both parse,
     they are properly nested, so the split is the line's only top-level
-    one and the result is the token parse of the whole text.
+    one and the result is the token parse of the whole text.  Every text
+    of the spine, each tokenized X and the tokenized rest become keys.
     """
     spine: list[tuple[str, type, Formula]] = []
     while (f := memo.get(text)) is None:
         m = _split(text)
         if m is None:
-            f = _parse_tokens(text, memo)
+            f = memo[text] = _parse_tokens(text)
             break
         x = text[2:m.start()]
         left = memo.get(x)
         if left is None:
-            left = _parse_tokens(x, memo)
+            left = memo[x] = _parse_tokens(x)
         spine.append((text, _CONNECTIVES[m.group(1)], left))
         text = text[m.end():-2]
     for t, conn, left in reversed(spine):
@@ -300,22 +265,21 @@ def _read(text: str, memo: dict[str, Formula]) -> Formula:
 def parse_formula(text: str, memo: dict[str, Formula] | None = None) -> Formula:
     """Parse one formula.
 
-    With `memo`, a dict kept across calls that maps texts to their parses,
-    equal texts give the same node and a text is read through its raw
-    slices before it is tokenized: the whole text is looked up; a text
-    `( X ) c ( Y )` whose X is a key (or reads alone) is read as the
-    connective over X and Y, Y the same way, down the right spine.  What
-    does not split so is tokenized, and the token text of each of its
-    parenthesized subformulas is looked up before it is parsed.  A text
-    that fails to parse is parsed again without the memo, so the error is
-    the one reported without it.
+    With `memo`, a dict kept across calls that maps raw texts to their
+    parses, a text is read through its raw slices before it is tokenized:
+    the whole text is looked up; a text `( X ) c ( Y )` whose X is a key
+    (or reads alone) is read as the connective over X and Y, Y the same
+    way, down the right spine.  What does not split so is tokenized whole.
+    The result is the node the text parses to without the memo, since
+    nodes are interned.  A text that fails to parse is parsed again without
+    the memo, so the error is the one reported without it.
     """
     if memo is None:
-        return _parse_tokens(text, None)
+        return _parse_tokens(text)
     try:
         return _read(text, memo)
     except ParseError:
-        return _parse_tokens(text, None)
+        return _parse_tokens(text)
 
 
 def parse_term(text: str) -> Term:

@@ -15,6 +15,7 @@ from .berry import DEFAULT_CAP, enumerate_formulas
 from .coding import DEFAULT_TABLE, SymbolTable, decode, encode
 from .errors import BudgetExhaustedError, InputError, RefusedError
 from .generators import (
+    DEFAULT_DEPTH,
     LemmaBank,
     NamingTable,
     names_provable,
@@ -22,7 +23,7 @@ from .generators import (
     search_proof,
 )
 from .proofs import Derivation, Theory, robinson_arithmetic
-from .semantics import Truth, eval_budgeted
+from .semantics import DEFAULT_BUDGET, Truth, eval_budgeted
 from . import tactics as T
 from .syntax import (
     Formula,
@@ -103,7 +104,7 @@ def nm(
     i: int,
     j: int,
     theory: Theory | None = None,
-    budget: int = 64,
+    budget: int = DEFAULT_BUDGET,
     table: SymbolTable = DEFAULT_TABLE,
     bank: LemmaBank | None = None,
 ) -> RelationVerdict:
@@ -131,7 +132,7 @@ def b_rel(
     i: int,
     j: int,
     theory: Theory | None = None,
-    budget: int = 64,
+    budget: int = DEFAULT_BUDGET,
     cap: int = DEFAULT_CAP,
     table: SymbolTable = DEFAULT_TABLE,
 ) -> RelationVerdict:
@@ -164,8 +165,8 @@ def b_rel(
 def prc(
     i: int,
     theory: Theory | None = None,
-    budget: int = 64,
-    depth: int = 6,
+    budget: int = DEFAULT_BUDGET,
+    depth: int = DEFAULT_DEPTH,
     table: SymbolTable = DEFAULT_TABLE,
 ) -> RelationVerdict:
     """i fails to code a sentence, or the theory refutes the one it codes.

@@ -45,6 +45,10 @@ from .syntax import (
 )
 
 Env = dict[int, int]
+# the default witness budget, and the smaller one of the Berry search and
+# the demos, which decide every enumerated formula
+DEFAULT_BUDGET = 64
+SEARCH_BUDGET = 32
 
 
 class Truth(enum.Enum):

@@ -306,7 +306,12 @@ class _FreeSlots:
         return node._free
 
     def __setitem__(self, node: Expr, value: frozenset[int]) -> None:
-        _SET_FREE(node, _VAR_SETS.setdefault(value, value))
+        value = _VAR_SETS.setdefault(value, value)
+        _SET_FREE(node, value)
+        # the fold sees a spine at its top only; its lower Succs share the value
+        while type(node) is Succ and node.arg._free is None:
+            node = node.arg
+            _SET_FREE(node, value)
 
 
 # one object per distinct set, so every node sharing a set shares the object

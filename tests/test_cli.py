@@ -245,7 +245,7 @@ class TestProofPipeline:
         path.write_bytes(good + b'{"f": "\xff"}\n')
         code, out, err = run(capsys, "check-proof", str(path))
         assert code == 2 and out == ""
-        assert err == f"error: 'utf-8' codec can't decode byte 0xff in position {len(good) + 7}: invalid start byte\n"
+        assert err == f"error: {path}: line 1: not UTF-8 text at byte 7 of the line\n"
 
     def test_bad_json_before_undecodable_bytes(self, capsys, tmp_path):
         # the file is read as it is checked: a bad line in the first block
@@ -394,6 +394,38 @@ class TestConfig:
         assert code == 2 and err.endswith("expected budget|cap|depth = N\n")
         monkeypatch.setenv("BERRYKIT_SEED", "not a number")
         assert run(capsys, "parse", "0 = 0")[0] == 0
+
+
+class TestUndecodableFiles:
+    """A file that is not UTF-8 is bad input named by its path, whichever
+    option reads it; no codec text reaches the catch-all."""
+
+    def _file(self, tmp_path, data: bytes):
+        path = tmp_path / "input"
+        path.write_bytes(data)
+        return str(path)
+
+    def test_check_proof_names_the_line(self, capsys, tmp_path):
+        good = b'{"f": "0 = 0", "rule": "schema", "name": "eq_refl"}\n'
+        path = self._file(tmp_path, good * 3 + b'{"f": "0 = 0 \xc3"}\n' + good)
+        code, out, err = run(capsys, "check-proof", path)
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: line 3: not UTF-8 text at byte 13 of the line\n"
+
+    def test_config(self, capsys, tmp_path):
+        path = self._file(tmp_path, b"budget=2\n# \xff\n")
+        code, out, err = run(capsys, "--config", path, "parse", "0 = 0")
+        assert (code, out, err) == (2, "", f"error: config {path}: not UTF-8 text at byte 11\n")
+
+    def test_phi_file(self, capsys, tmp_path):
+        path = self._file(tmp_path, b"v0 = v1 \xfe\n")
+        code, out, err = run(capsys, "bounds", "--phi-file", path)
+        assert (code, out, err) == (2, "", f"error: {path}: not UTF-8 text at byte 8\n")
+
+    def test_demo_replay(self, capsys, tmp_path):
+        path = self._file(tmp_path, b'{"corollary": 2, "title": "\x80"}')
+        code, out, err = run(capsys, "demo", "--replay", path)
+        assert (code, out, err) == (2, "", f"error: {path}: not UTF-8 text at byte 27\n")
 
 
 class TestArgparseErrors:

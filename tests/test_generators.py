@@ -3,8 +3,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from berrykit.errors import BudgetExhaustedError, InputError, RefusedError
+from berrykit.errors import BerrykitError, BudgetExhaustedError, InputError, RefusedError
 from berrykit.generators import (
     LemmaBank,
     names_provable,
@@ -17,7 +19,7 @@ from berrykit.generators import (
     refute_delta0,
     search_proof,
 )
-from berrykit.proofs import is_valid, robinson_arithmetic
+from berrykit.proofs import is_valid, robinson_arithmetic, to_json_lines
 from berrykit.syntax import (
     Add,
     And,
@@ -35,6 +37,8 @@ from berrykit.syntax import (
     Succ,
     Var,
     Zero,
+    expand_bounded,
+    free_vars,
     numeral,
     render,
     substitute,
@@ -222,6 +226,79 @@ class TestRefuteDelta0:
     def test_unbounded_sentence_rejected(self):
         with pytest.raises(InputError):
             refute_delta0(Exists(0, Eq(Var(0), numeral(1))))
+
+
+def _built(fn, sentence, bank):
+    """The derivation's JSON lines, or the type and text of the error."""
+    try:
+        return list(to_json_lines(fn(sentence, 16, bank)))
+    except BerrykitError as err:
+        return type(err).__name__, str(err)
+
+
+_SMALL = st.integers(min_value=0, max_value=3).map(numeral)
+_BOUND_VARS = st.integers(min_value=0, max_value=2)
+
+
+def _closed(body_and_kinds):
+    """The body closed by a bounded quantifier over each free variable."""
+    f, universal = body_and_kinds
+    for v in sorted(free_vars(f)):
+        f = (BForall if universal else BExists)(v, numeral(2), f)
+        universal = not universal
+    return f
+
+
+def nested_bounded_sentences() -> st.SearchStrategy:
+    """Closed sentences with bounded quantifiers nested under connectives,
+    negations and each other; an inner bound may be an outer variable."""
+    var = st.builds(Var, _BOUND_VARS)
+    term = st.one_of(_SMALL, var, st.builds(Add, var, _SMALL))
+    bound = st.one_of(_SMALL, var)
+    atom = st.one_of(st.builds(Eq, term, term), st.builds(Le, term, term))
+
+    def bounded(ctor, inner):
+        return (
+            st.tuples(_BOUND_VARS, bound, inner)
+            .filter(lambda t: t[0] not in free_vars(t[1]))
+            .map(lambda t: ctor(*t))
+        )
+
+    body = st.recursive(
+        atom,
+        lambda inner: st.one_of(
+            st.builds(Not, inner),
+            st.builds(And, inner, inner),
+            st.builds(Or, inner, inner),
+            st.builds(Imp, inner, inner),
+            st.builds(Iff, inner, inner),
+            bounded(BForall, inner),
+            bounded(BExists, inner),
+        ),
+        max_leaves=4,
+    )
+    return st.tuples(body, st.booleans()).map(_closed)
+
+
+SUGARED = [f for f in TRUE_SENTENCES + FALSE_DELTA0 if expand_bounded(f) is not f]
+
+
+class TestBoundedSugar:
+    """A bounded quantifier is proved or refuted as the guarded quantifier it
+    stands for: the same lines, or the same error."""
+
+    @pytest.mark.parametrize("f", SUGARED, ids=[render(f)[:40] for f in SUGARED])
+    def test_module_sentences_build_as_their_expansion(self, f):
+        bank = LemmaBank()
+        for fn in (prove_sigma, refute_delta0):
+            assert _built(fn, f, bank) == _built(fn, expand_bounded(f), bank)
+
+    @settings(max_examples=30, deadline=None)
+    @given(nested_bounded_sentences())
+    def test_nested_sentences_build_as_their_expansion(self, f):
+        bank = LemmaBank()
+        for fn in (prove_sigma, refute_delta0):
+            assert _built(fn, f, bank) == _built(fn, expand_bounded(f), bank)
 
 
 class TestNamesProvable:

@@ -238,6 +238,21 @@ def test_known_left_operand_reads_as_without_memo(a, b, conn, rng):
                     assert got == ("error", str(err), err.position)
 
 
+def test_deep_negation_nest_reads_with_a_memo():
+    # the memo holds raw texts only, so a deep `~` nest is tokenized once and
+    # read in the negation loop, whatever the memo already knows
+    depth = 50_000
+    body = "( v0 = 0 ) -> ( 0 = 0 )"
+    text = "~ ( " * depth + body + " )" * depth
+    memo: dict = {}
+    inner = parse_formula(body, memo)
+    f = parse_formula(text, memo)
+    assert f is parse_formula(text)
+    for _ in range(depth):
+        f = f.body
+    assert f is inner
+
+
 def test_deep_right_nested_chain_reads_without_recursion():
     depth = 3000
     last = "v0 = 0"
