@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
+from . import proofs
 from .errors import BudgetExhaustedError, CapExceededError, InputError, RefusedError
 from .generators import LemmaBank, NamingEvidence, NamingTable, refute_delta0
 from .proofs import Derivation, Theory
@@ -212,11 +213,16 @@ def berry_number(
     Evidence is built for exactly what the report claims: the naming
     evidence of every listed witness of a named number, and at the answer
     the refutation of every formula, which is the exhaustion that row
-    asserts.  With the prover backend each is a derivation, so a claim the
-    prover cannot back raises here instead of being reported.  Refutations
-    at smaller numbers back no row and are not built.  A row keeps its
-    first witness's evidence; the rest is dropped once built, as holding
-    the whole exhaustion would multiply peak memory.
+    asserts.  Refutations at smaller numbers back no row and are not built.
+
+    With the prover backend every claim's proof tree is built, and each
+    tactic checks the inference it adds, so a claim the prover cannot back
+    raises here instead of being reported.  Only what the report prints is
+    flattened: a named row's first witness is compiled into the derivation
+    whose size the row records, and the kernel (``proofs.check``) checks
+    it before the row is recorded, so a rejection prints no report.  The
+    other witnesses' trees and the exhaustion's are dropped once built, as
+    flattening or holding them all would multiply time and peak memory.
 
     An undecided entry anywhere before a number is certified unnamed aborts
     with a budget diagnostic rather than guessing.
@@ -224,6 +230,7 @@ def berry_number(
     if backend not in BACKENDS:
         raise InputError(f"unknown backend {backend!r}")
     mus = list(enumerate_formulas(max_len, cap))
+    bank: LemmaBank | None = None
     if backend == "prover":
         bank = LemmaBank(theory)
         tables: list[SemanticNaming | NamingTable] = [
@@ -238,9 +245,13 @@ def berry_number(
         kinds = [t.kind(m) for t in tables]
         named = [t for t, kind in zip(tables, kinds) if kind == "names"]
         if named:
-            evidence = [t.evidence(m) for t in named]
+            evidence = named[0].evidence(m)
+            if bank is not None:
+                proofs.check(evidence.derivation, bank.theory)
+            for t in named[1:]:
+                t.proof(m)
             witnesses = tuple(render(t.mu) for t in named)
-            records.append(NumberRecord(m, True, witnesses, evidence[0]))
+            records.append(NumberRecord(m, True, witnesses, evidence))
             continue
         unknowns = kinds.count("unknown")
         if unknowns:
@@ -250,7 +261,7 @@ def berry_number(
                 budget=budget,
             )
         for t in tables:
-            t.evidence(m)
+            t.proof(m)
         records.append(NumberRecord(m, False, (), None))
         return BerryReport(
             max_len, backend, budget, m, len(mus), tuple(records)

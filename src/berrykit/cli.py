@@ -68,22 +68,29 @@ class Settings:
     as_json: bool
 
 
+def _utf8(data: bytes, name: str) -> str:
+    """UTF-8 bytes as text; undecodable bytes are bad input, named."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise InputError(f"{name}: not UTF-8 text at byte {err.start}") from err
+
+
 def _read_text(path: str, what: str = "") -> str:
     """The text of a UTF-8 file; a file that cannot be read or decoded is
     bad input, named in the error."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as err:
         raise InputError(f"cannot read {what}{path}: {err}") from err
-    except UnicodeDecodeError as err:
-        raise InputError(f"{what}{path}: not UTF-8 text at byte {err.start}") from err
+    return _utf8(data, f"{what}{path}")
 
 
 def _utf8_lines(path: str, fh) -> Iterator[str]:
     """The lines of a binary file, each decoded alone, so an undecodable one
-    is named by its number (counted from 0, as `from_json_lines` counts)."""
-    for lineno, raw in enumerate(fh):
+    is named by its number (counted from 1, as `from_json_lines` counts)."""
+    for lineno, raw in enumerate(fh, 1):
         try:
             yield raw.decode("utf-8")
         except UnicodeDecodeError as err:
@@ -167,7 +174,7 @@ def _emit(obj: dict, text: str, st: Settings) -> None:
 def _read_arg_or_stdin(value: str | None) -> str:
     if value is not None:
         return value
-    return sys.stdin.read()
+    return _utf8(sys.stdin.buffer.read(), "<stdin>")
 
 
 # --------------------------------------------------------------- handlers
@@ -300,7 +307,7 @@ def _emit_verdict(v, st: Settings) -> int:
 
 def _cmd_check_proof(args, st: Settings) -> int:
     if args.file == "-":
-        d = from_json_lines(sys.stdin)
+        d = from_json_lines(_utf8_lines("<stdin>", sys.stdin.buffer))
     else:
         try:
             with open(args.file, "rb") as fh:

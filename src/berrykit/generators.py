@@ -1051,11 +1051,14 @@ def refute_delta0(
 
 @dataclass(frozen=True)
 class NamingEvidence:
-    """Outcome of deciding whether a formula provably names a number.
+    """Outcome of deciding whether a formula provably names a number,
+    with the derivation a reader or the kernel can check.
 
     kind is "names", "refuted", or "unknown".  For "names" the derivation
     concludes the naming equivalence; for "refuted" it concludes the
-    negation, and witness records the instance that broke it.
+    negation, and witness records the instance that broke it.  It is a
+    NamingProof's tree flattened; a search that only needs the decision
+    built keeps the NamingProof and flattens nothing.
     """
 
     kind: str
@@ -1075,6 +1078,27 @@ class NamingEvidence:
         return out
 
 
+@dataclass(frozen=True)
+class NamingProof:
+    """A naming decision with its proof tree, not yet flattened.
+
+    The fields are NamingEvidence's, with the tree in place of the
+    derivation.  Every tactic checks the inference it builds, so a closed
+    tree is a proof by construction; an open one raises here, as compiling
+    it would.
+    """
+
+    kind: str
+    number: int
+    witness: int | None
+    tree: T.Proof | None
+    reason: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.tree is not None:
+            T.require_closed(self.tree)
+
+
 def naming_statement(mu: Formula, i: int) -> Formula:
     return Forall(0, Iff(mu, Eq(Var(0), numeral(i))))
 
@@ -1087,8 +1111,9 @@ class NamingTable:
     bound, or the budget when there is none), read from the formula's
     SemanticNaming table.  ``kind(i)`` then reads the verdict off the table;
     an instance above scan_hi is evaluated only when asked for, and
-    remembered there.  ``evidence(i)`` builds the derivation behind that
-    verdict.
+    remembered there.  ``proof(i)`` builds the closed proof tree behind that
+    verdict, and ``evidence(i)`` flattens it into a derivation, which only
+    what is shown to a reader or to the kernel needs.
     """
 
     def __init__(self, mu: Formula, budget: int, bank: LemmaBank):
@@ -1121,7 +1146,7 @@ class NamingTable:
         self._true_at = true_at[:2]
 
     def kind(self, i: int) -> str:
-        """"names", "refuted" or "unknown", as ``evidence(i).kind``."""
+        """"names", "refuted" or "unknown", as ``proof(i).kind``."""
         if i < 0:
             raise InputError("the number must be natural")
         if self.reason is not None:
@@ -1131,12 +1156,18 @@ class NamingTable:
         return "unknown" if self.bound is None else "names"
 
     def evidence(self, i: int) -> NamingEvidence:
-        """The derivation of the naming equivalence at i or of its negation,
+        """``proof(i)`` with its tree compiled into a derivation."""
+        p = self.proof(i)
+        derivation = None if p.tree is None else T.compile_proof(p.tree)
+        return NamingEvidence(p.kind, p.number, p.witness, derivation, p.reason)
+
+    def proof(self, i: int) -> NamingProof:
+        """The proof tree of the naming equivalence at i or of its negation,
         or an honest unknown."""
         if i < 0:
             raise InputError("the number must be natural")
         if self.reason is not None:
-            return NamingEvidence("unknown", i, None, None, self.reason)
+            return NamingProof("unknown", i, None, None, self.reason)
         mu, budget, bank = self.mu, self.budget, self.bank
         statement = naming_statement(mu, i)
 
@@ -1150,10 +1181,7 @@ class NamingTable:
                 substitute(mu, 0, numeral(bad)), budget
             ))
             c = T.contradiction_to(eqd, bank.ne(bad, i), _C0)
-            return NamingEvidence(
-                "refuted", i, bad,
-                T.compile_proof(bank._refute(statement, c)),
-            )
+            return NamingProof("refuted", i, bad, bank._refute(statement, c))
         if self.table.truth(i) is not Truth.TRUE:
             h = T.hyp(statement)
             inst = T.forall_elim(h, numeral(i))
@@ -1161,12 +1189,9 @@ class NamingTable:
             c = T.contradiction_to(
                 back, bank.prove_false(substitute(mu, 0, numeral(i)), budget), _C0
             )
-            return NamingEvidence(
-                "refuted", i, i,
-                T.compile_proof(bank._refute(statement, c)),
-            )
+            return NamingProof("refuted", i, i, bank._refute(statement, c))
         if self.bound is None:
-            return NamingEvidence(
+            return NamingProof(
                 "unknown", i, None, None,
                 "no syntactic bound on the free variable",
             )
@@ -1193,8 +1218,7 @@ class NamingTable:
         pk = bank.prove_true(substitute(mu, 0, numeral(i)), budget)
         lb = bank.leib(mux, 0, numeral(i), Var(0))
         back = T.discharge(T.mp(T.mp(lb, T.eq_sym(h_eq)), pk), target)
-        tree = T.gen(0, T.iff_intro(fwd, back))
-        return NamingEvidence("names", i, None, T.compile_proof(tree))
+        return NamingProof("names", i, None, T.gen(0, T.iff_intro(fwd, back)))
 
 
 def names_provable(

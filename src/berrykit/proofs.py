@@ -468,10 +468,11 @@ def to_json_lines(derivation: Derivation) -> Iterator[str]:
 
 def from_json_lines(lines: Iterable[str]) -> Derivation:
     """Read a derivation; equal subformula texts become one shared node.
-    A field of the wrong JSON type (`true` as a premise, say) raises InputError."""
+    A field of the wrong JSON type (`true` as a premise, say) raises
+    InputError naming the line, counted from 1."""
     steps: list[Step] = []
     memo: dict[str, Formula] = {}
-    for lineno, line in enumerate(lines):
+    for lineno, line in enumerate(lines, 1):
         line = line.strip()
         if not line:
             continue

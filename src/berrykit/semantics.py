@@ -251,8 +251,9 @@ class SemanticNaming:
             return NamingVerdict("unknown", i, budget)
         return NamingVerdict("names", i, budget)
 
-    # the per-formula table interface berry_number shares with NamingTable
-    evidence = verdict
+    # the per-formula table interface berry_number shares with NamingTable:
+    # the verdict is all the evidence, and all the proof, a semantic table has
+    evidence = proof = verdict
 
     def kind(self, i: int) -> str:
         return self.verdict(i).kind

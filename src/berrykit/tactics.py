@@ -192,6 +192,15 @@ def open_hypotheses(p: Proof) -> list[Formula]:
     return list(out.values())
 
 
+def require_closed(p: Proof) -> None:
+    """Raise, naming the first open hypothesis, unless p is closed."""
+    if not p.closed:
+        raise TacticError(
+            f"open hypothesis {render(open_hypotheses(p)[0])!r}:"
+            " discharge before compiling"
+        )
+
+
 # ------------------------------------------------------------ schema helpers
 
 def s_imp_k(a: Formula, b: Formula) -> Sch:
@@ -550,8 +559,9 @@ def compile_proof(p: Proof) -> Derivation:
 
     One iterative postorder walk gives every proof node its line.  A node
     whose formula renders like an earlier line's, that is has the same
-    expansion, reuses that line.
+    expansion, reuses that line.  An open tree raises before the walk.
     """
+    require_closed(p)
     line: dict[Proof, int] = {}  # proof node (hashed by identity) -> its line
     line_of_key: dict[Formula, int] = {}  # expanded formula -> its line
     steps: list[Step] = []
@@ -581,12 +591,8 @@ def compile_proof(p: Proof) -> Derivation:
             justification = ("gen", (a,), None, node.var)
         elif kind is Ax:
             justification = ("axiom", (), node.label)
-        elif kind is Sch:
+        else:  # Sch: a closed tree holds no Hyp
             justification = ("schema", (), node.name)
-        else:
-            raise TacticError(
-                f"open hypothesis {render(node.formula)!r}: discharge before compiling"
-            )
         stack.pop()
         key = expand_bounded(node.formula)
         at = line_of_key.get(key)

@@ -3,7 +3,8 @@
 ``berry_number`` decides each formula once, from a per-formula table, and
 builds evidence only for what its report claims.  These tests hold it to
 the reports of ``oracles.berry_number_reference``, hold each table's
-``kind`` to the one-shot deciders, and count the derivations it compiles.
+``kind`` to the one-shot deciders, and count the proofs it builds and the
+derivations it compiles and checks.
 """
 
 from __future__ import annotations
@@ -13,10 +14,11 @@ import json
 import pytest
 
 import oracles
-from berrykit import tactics
+from berrykit import proofs, tactics
 from berrykit.berry import berry_number, enumerate_formulas
 from berrykit.errors import BudgetExhaustedError, InputError
-from berrykit.generators import LemmaBank, NamingTable, names_provable
+from berrykit.generators import LemmaBank, NamingProof, NamingTable, names_provable
+from berrykit.parser import parse_formula
 from berrykit.relations import b_rel
 from berrykit.semantics import SemanticNaming, names_semantic
 from berrykit.syntax import And, Eq, Le, Not, Var, numeral
@@ -117,32 +119,72 @@ class TestKindMatchesDeciders:
             SemanticNaming(Eq(Var(0), numeral(1)), 8).kind(-1)
 
 
+def _counting(monkeypatch, owner, name: str) -> list[tuple]:
+    """Replace owner.name with a wrapper recording each call's arguments."""
+    calls: list[tuple] = []
+    original = getattr(owner, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
 class TestWork:
     def test_compiles_only_the_claimed_evidence(self, monkeypatch):
-        calls = []
-        compile_proof = tactics.compile_proof
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return compile_proof(*args, **kwargs)
-
-        monkeypatch.setattr(tactics, "compile_proof", counting)
+        built = _counting(monkeypatch, NamingTable, "proof")
+        compiled = _counting(monkeypatch, tactics, "compile_proof")
+        checked = _counting(monkeypatch, proofs, "check")
         report = berry_number(6, "prover", 32)
-        listed = sum(len(r.witnesses) for r in report.records)
-        # a names derivation per listed witness, a refutation per formula
-        # at the unnamed number
-        assert len(calls) == listed + report.formula_count
+        named = [r for r in report.records if r.named]
+        # every claim's tree is built: a names proof per listed witness, and
+        # a refutation per formula at the unnamed number
+        expected = [r.number for r in named for _ in r.witnesses]
+        expected += [report.n_value] * report.formula_count
+        assert [i for _, i in built] == expected
+        # only each named row's first witness is flattened and kernel-checked
+        assert len(compiled) == len(checked) == len(named)
+        assert [len(d) for d, _ in checked] == [
+            r.to_json_obj()["derivation_steps"] for r in named
+        ]
 
+    def test_derivation_steps_are_the_first_witness_derivation(self):
+        report = berry_number(7, "prover", 32)
+        named = [r for r in report.records if r.named]
+        assert named
+        for r in named:
+            alone = names_provable(parse_formula(r.witnesses[0]), r.number, 32)
+            assert r.to_json_obj()["derivation_steps"] == len(alone.derivation)
+
+    def test_evidence_is_the_compiled_proof(self):
+        bank = LemmaBank()
+        for mu in enumerate_formulas(7):
+            table = NamingTable(mu, 32, bank)
+            for i in range(7):
+                p, e = table.proof(i), table.evidence(i)
+                assert (p.kind, p.number, p.witness, p.reason) == (
+                    e.kind, e.number, e.witness, e.reason)
+                if p.tree is None:
+                    assert e.derivation is None
+                    continue
+                # equal steps (formulas compare as interned nodes) write
+                # equal JSON lines, and compare without rendering 387k steps
+                compiled = tactics.compile_proof(p.tree)
+                assert compiled.steps == e.derivation.steps, (mu, i)
+
+    def test_open_tree_is_refused(self):
+        h = tactics.hyp(Eq(Var(0), Var(0)))
+        with pytest.raises(tactics.TacticError) as built:
+            NamingProof("names", 0, None, h)
+        with pytest.raises(tactics.TacticError) as compiled:
+            tactics.compile_proof(h)
+        assert str(built.value) == str(compiled.value) == (
+            "open hypothesis 'v0 = v0': discharge before compiling")
 
     def test_b_rel_compiles_nothing_when_every_candidate_is_refuted(self, monkeypatch):
-        calls = []
-        compile_proof = tactics.compile_proof
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return compile_proof(*args, **kwargs)
-
-        monkeypatch.setattr(tactics, "compile_proof", counting)
+        calls = _counting(monkeypatch, tactics, "compile_proof")
         v = b_rel(5, 6, budget=32)
         assert (v.holds, v.reason) == (False, "every candidate refuted")
         assert calls == []

@@ -13,6 +13,11 @@ from berrykit.syntax import Eq, Not, Var, Zero, numeral, render
 NAMER = encode(Eq(Var(0), Zero()))
 
 
+def set_stdin(monkeypatch, data: bytes) -> None:
+    """Standard input as a process gets it: text over a byte buffer."""
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+
+
 @pytest.fixture(autouse=True)
 def dumps_matches_stdlib(monkeypatch):
     """Every --json output here is checked against the stdlib encoder."""
@@ -53,7 +58,7 @@ class TestParse:
         assert code == 2 and "error" in err
 
     def test_stdin_fallback(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO("s 0 = s 0"))
+        set_stdin(monkeypatch, b"s 0 = s 0")
         code, out, _ = run(capsys, "parse")
         assert code == 0 and "s 0 = s 0" in out
 
@@ -113,7 +118,7 @@ class TestGn:
         assert code == 2
 
     def test_stdin(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO("s 0"))
+        set_stdin(monkeypatch, b"s 0")
         code, out, _ = run(capsys, "gn", "encode")
         assert code == 0 and out.strip().isdigit()
 
@@ -221,7 +226,7 @@ class TestProofPipeline:
     def test_check_proof_stdin(self, capsys, tmp_path, monkeypatch):
         out_file = tmp_path / "d.jsonl"
         run(capsys, "prove-sigma", "0 = 0", "-o", str(out_file))
-        monkeypatch.setattr("sys.stdin", io.StringIO(out_file.read_text()))
+        set_stdin(monkeypatch, out_file.read_bytes())
         code, _, _ = run(capsys, "check-proof", "-")
         assert code == 0
 
@@ -245,7 +250,7 @@ class TestProofPipeline:
         path.write_bytes(good + b'{"f": "\xff"}\n')
         code, out, err = run(capsys, "check-proof", str(path))
         assert code == 2 and out == ""
-        assert err == f"error: {path}: line 1: not UTF-8 text at byte 7 of the line\n"
+        assert err == f"error: {path}: line 2: not UTF-8 text at byte 7 of the line\n"
 
     def test_bad_json_before_undecodable_bytes(self, capsys, tmp_path):
         # the file is read as it is checked: a bad line in the first block
@@ -254,7 +259,7 @@ class TestProofPipeline:
         path = tmp_path / "d.jsonl"
         path.write_bytes(b"{nope}\n" + good * 200 + b"\xff\n")
         code, _, err = run(capsys, "check-proof", str(path))
-        assert code == 2 and err.startswith("error: line 0: bad JSON: ")
+        assert code == 2 and err.startswith("error: line 1: bad JSON: ")
 
 
     @pytest.mark.parametrize("field, value, message", [
@@ -282,7 +287,7 @@ class TestProofPipeline:
         lines[2][field] = value
         path.write_text("".join(json.dumps(o) + "\n" for o in lines))
         code, out, err = run(capsys, "check-proof", str(path))
-        assert (code, out, err) == (2, "", f"error: line 2: {message}\n")
+        assert (code, out, err) == (2, "", f"error: line 3: {message}\n")
 
 
 class TestBerry:
@@ -410,7 +415,7 @@ class TestUndecodableFiles:
         path = self._file(tmp_path, good * 3 + b'{"f": "0 = 0 \xc3"}\n' + good)
         code, out, err = run(capsys, "check-proof", path)
         assert (code, out) == (2, "")
-        assert err == f"error: {path}: line 3: not UTF-8 text at byte 13 of the line\n"
+        assert err == f"error: {path}: line 4: not UTF-8 text at byte 13 of the line\n"
 
     def test_config(self, capsys, tmp_path):
         path = self._file(tmp_path, b"budget=2\n# \xff\n")
@@ -426,6 +431,55 @@ class TestUndecodableFiles:
         path = self._file(tmp_path, b'{"corollary": 2, "title": "\x80"}')
         code, out, err = run(capsys, "demo", "--replay", path)
         assert (code, out, err) == (2, "", f"error: {path}: not UTF-8 text at byte 27\n")
+
+    @pytest.mark.parametrize("command", ["parse", "eval", "classify", "prove-sigma"])
+    def test_stdin(self, capsys, monkeypatch, command):
+        set_stdin(monkeypatch, b"s 0 = \xff 0\n")
+        code, out, err = run(capsys, command)
+        assert (code, out, err) == (2, "", "error: <stdin>: not UTF-8 text at byte 6\n")
+
+    def test_gn_stdin(self, capsys, monkeypatch):
+        set_stdin(monkeypatch, b"12\xe9")
+        code, out, err = run(capsys, "gn", "decode")
+        assert (code, out, err) == (2, "", "error: <stdin>: not UTF-8 text at byte 2\n")
+
+    def test_check_proof_stdin_names_the_line(self, capsys, monkeypatch):
+        good = b'{"f": "0 = 0", "rule": "schema", "name": "eq_refl"}\n'
+        set_stdin(monkeypatch, good * 2 + b'{"f": "\xff"}\n')
+        code, out, err = run(capsys, "check-proof", "-")
+        assert (code, out) == (2, "")
+        assert err == "error: <stdin>: line 3: not UTF-8 text at byte 7 of the line\n"
+
+
+class TestKernelGate:
+    """The prover-backed reports print only what the kernel accepted."""
+
+    @pytest.fixture
+    def rejecting_kernel(self, monkeypatch):
+        from berrykit import proofs
+        calls = []
+
+        def reject(derivation, theory):
+            calls.append(len(derivation))
+            raise proofs.ProofCheckError(0, "rejected for the test")
+
+        monkeypatch.setattr(proofs, "check", reject)
+        return calls
+
+    def test_berry_prints_nothing(self, capsys, rejecting_kernel):
+        code, out, err = run(capsys, "berry", "--max-len", "5", "--backend", "prover")
+        assert (code, out) == (1, "")
+        assert "rejected for the test" in err
+        assert len(rejecting_kernel) == 1
+
+    def test_demo_fails(self, capsys, rejecting_kernel):
+        code, out, err = run(capsys, "demo", "1", "--backend", "prover")
+        assert code != 0 and out == ""
+        assert "rejected for the test" in err
+
+    def test_semantic_backend_calls_no_kernel(self, capsys, rejecting_kernel):
+        code, _, _ = run(capsys, "berry", "--max-len", "5")
+        assert code == 0 and rejecting_kernel == []
 
 
 class TestArgparseErrors:

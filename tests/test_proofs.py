@@ -543,5 +543,5 @@ class TestSharedReading:
                 plain.value.index, str(plain.value)), name
 
     def test_non_string_formula_rejected(self):
-        with pytest.raises(InputError, match="line 0"):
+        with pytest.raises(InputError, match="line 1:"):
             from_json_lines(['{"i": 0, "f": 5, "rule": "axiom"}'])
