@@ -42,11 +42,10 @@ from .proofs import (
     to_json_lines,
 )
 from .relations import b_rel, fm, lh, neg, nm, prc, snt
-from .semantics import DEFAULT_BUDGET, Truth, eval_budgeted
+from .semantics import DEFAULT_BUDGET, Truth, decide
 from .syntax import (
     Exists,
     Forall,
-    Formula,
     classify,
     expand_bounded,
     is_closed,
@@ -222,36 +221,21 @@ def _cmd_gn(args, st: Settings) -> int:
     return 0
 
 
-def _find_quantifier_example(f: Formula, verdict: Truth, budget: int) -> int | None:
-    f = expand_bounded(f)
-    match f, verdict:
-        case Exists(v, body), Truth.TRUE:
-            want = Truth.TRUE
-        case Forall(v, body), Truth.FALSE:
-            want = Truth.FALSE
-        case _:
-            return None
-    return next(
-        (j for j in range(budget + 1) if eval_budgeted(body, budget, {v: j}) is want),
-        None,
-    )
-
-
 def _cmd_eval(args, st: Settings) -> int:
     f = parse_formula(_read_arg_or_stdin(args.sentence))
     if not is_closed(f):
         raise InputError("only sentences are evaluated; the formula has free variables")
-    verdict = eval_budgeted(f, st.budget)
-    example = _find_quantifier_example(f, verdict, st.budget)
-    label = verdict.value
+    truth, parts = decide(f, st.budget)
+    label = truth.value
     obj: dict = {"v": 1, "verdict": label, "budget": st.budget}
     text = label
-    if example is not None:
-        role = "witness" if verdict is Truth.TRUE else "counterexample"
-        obj[role] = example
-        text += f"  ({role}: {example})"
+    if (type(expand_bounded(f)), truth) in ((Exists, Truth.TRUE), (Forall, Truth.FALSE)):
+        # a settled scan stops at its least witness or counterexample
+        role = "witness" if truth is Truth.TRUE else "counterexample"
+        obj[role] = len(parts) - 1
+        text += f"  ({role}: {obj[role]})"
     _emit(obj, text, st)
-    return 3 if verdict is Truth.UNKNOWN else 0
+    return 3 if truth is Truth.UNKNOWN else 0
 
 
 def _cmd_classify(args, st: Settings) -> int:

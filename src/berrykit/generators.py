@@ -23,7 +23,7 @@ from .errors import (
     RefusedError,
 )
 from .proofs import SCHEMA_NAMES, Derivation, Theory, _check_schema, robinson_arithmetic
-from .semantics import DEFAULT_BUDGET, SemanticNaming, Truth, eval_budgeted, eval_term
+from .semantics import DEFAULT_BUDGET, SemanticNaming, Truth, Verdict, decide, eval_term
 from .syntax import (
     Add,
     And,
@@ -616,136 +616,100 @@ class LemmaBank:
         dis = T.mp(T.forall_elim(self.l7(m - 1), Var(v)), below)
         return _elim_cases(dis, [Eq(Var(v), numeral(k)) for k in range(m)], branch)
 
-    def prove_true(self, f: Formula, budget: int) -> T.Proof:
-        """A proof of the true closed sentence f.
+    def prove_true(self, f: Formula, verdict: Verdict) -> T.Proof:
+        """A proof of the true closed sentence f, from its verdict.
 
         f is read as its expansion, so a bounded quantifier is the guarded
-        quantifier it stands for.  Each choice (the disjunct, the witness,
-        a false antecedent before a true consequent) is the evaluator's at
-        the budget; a false sentence is refused and an unsettled one raises
-        the budget error.
+        quantifier it stands for.  verdict is ``decide(f, budget)``, settled
+        true, and every choice is read off its parts: the left disjunct
+        before the right, a false antecedent before a true consequent, the
+        least witness.  The tactics check every inference they build.
         """
         f = expand_bounded(f)
+        parts = verdict[1]
         gp = _guard_parts(f)
         if gp is not None:
             kind, v, bound, body = gp
-            if free_vars(bound):
-                raise InputError("quantifier bound is not closed here")
             m = eval_term(bound, {})
             if kind == "ball":
                 guard = Le(Succ(Var(v)), bound)
 
                 def branch(k: int, hek: T.Proof) -> T.Proof:
-                    pk = self.prove_true(substitute(body, v, numeral(k)), budget)
+                    pk = self.prove_true(substitute(body, v, numeral(k)), parts[k])
                     lb = self.leib(body, v, numeral(k), Var(v))
                     return T.mp(T.mp(lb, T.eq_sym(hek)), pk)
 
                 c = self._below(v, bound, m, T.hyp(guard), body, branch)
                 return T.gen(v, T.discharge(c, guard))
-            # bounded existential: first true instance is the witness
-            for k in range(m):
-                if eval_budgeted(body, budget, {v: k}) is Truth.TRUE:
-                    pk = self.prove_true(substitute(body, v, numeral(k)), budget)
-                    pair = T.and_intro(self._lt(k, bound, m), pk)
-                    return T.exists_intro(v, f.body, numeral(k), pair)
-            raise RefusedError("no witness below the bound; the sentence is false")
+            # bounded existential: the scan stopped at its witness
+            k = len(parts) - 1
+            pk = self.prove_true(substitute(body, v, numeral(k)), parts[k])
+            pair = T.and_intro(self._lt(k, bound, m), pk)
+            return T.exists_intro(v, f.body, numeral(k), pair)
         match f:
             case Not(g):
-                return self.prove_false(g, budget)
+                return self.prove_false(g, parts[0])
             case And(l, r):
                 return T.and_intro(
-                    self.prove_true(l, budget), self.prove_true(r, budget)
+                    self.prove_true(l, parts[0]), self.prove_true(r, parts[1])
                 )
             case Or(l, r):
-                if eval_budgeted(l, budget) is Truth.TRUE:
-                    return T.or_left(self.prove_true(l, budget), r)
-                if eval_budgeted(r, budget) is Truth.TRUE:
-                    return T.or_right(l, self.prove_true(r, budget))
-                raise BudgetExhaustedError(
-                    "neither disjunct settles as true", budget=budget
-                )
+                if parts[0][0] is Truth.TRUE:
+                    return T.or_left(self.prove_true(l, parts[0]), r)
+                return T.or_right(l, self.prove_true(r, parts[1]))
             case Imp(l, r):
-                if eval_budgeted(l, budget) is Truth.FALSE:
-                    nl = self.prove_false(l, budget)
+                if parts[0][0] is Truth.FALSE:
+                    nl = self.prove_false(l, parts[0])
                     return T.discharge(T.contradiction_to(T.hyp(l), nl, r), l)
-                if eval_budgeted(r, budget) is Truth.TRUE:
-                    return T.k_lift(self.prove_true(r, budget), l)
-                raise BudgetExhaustedError(
-                    "antecedent and consequent both unsettled", budget=budget
-                )
+                return T.k_lift(self.prove_true(r, parts[1]), l)
             case Iff(l, r):
-                tl = eval_budgeted(l, budget)
-                if tl is Truth.TRUE:
-                    pl, pr = self.prove_true(l, budget), self.prove_true(r, budget)
+                if parts[0][0] is Truth.TRUE:
+                    pl, pr = self.prove_true(l, parts[0]), self.prove_true(r, parts[1])
                     return T.iff_intro(T.k_lift(pr, l), T.k_lift(pl, r))
-                if tl is Truth.FALSE:
-                    nl, nr = self.prove_false(l, budget), self.prove_false(r, budget)
-                    fwd = T.discharge(T.contradiction_to(T.hyp(l), nl, r), l)
-                    back = T.discharge(T.contradiction_to(T.hyp(r), nr, l), r)
-                    return T.iff_intro(fwd, back)
-                raise BudgetExhaustedError("biconditional unsettled", budget=budget)
+                nl, nr = self.prove_false(l, parts[0]), self.prove_false(r, parts[1])
+                fwd = T.discharge(T.contradiction_to(T.hyp(l), nl, r), l)
+                back = T.discharge(T.contradiction_to(T.hyp(r), nr, l), r)
+                return T.iff_intro(fwd, back)
             case Eq(t, u):
-                vt, vu = eval_term(t, {}), eval_term(u, {})
-                if vt != vu:
-                    raise RefusedError("the sides differ; the equation is false")
                 return T.eq_trans(
                     self.eval_closed(t), T.eq_sym(self.eval_closed(u))
                 )
             case Le(t, u):
-                vt, vu = eval_term(t, {}), eval_term(u, {})
-                if vt > vu:
-                    raise RefusedError("the comparison fails; the sentence is false")
                 return T.le_transport(
                     T.eq_sym(self.eval_closed(t)),
                     T.eq_sym(self.eval_closed(u)),
-                    self.le(vt, vu),
+                    self.le(eval_term(t, {}), eval_term(u, {})),
                 )
-            case Exists(v, body):
-                for k in range(budget + 1):
-                    if eval_budgeted(body, budget, {v: k}) is Truth.TRUE:
-                        inst = substitute(body, v, numeral(k))
-                        return T.exists_intro(
-                            v, body, numeral(k), self.prove_true(inst, budget)
-                        )
-                raise BudgetExhaustedError(
-                    f"no witness at or below {budget}", budget=budget
+            case Exists(v, body):  # the scan stopped at its witness
+                k = len(parts) - 1
+                inst = substitute(body, v, numeral(k))
+                return T.exists_intro(
+                    v, body, numeral(k), self.prove_true(inst, parts[k])
                 )
-            case Forall(_, _):
-                raise InputError("unbounded universal outside the supported fragment")
         raise InputError(f"cannot establish {render(f)!r}")
 
-    def prove_false(self, f: Formula, budget: int) -> T.Proof:
-        """A proof of the negation of the false closed sentence f.
-
-        f is read as its expansion, as in `prove_true`; the failing
-        instance, conjunct or side is the evaluator's first.
+    def prove_false(self, f: Formula, verdict: Verdict) -> T.Proof:
+        """A proof of the negation of the false closed sentence f, from its
+        verdict, as in `prove_true`; the failing instance, conjunct or side
+        is the first the verdict read.
         """
         f = expand_bounded(f)
+        parts = verdict[1]
         gp = _guard_parts(f)
         if gp is not None:
             kind, v, bound, body = gp
-            if free_vars(bound):
-                raise InputError("quantifier bound is not closed here")
             m = eval_term(bound, {})
-            if kind == "ball":
-                failing = next(
-                    (k for k in range(m)
-                     if eval_budgeted(body, budget, {v: k}) is Truth.FALSE),
-                    None,
-                )
-                if failing is None:
-                    raise RefusedError("no failing instance; the sentence is true")
-                inst = T.forall_elim(T.hyp(f), numeral(failing))
-                pos = T.mp(inst, self._lt(failing, bound, m))
-                neg = self.prove_false(
-                    substitute(body, v, numeral(failing)), budget
-                )
+            if kind == "ball":  # the scan stopped at its failing instance
+                k = len(parts) - 1
+                inst = T.forall_elim(T.hyp(f), numeral(k))
+                pos = T.mp(inst, self._lt(k, bound, m))
+                neg = self.prove_false(substitute(body, v, numeral(k)), parts[k])
                 return self._refute(f, T.contradiction_to(pos, neg, _C0))
             conj = f.body
             hc = T.hyp(conj)
 
             def branch(k: int, hek: T.Proof) -> T.Proof:
-                nk = self.prove_false(substitute(body, v, numeral(k)), budget)
+                nk = self.prove_false(substitute(body, v, numeral(k)), parts[k])
                 lb = self.leib(body, v, Var(v), numeral(k))
                 pos = T.mp(T.mp(lb, hek), T.and_right(hc))
                 return T.contradiction_to(pos, nk, _C0)
@@ -756,71 +720,45 @@ class LemmaBank:
             return T.contrapose(exs, self.ne(0, 1))
         match f:
             case Not(g):
-                return T.dn_intro(self.prove_true(g, budget))
+                return T.dn_intro(self.prove_true(g, parts[0]))
             case And(l, r):
                 hc = T.hyp(f)
-                if eval_budgeted(l, budget) is Truth.FALSE:
-                    c = T.contradiction_to(
-                        T.and_left(hc), self.prove_false(l, budget), _C0
-                    )
-                elif eval_budgeted(r, budget) is Truth.FALSE:
-                    c = T.contradiction_to(
-                        T.and_right(hc), self.prove_false(r, budget), _C0
-                    )
+                if parts[0][0] is Truth.FALSE:
+                    pos, neg = T.and_left(hc), self.prove_false(l, parts[0])
                 else:
-                    raise BudgetExhaustedError(
-                        "neither conjunct settles as false", budget=budget
-                    )
-                return self._refute(f, c)
+                    pos, neg = T.and_right(hc), self.prove_false(r, parts[1])
+                return self._refute(f, T.contradiction_to(pos, neg, _C0))
             case Or(l, r):
-                nl = self.prove_false(l, budget)
-                nr = self.prove_false(r, budget)
+                nl = self.prove_false(l, parts[0])
+                nr = self.prove_false(r, parts[1])
                 bl = T.discharge(T.contradiction_to(T.hyp(l), nl, _C0), l)
                 br = T.discharge(T.contradiction_to(T.hyp(r), nr, _C0), r)
                 return self._refute(f, T.or_elim(T.hyp(f), bl, br))
             case Imp(l, r):
-                pos = T.mp(T.hyp(f), self.prove_true(l, budget))
-                c = T.contradiction_to(pos, self.prove_false(r, budget), _C0)
+                pos = T.mp(T.hyp(f), self.prove_true(l, parts[0]))
+                c = T.contradiction_to(pos, self.prove_false(r, parts[1]), _C0)
                 return self._refute(f, c)
             case Iff(l, r):
                 hc = T.hyp(f)
-                if eval_budgeted(l, budget) is Truth.TRUE:
-                    pos = T.mp(T.iff_left(hc), self.prove_true(l, budget))
-                    c = T.contradiction_to(
-                        pos, self.prove_false(r, budget), _C0
-                    )
-                elif eval_budgeted(r, budget) is Truth.TRUE:
-                    pos = T.mp(T.iff_right(hc), self.prove_true(r, budget))
-                    c = T.contradiction_to(
-                        pos, self.prove_false(l, budget), _C0
-                    )
+                if parts[0][0] is Truth.TRUE:
+                    pos = T.mp(T.iff_left(hc), self.prove_true(l, parts[0]))
+                    neg = self.prove_false(r, parts[1])
                 else:
-                    raise BudgetExhaustedError(
-                        "biconditional unsettled", budget=budget
-                    )
-                return self._refute(f, c)
+                    pos = T.mp(T.iff_right(hc), self.prove_true(r, parts[1]))
+                    neg = self.prove_false(l, parts[0])
+                return self._refute(f, T.contradiction_to(pos, neg, _C0))
             case Eq(t, u):
-                vt, vu = eval_term(t, {}), eval_term(u, {})
-                if vt == vu:
-                    raise RefusedError("the sides agree; the equation is true")
                 chain = T.eq_chain(
                     T.eq_sym(self.eval_closed(t)), T.hyp(f), self.eval_closed(u)
                 )
-                c = T.contradiction_to(chain, self.ne(vt, vu), _C0)
-                return self._refute(f, c)
+                ne = self.ne(eval_term(t, {}), eval_term(u, {}))
+                return self._refute(f, T.contradiction_to(chain, ne, _C0))
             case Le(t, u):
-                vt, vu = eval_term(t, {}), eval_term(u, {})
-                if vt <= vu:
-                    raise RefusedError("the comparison holds; the sentence is true")
                 moved = T.le_transport(
                     self.eval_closed(t), self.eval_closed(u), T.hyp(f)
                 )
-                c = T.contradiction_to(moved, self.nle(vt, vu), _C0)
-                return self._refute(f, c)
-            case Exists(_, _):
-                raise RefusedError("cannot refute an unbounded existential")
-            case Forall(_, _):
-                raise InputError("unbounded universal outside the supported fragment")
+                nle = self.nle(eval_term(t, {}), eval_term(u, {}))
+                return self._refute(f, T.contradiction_to(moved, nle, _C0))
         raise InputError(f"cannot refute {render(f)!r}")
 
     # --------------------------------------------------- bound extraction
@@ -1021,14 +959,14 @@ def prove_sigma(
         raise InputError("the sentence must be closed")
     if classify(sentence) not in _SIGMA_CLASSES:
         raise InputError("outside the supported fragment")
-    verdict = eval_budgeted(sentence, budget)
-    if verdict is Truth.FALSE:
+    verdict = decide(sentence, budget)
+    if verdict[0] is Truth.FALSE:
         raise RefusedError("the sentence is false; refusing to derive it")
-    if verdict is Truth.UNKNOWN:
+    if verdict[0] is Truth.UNKNOWN:
         raise BudgetExhaustedError(
             f"truth not settled at witness budget {budget}", budget=budget
         )
-    return T.compile_proof(bank.prove_true(sentence, budget))
+    return T.compile_proof(bank.prove_true(sentence, verdict))
 
 
 def refute_delta0(
@@ -1042,9 +980,10 @@ def refute_delta0(
         raise InputError("the sentence must be closed")
     if classify(sentence) is not FormulaClass.DELTA0:
         raise InputError("only bounded sentences are refuted")
-    if eval_budgeted(sentence, budget) is not Truth.FALSE:
+    verdict = decide(sentence, budget)
+    if verdict[0] is not Truth.FALSE:
         raise RefusedError("the sentence is not false; nothing to refute")
-    return T.compile_proof(bank.prove_false(sentence, budget))
+    return T.compile_proof(bank.prove_false(sentence, verdict))
 
 
 # ------------------------------------------------------ naming decisions
@@ -1171,24 +1110,25 @@ class NamingTable:
         mu, budget, bank = self.mu, self.budget, self.bank
         statement = naming_statement(mu, i)
 
+        def at(k: int) -> tuple[Formula, Verdict]:
+            """mu's instance at v0 = k, with its verdict; the table keeps
+            truths only, so a proof decides each instance it proves."""
+            return substitute(mu, 0, numeral(k)), decide(mu, budget, {0: k})
+
         # a true instance other than i refutes the equivalence immediately,
         # bound or no bound
         bad = next((j for j in self._true_at if j != i), None)
         if bad is not None:
             h = T.hyp(statement)
             inst = T.forall_elim(h, numeral(bad))
-            eqd = T.mp(T.iff_left(inst), bank.prove_true(
-                substitute(mu, 0, numeral(bad)), budget
-            ))
+            eqd = T.mp(T.iff_left(inst), bank.prove_true(*at(bad)))
             c = T.contradiction_to(eqd, bank.ne(bad, i), _C0)
             return NamingProof("refuted", i, bad, bank._refute(statement, c))
         if self.table.truth(i) is not Truth.TRUE:
             h = T.hyp(statement)
             inst = T.forall_elim(h, numeral(i))
             back = T.mp(T.iff_right(inst), T.eq_refl(numeral(i)))
-            c = T.contradiction_to(
-                back, bank.prove_false(substitute(mu, 0, numeral(i)), budget), _C0
-            )
+            c = T.contradiction_to(back, bank.prove_false(*at(i)), _C0)
             return NamingProof("refuted", i, i, bank._refute(statement, c))
         if self.bound is None:
             return NamingProof(
@@ -1210,12 +1150,12 @@ class NamingTable:
                 return hek
             lb = bank.leib(mux, 0, Var(0), numeral(k))
             pos = T.mp(T.mp(lb, hek), h_mu)
-            neg = bank.prove_false(substitute(mu, 0, numeral(k)), budget)
+            neg = bank.prove_false(*at(k))
             return T.contradiction_to(pos, neg, target)
 
         fwd = T.discharge(_elim_cases(dis, cs, branch), mux)
         h_eq = T.hyp(target)
-        pk = bank.prove_true(substitute(mu, 0, numeral(i)), budget)
+        pk = bank.prove_true(*at(i))
         lb = bank.leib(mux, 0, numeral(i), Var(0))
         back = T.discharge(T.mp(T.mp(lb, T.eq_sym(h_eq)), pk), target)
         return NamingProof("names", i, None, T.gen(0, T.iff_intro(fwd, back)))
@@ -1266,12 +1206,11 @@ def _search(
     for name in SCHEMA_NAMES:
         if _check_schema(name, target) is None:
             return T.Sch(name, target)
-    if not free_vars(target) and classify(target) in _SIGMA_CLASSES:
-        try:
-            if eval_budgeted(target, budget) is Truth.TRUE:
-                return bank.prove_true(target, budget)
-        except (InputError, RefusedError, BudgetExhaustedError):
-            pass
+    # a negative budget decides nothing; later strategies refuse it too
+    if budget >= 0 and not free_vars(target) and classify(target) in _SIGMA_CLASSES:
+        verdict = decide(target, budget)
+        if verdict[0] is Truth.TRUE:
+            return bank.prove_true(target, verdict)
     match target:
         case Forall(0, Iff(mu, Eq(Var(0), t))) if not free_vars(t):
             try:

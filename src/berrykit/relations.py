@@ -23,7 +23,7 @@ from .generators import (
     search_proof,
 )
 from .proofs import Derivation, Theory, robinson_arithmetic
-from .semantics import DEFAULT_BUDGET, Truth, eval_budgeted
+from .semantics import DEFAULT_BUDGET, Truth, decide
 from . import tactics as T
 from .syntax import (
     Formula,
@@ -134,7 +134,6 @@ def b_rel(
     theory: Theory | None = None,
     budget: int = DEFAULT_BUDGET,
     cap: int = DEFAULT_CAP,
-    table: SymbolTable = DEFAULT_TABLE,
 ) -> RelationVerdict:
     """Some formula shorter than j provably names i.
 
@@ -194,8 +193,9 @@ def prc(
                 FormulaClass.SIGMA1,
                 FormulaClass.SIGMA,
             ) and not free_vars(g):
-                if eval_budgeted(g, budget) is Truth.TRUE:
-                    d = T.compile_proof(T.dn_intro(bank.prove_true(g, budget)))
+                verdict = decide(g, budget)
+                if verdict[0] is Truth.TRUE:
+                    d = T.compile_proof(T.dn_intro(bank.prove_true(g, verdict)))
                     return RelationVerdict(True, budget, encode(target, table), d)
     d = search_proof(target, theory, depth, budget)
     if d is not None:

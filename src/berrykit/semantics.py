@@ -1,13 +1,17 @@
 """Evaluation over the standard naturals.
 
-One evaluator, ``eval_budgeted``, walks a formula's bounded-quantifier
-expansion over an environment of variable values.  It answers three-valued:
-guarded quantifiers are scanned below their bounds, unbounded quantifier
-witnesses only up to the budget, and connectives combine verdicts with
-strong Kleene tables, so a decided answer is always sound and a Δ0 formula
-is always decided.  ``eval_delta0`` is the exact two-valued reading of the
-same evaluator for Δ0 formulas and refuses any other.  A formula's truth at
-a number is read under ``{v: j}``, never by substituting a numeral first.
+One evaluator, ``decide``, walks a formula's bounded-quantifier expansion
+over an environment of variable values and returns its verdict: a
+three-valued truth with the verdicts it was read from.  Guarded quantifiers
+are scanned below their bounds, unbounded quantifier witnesses only up to
+the budget, and connectives combine verdicts with strong Kleene tables, so
+a decided answer is always sound and a Δ0 formula is always decided.  The
+verdict certifies the truth: it names the disjunct, the false antecedent,
+the witness or the failing instance, and the proof builders follow it
+instead of asking again.  ``eval_budgeted`` is its truth alone, and
+``eval_delta0`` the exact two-valued reading for Δ0 formulas, refusing any
+other.  A formula's truth at a number is read under ``{v: j}``, never by
+substituting a numeral first.
 """
 
 from __future__ import annotations
@@ -45,6 +49,8 @@ from .syntax import (
 )
 
 Env = dict[int, int]
+# a formula's verdict: its truth and the verdicts it was read from
+Verdict = tuple["Truth", tuple["Verdict", ...]]
 # the default witness budget, and the smaller one of the Berry search and
 # the demos, which decide every enumerated formula
 DEFAULT_BUDGET = 64
@@ -91,6 +97,16 @@ def _t_iff(a: Truth, b: Truth) -> Truth:
     return _of_bool(a is b)
 
 
+def _t_imp(a: Truth, b: Truth) -> Truth:
+    return _t_or(~a, b)
+
+
+_CONNECTIVES = {And: _t_and, Or: _t_or, Imp: _t_imp, Iff: _t_iff}
+# an atom's verdict has no parts; the two are shared, so a scan over atoms
+# keeps one pointer per instance
+_ATOM = {True: (Truth.TRUE, ()), False: (Truth.FALSE, ())}
+
+
 def eval_term(t: Term, env: Env | None = None) -> int:
     env = env or {}
     # an explicit machine, so deep terms cannot overflow: under each node's
@@ -133,32 +149,40 @@ def eval_delta0(f: Formula, env: Env | None = None) -> bool:
 
 
 def eval_budgeted(f: Formula, budget: int, env: Env | None = None) -> Truth:
-    """Three-valued truth with unbounded witness search capped at budget.
+    """Three-valued truth with unbounded witness search capped at budget:
+    the truth of ``decide(f, budget, env)``."""
+    return decide(f, budget, env)[0]
+
+
+def decide(f: Formula, budget: int, env: Env | None = None) -> Verdict:
+    """The verdict of f: its three-valued truth and the verdicts it read.
 
     The walk is over the expansion, where a bounded quantifier is a guarded
-    one and is scanned below its bound.  Decided answers are sound for the
-    standard model.  A quantifier whose variable does not occur free in its
-    body is evaluated as the body, so padding never costs budget.
+    one and is scanned below its bound; unbounded witnesses are sought up to
+    the budget.  Decided answers are sound for the standard model.  A
+    connective's parts are its operands' verdicts.  A quantifier's parts are
+    its body's verdicts at 0, 1, ... in scan order, so a settled scan ends
+    at its least witness or counterexample.  A quantifier whose variable
+    does not occur free in its body has the body's verdict as its one part,
+    so padding never costs budget.  The parts at v = j are the parts of the
+    instance with the numeral j substituted for v, so a proof builder can
+    follow them down the instances it proves.
     """
     if budget < 0:
         raise InputError("budget must be nonnegative")
 
-    def go(f: Formula, env: Env) -> Truth:
+    def go(f: Formula, env: Env) -> Verdict:
         match f:
             case Eq(l, r):
-                return _of_bool(eval_term(l, env) == eval_term(r, env))
+                return _ATOM[eval_term(l, env) == eval_term(r, env)]
             case Le(l, r):
-                return _of_bool(eval_term(l, env) <= eval_term(r, env))
+                return _ATOM[eval_term(l, env) <= eval_term(r, env)]
             case Not(b):
-                return ~go(b, env)
-            case And(l, r):
-                return _t_and(go(l, env), go(r, env))
-            case Or(l, r):
-                return _t_or(go(l, env), go(r, env))
-            case Imp(l, r):
-                return _t_or(~go(l, env), go(r, env))
-            case Iff(l, r):
-                return _t_iff(go(l, env), go(r, env))
+                vb = go(b, env)
+                return ~vb[0], (vb,)
+            case And(l, r) | Or(l, r) | Imp(l, r) | Iff(l, r):
+                vl, vr = go(l, env), go(r, env)
+                return _CONNECTIVES[type(f)](vl[0], vr[0]), (vl, vr)
             case Forall(v, body) | Exists(v, body):
                 # a universal is settled by a false instance, an existential
                 # by a true one
@@ -169,17 +193,20 @@ def eval_budgeted(f: Formula, budget: int, env: Env | None = None) -> Truth:
                     values = range(eval_term(bound, env))
                     out = ~stop
                 elif v not in free_vars(body):
-                    return go(body, env)
+                    vb = go(body, env)
+                    return vb[0], (vb,)
                 else:  # a scan up to the budget settles only by stopping
                     values = range(budget + 1)
                     out = Truth.UNKNOWN
+                parts = []
                 for j in values:
                     got = go(body, {**env, v: j})
-                    if got is stop:
-                        return stop
-                    if got is Truth.UNKNOWN:
-                        out = got
-                return out
+                    parts.append(got)
+                    if got[0] is stop:
+                        return stop, tuple(parts)
+                    if got[0] is Truth.UNKNOWN:
+                        out = Truth.UNKNOWN
+                return out, tuple(parts)
         raise InputError(f"not a formula: {f!r}")
 
     return go(expand_bounded(f), env or {})

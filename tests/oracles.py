@@ -14,7 +14,9 @@ match-at-a-time loop instead of one findall, derivations by deduplicating
 proof steps on rendered strings instead of interned expansions, the deduction
 theorem by walking the whole proof tree instead of its open part, schema
 instances by a recursive pattern interpreter instead of staged flat tests,
-and primes by a plain sieve.  The evaluator is checked against the two
+true sentences proved and false ones refuted by asking the evaluator at
+each choice instead of following the verdict it returned, and primes by a
+plain sieve.  The evaluator is checked against the two
 interpreters it replaced, one match ladder per question over the surface
 syntax.  Expected values frozen in tests come from here.
 """
@@ -25,8 +27,8 @@ import re
 from itertools import product
 
 from berrykit.berry import BerryReport, NumberRecord, enumerate_formulas
-from berrykit.errors import BudgetExhaustedError, InputError, NotDelta0Error
-from berrykit.generators import LemmaBank, names_provable
+from berrykit.errors import BudgetExhaustedError, InputError, NotDelta0Error, RefusedError
+from berrykit.generators import _C0, LemmaBank, _guard_parts, names_provable
 from berrykit.parser import ParseError, parse_formula
 from berrykit.proofs import _PATTERN_NODES, Derivation, Step
 from berrykit.semantics import (
@@ -768,6 +770,220 @@ def berry_number_reference(
         " naming verdicts unique",
         budget=budget,
     )
+
+
+# ------------------------------------- proofs that ask the evaluator again
+
+# The proof builders as they were before they followed the evaluator's
+# verdict: at each choice (the disjunct, the false antecedent, the witness,
+# the failing instance) they ask the evaluator, here the reference one.
+
+def prove_true(bank: LemmaBank, f: Formula, budget: int) -> T.Proof:
+    """A proof of the true closed sentence f.
+
+    f is read as its expansion, so a bounded quantifier is the guarded
+    quantifier it stands for.  Each choice (the disjunct, the witness,
+    a false antecedent before a true consequent) is the evaluator's at
+    the budget; a false sentence is refused and an unsettled one raises
+    the budget error.
+    """
+    f = expand_bounded(f)
+    gp = _guard_parts(f)
+    if gp is not None:
+        kind, v, bound, body = gp
+        if free_vars(bound):
+            raise InputError("quantifier bound is not closed here")
+        m = eval_term(bound, {})
+        if kind == "ball":
+            guard = Le(Succ(Var(v)), bound)
+
+            def branch(k: int, hek: T.Proof) -> T.Proof:
+                pk = prove_true(bank, substitute(body, v, numeral(k)), budget)
+                lb = bank.leib(body, v, numeral(k), Var(v))
+                return T.mp(T.mp(lb, T.eq_sym(hek)), pk)
+
+            c = bank._below(v, bound, m, T.hyp(guard), body, branch)
+            return T.gen(v, T.discharge(c, guard))
+        # bounded existential: first true instance is the witness
+        for k in range(m):
+            if eval_budgeted(body, budget, {v: k}) is Truth.TRUE:
+                pk = prove_true(bank, substitute(body, v, numeral(k)), budget)
+                pair = T.and_intro(bank._lt(k, bound, m), pk)
+                return T.exists_intro(v, f.body, numeral(k), pair)
+        raise RefusedError("no witness below the bound; the sentence is false")
+    match f:
+        case Not(g):
+            return prove_false(bank, g, budget)
+        case And(l, r):
+            return T.and_intro(
+                prove_true(bank, l, budget), prove_true(bank, r, budget)
+            )
+        case Or(l, r):
+            if eval_budgeted(l, budget) is Truth.TRUE:
+                return T.or_left(prove_true(bank, l, budget), r)
+            if eval_budgeted(r, budget) is Truth.TRUE:
+                return T.or_right(l, prove_true(bank, r, budget))
+            raise BudgetExhaustedError(
+                "neither disjunct settles as true", budget=budget
+            )
+        case Imp(l, r):
+            if eval_budgeted(l, budget) is Truth.FALSE:
+                nl = prove_false(bank, l, budget)
+                return T.discharge(T.contradiction_to(T.hyp(l), nl, r), l)
+            if eval_budgeted(r, budget) is Truth.TRUE:
+                return T.k_lift(prove_true(bank, r, budget), l)
+            raise BudgetExhaustedError(
+                "antecedent and consequent both unsettled", budget=budget
+            )
+        case Iff(l, r):
+            tl = eval_budgeted(l, budget)
+            if tl is Truth.TRUE:
+                pl, pr = prove_true(bank, l, budget), prove_true(bank, r, budget)
+                return T.iff_intro(T.k_lift(pr, l), T.k_lift(pl, r))
+            if tl is Truth.FALSE:
+                nl, nr = prove_false(bank, l, budget), prove_false(bank, r, budget)
+                fwd = T.discharge(T.contradiction_to(T.hyp(l), nl, r), l)
+                back = T.discharge(T.contradiction_to(T.hyp(r), nr, l), r)
+                return T.iff_intro(fwd, back)
+            raise BudgetExhaustedError("biconditional unsettled", budget=budget)
+        case Eq(t, u):
+            vt, vu = eval_term(t, {}), eval_term(u, {})
+            if vt != vu:
+                raise RefusedError("the sides differ; the equation is false")
+            return T.eq_trans(
+                bank.eval_closed(t), T.eq_sym(bank.eval_closed(u))
+            )
+        case Le(t, u):
+            vt, vu = eval_term(t, {}), eval_term(u, {})
+            if vt > vu:
+                raise RefusedError("the comparison fails; the sentence is false")
+            return T.le_transport(
+                T.eq_sym(bank.eval_closed(t)),
+                T.eq_sym(bank.eval_closed(u)),
+                bank.le(vt, vu),
+            )
+        case Exists(v, body):
+            for k in range(budget + 1):
+                if eval_budgeted(body, budget, {v: k}) is Truth.TRUE:
+                    inst = substitute(body, v, numeral(k))
+                    return T.exists_intro(
+                        v, body, numeral(k), prove_true(bank, inst, budget)
+                    )
+            raise BudgetExhaustedError(
+                f"no witness at or below {budget}", budget=budget
+            )
+        case Forall(_, _):
+            raise InputError("unbounded universal outside the supported fragment")
+    raise InputError(f"cannot establish {render(f)!r}")
+
+def prove_false(bank: LemmaBank, f: Formula, budget: int) -> T.Proof:
+    """A proof of the negation of the false closed sentence f.
+
+    f is read as its expansion, as in `prove_true`; the failing
+    instance, conjunct or side is the evaluator's first.
+    """
+    f = expand_bounded(f)
+    gp = _guard_parts(f)
+    if gp is not None:
+        kind, v, bound, body = gp
+        if free_vars(bound):
+            raise InputError("quantifier bound is not closed here")
+        m = eval_term(bound, {})
+        if kind == "ball":
+            failing = next(
+                (k for k in range(m)
+                 if eval_budgeted(body, budget, {v: k}) is Truth.FALSE),
+                None,
+            )
+            if failing is None:
+                raise RefusedError("no failing instance; the sentence is true")
+            inst = T.forall_elim(T.hyp(f), numeral(failing))
+            pos = T.mp(inst, bank._lt(failing, bound, m))
+            neg = prove_false(bank, 
+                substitute(body, v, numeral(failing)), budget
+            )
+            return bank._refute(f, T.contradiction_to(pos, neg, _C0))
+        conj = f.body
+        hc = T.hyp(conj)
+
+        def branch(k: int, hek: T.Proof) -> T.Proof:
+            nk = prove_false(bank, substitute(body, v, numeral(k)), budget)
+            lb = bank.leib(body, v, Var(v), numeral(k))
+            pos = T.mp(T.mp(lb, hek), T.and_right(hc))
+            return T.contradiction_to(pos, nk, _C0)
+
+        c = bank._below(v, bound, m, T.and_left(hc), _C0, branch)
+        shifted = T.gen(v, T.discharge(c, conj))
+        exs = T.mp(T.s_ex_shift(v, conj, _C0), shifted)
+        return T.contrapose(exs, bank.ne(0, 1))
+    match f:
+        case Not(g):
+            return T.dn_intro(prove_true(bank, g, budget))
+        case And(l, r):
+            hc = T.hyp(f)
+            if eval_budgeted(l, budget) is Truth.FALSE:
+                c = T.contradiction_to(
+                    T.and_left(hc), prove_false(bank, l, budget), _C0
+                )
+            elif eval_budgeted(r, budget) is Truth.FALSE:
+                c = T.contradiction_to(
+                    T.and_right(hc), prove_false(bank, r, budget), _C0
+                )
+            else:
+                raise BudgetExhaustedError(
+                    "neither conjunct settles as false", budget=budget
+                )
+            return bank._refute(f, c)
+        case Or(l, r):
+            nl = prove_false(bank, l, budget)
+            nr = prove_false(bank, r, budget)
+            bl = T.discharge(T.contradiction_to(T.hyp(l), nl, _C0), l)
+            br = T.discharge(T.contradiction_to(T.hyp(r), nr, _C0), r)
+            return bank._refute(f, T.or_elim(T.hyp(f), bl, br))
+        case Imp(l, r):
+            pos = T.mp(T.hyp(f), prove_true(bank, l, budget))
+            c = T.contradiction_to(pos, prove_false(bank, r, budget), _C0)
+            return bank._refute(f, c)
+        case Iff(l, r):
+            hc = T.hyp(f)
+            if eval_budgeted(l, budget) is Truth.TRUE:
+                pos = T.mp(T.iff_left(hc), prove_true(bank, l, budget))
+                c = T.contradiction_to(
+                    pos, prove_false(bank, r, budget), _C0
+                )
+            elif eval_budgeted(r, budget) is Truth.TRUE:
+                pos = T.mp(T.iff_right(hc), prove_true(bank, r, budget))
+                c = T.contradiction_to(
+                    pos, prove_false(bank, l, budget), _C0
+                )
+            else:
+                raise BudgetExhaustedError(
+                    "biconditional unsettled", budget=budget
+                )
+            return bank._refute(f, c)
+        case Eq(t, u):
+            vt, vu = eval_term(t, {}), eval_term(u, {})
+            if vt == vu:
+                raise RefusedError("the sides agree; the equation is true")
+            chain = T.eq_chain(
+                T.eq_sym(bank.eval_closed(t)), T.hyp(f), bank.eval_closed(u)
+            )
+            c = T.contradiction_to(chain, bank.ne(vt, vu), _C0)
+            return bank._refute(f, c)
+        case Le(t, u):
+            vt, vu = eval_term(t, {}), eval_term(u, {})
+            if vt <= vu:
+                raise RefusedError("the comparison holds; the sentence is true")
+            moved = T.le_transport(
+                bank.eval_closed(t), bank.eval_closed(u), T.hyp(f)
+            )
+            c = T.contradiction_to(moved, bank.nle(vt, vu), _C0)
+            return bank._refute(f, c)
+        case Exists(_, _):
+            raise RefusedError("cannot refute an unbounded existential")
+        case Forall(_, _):
+            raise InputError("unbounded universal outside the supported fragment")
+    raise InputError(f"cannot refute {render(f)!r}")
 
 
 # --------------------------------------------------- whole-tree proof walks

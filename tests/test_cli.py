@@ -150,6 +150,30 @@ class TestEval:
         code, _, err = run(capsys, "eval", "v0 = 0")
         assert code == 2
 
+    # a bounded scan runs to its bound whatever the budget, and its witness
+    # or counterexample is reported wherever it lies
+    def test_bounded_witness_above_the_budget(self, capsys):
+        code, out, _ = run(
+            capsys, "--budget", "8", "eval",
+            "( E v1 ) ( ( s v1 <= s s s s s s s s s s s s 0 )"
+            " & ( v1 = s s s s s s s s s s 0 ) )",
+        )
+        assert code == 0 and out.strip() == "true  (witness: 10)"
+
+    def test_bounded_counterexample_above_the_budget(self, capsys):
+        code, out, _ = run(
+            capsys, "--budget", "8", "--json", "eval",
+            "( A v1 ) ( ( s v1 <= s s s s s s s s s s s s 0 )"
+            " -> ( ~ ( v1 = s s s s s s s s s s 0 ) ) )",
+        )
+        obj = json.loads(out)
+        assert code == 0 and obj["verdict"] == "false"
+        assert obj["counterexample"] == 10
+
+    def test_padded_quantifier_reports_zero(self, capsys):
+        code, out, _ = run(capsys, "--json", "eval", "( E v1 ) ( 0 = 0 )")
+        assert code == 0 and json.loads(out)["witness"] == 0
+
 
 class TestClassify:
     @pytest.mark.parametrize(

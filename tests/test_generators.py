@@ -20,6 +20,7 @@ from berrykit.generators import (
     search_proof,
 )
 from berrykit.proofs import is_valid, robinson_arithmetic, to_json_lines
+from berrykit.semantics import Truth, decide
 from berrykit.syntax import (
     Add,
     And,
@@ -299,6 +300,41 @@ class TestBoundedSugar:
         bank = LemmaBank()
         for fn in (prove_sigma, refute_delta0):
             assert _built(fn, f, bank) == _built(fn, expand_bounded(f), bank)
+
+
+def _steps_both_ways(f, budget=16):
+    """The derivation of f or of its negation built from the verdict, and
+    the one built by asking the evaluator at each choice."""
+    bank = LemmaBank()
+    verdict = decide(f, budget)
+    if verdict[0] is Truth.TRUE:
+        got = bank.prove_true(f, verdict)
+        want = oracles.prove_true(bank, f, budget)
+    else:
+        assert verdict[0] is Truth.FALSE
+        got = bank.prove_false(f, verdict)
+        want = oracles.prove_false(bank, f, budget)
+    return T.compile_proof(got).steps, T.compile_proof(want).steps
+
+
+class TestBuildersFollowTheVerdict:
+    """Following the verdict makes the choices asking again made: the left
+    disjunct first, a false antecedent first, the least witness."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(strategies.closed_delta0())
+    def test_closed_bounded_sentences(self, f):
+        got, want = _steps_both_ways(f)
+        assert got == want
+
+    # every connective and quantifier, the four sugared sentences included
+    @pytest.mark.parametrize(
+        "f", TRUE_SENTENCES + FALSE_DELTA0,
+        ids=[render(f)[:40] for f in TRUE_SENTENCES + FALSE_DELTA0],
+    )
+    def test_module_sentences(self, f):
+        got, want = _steps_both_ways(f)
+        assert got == want
 
 
 class TestNamesProvable:

@@ -1,5 +1,5 @@
 """The evaluator against the substitute-and-recurse oracle and the two
-interpreters it replaced, plus budget laws."""
+interpreters it replaced, plus budget laws and the shape of its verdicts."""
 
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ from berrykit.errors import InputError, NotDelta0Error
 from berrykit.parser import parse_formula
 from berrykit.semantics import (
     Truth,
+    decide,
     eval_budgeted,
     eval_delta0,
     eval_term,
@@ -22,19 +23,26 @@ from berrykit.semantics import (
 )
 from berrykit.syntax import (
     Add,
+    And,
     BExists,
     BForall,
     Eq,
     Exists,
     Forall,
     FormulaClass,
+    Iff,
+    Imp,
     Le,
     Mul,
     Not,
+    Or,
     Succ,
     Var,
     Zero,
     classify,
+    expand_bounded,
+    guarded_exists,
+    guarded_forall,
     numeral,
     substitute,
 )
@@ -223,8 +231,93 @@ class TestAgainstTwoInterpreters:
     def test_surface_formulas_under_an_env(self, f, values, budget):
         env = dict(enumerate(values))
         assert eval_budgeted(f, budget, env) is oracles.eval_budgeted(f, budget, env)
+        check_verdict(f, decide(f, budget, env), budget, env)
         if classify(f) is FormulaClass.DELTA0:
             assert eval_delta0(f, env) is oracles.eval_delta0(f, env)
         else:
             with pytest.raises(NotDelta0Error):
                 eval_delta0(f, env)
+
+
+def check_verdict(f, verdict, budget, env):
+    """Every node's truth is the reference's, a connective's parts are its
+    operands' verdicts, and a scan holds its body's verdicts at 0, 1, ...,
+    ending at the least instance that settles it, or at the end of its range."""
+    f = expand_bounded(f)
+    truth, parts = verdict
+    assert truth is oracles.eval_budgeted(f, budget, env), f
+    match f:
+        case Eq() | Le():
+            assert parts == ()
+        case Not(b):
+            (vb,) = parts
+            check_verdict(b, vb, budget, env)
+        case And(l, r) | Or(l, r) | Imp(l, r) | Iff(l, r):
+            vl, vr = parts
+            check_verdict(l, vl, budget, env)
+            check_verdict(r, vr, budget, env)
+        case Forall(v, body) | Exists(v, body):
+            stop = Truth.FALSE if type(f) is Forall else Truth.TRUE
+            g = guarded_forall(f) if type(f) is Forall else guarded_exists(f)
+            if g is not None:
+                v, bound, body = g
+                scan = eval_term(bound, env)
+            elif v not in oracles.free_vars(body):  # padding: the body alone
+                (vb,) = parts
+                check_verdict(body, vb, budget, env)
+                return
+            else:
+                scan = budget + 1
+            for j, part in enumerate(parts):
+                check_verdict(body, part, budget, {**env, v: j})
+            truths = [t for t, _ in parts]
+            if stop in truths:
+                assert truths.index(stop) == len(parts) - 1 and truth is stop
+            else:
+                assert len(parts) == scan
+
+
+class TestVerdicts:
+    """``decide`` returns what it read: the parts the proof builders follow."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(gen.closed_delta0())
+    def test_closed_bounded_sentences(self, f):
+        check_verdict(f, decide(f, 0), 0, {})
+
+    def test_seeded_sentences(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            f = gen.random_sentence(rng, 3)
+            check_verdict(f, decide(f, 6), 6, {})
+
+    def test_padding_has_the_body_as_its_one_part(self):
+        body = Eq(Zero(), Zero())
+        for f in (Exists(1, body), Forall(1, body)):
+            assert decide(f, 0) == (Truth.TRUE, ((Truth.TRUE, ()),))
+
+    def test_bounded_scan_reaches_above_the_budget(self):
+        f = BExists(1, numeral(12), Eq(Var(1), numeral(10)))
+        truth, parts = decide(f, 8)
+        assert truth is Truth.TRUE and len(parts) == 11
+        assert [t for t, _ in parts] == [Truth.FALSE] * 10 + [Truth.TRUE]
+        f = BForall(1, numeral(12), Not(Eq(Var(1), numeral(10))))
+        truth, parts = decide(f, 8)
+        assert truth is Truth.FALSE and len(parts) == 11
+
+    def test_unsettled_scan_runs_to_the_budget(self):
+        truth, parts = decide(Exists(0, Eq(Var(0), numeral(30))), 5)
+        assert truth is Truth.UNKNOWN and len(parts) == 6
+
+    def test_env_reading_is_the_substituted_instance(self):
+        # NamingTable proves mu's instance at k from decide(mu, b, {0: k})
+        formulas = list(enumerate_formulas(10, 10))
+        assert len(formulas) == 5596
+        for mu in formulas:
+            for j in range(4):
+                want = decide(substitute(mu, 0, numeral(j)), 8)
+                assert decide(mu, 8, {0: j}) == want, (mu, j)
+
+    def test_negative_budget_rejected(self):
+        with pytest.raises(InputError):
+            decide(Eq(Zero(), Zero()), -1)
