@@ -286,10 +286,11 @@ def _demo4(backend: str, budget: int, scale: int, theory: Theory) -> DemoReport:
                     "evidence_ok": ok,
                 }
             )
-    rel = b_rel(0, scale, theory, budget=budget)
+    rel = b_rel(0, scale, theory, budget=budget, bank=bank)
     conj = (
         rel.holds is True
-        and nm(0, encode_witness := _parse_witness(rel.witness), theory, budget).holds is True
+        and nm(0, encode_witness := _parse_witness(rel.witness), theory, budget,
+               bank=bank).holds is True
         and lh(encode_witness, scale)
     )
     claims = (
@@ -342,7 +343,7 @@ def _demo5(backend: str, budget: int, scale: int, theory: Theory) -> DemoReport:
     complementary = True
     for s in fragment:
         code = encode(s)
-        v = prc(code, theory, budget)
+        v = prc(code, theory, budget, bank=bank)
         provable = False
         try:
             d = prove_sigma(s, budget, bank)

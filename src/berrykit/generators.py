@@ -1046,13 +1046,15 @@ class NamingTable:
     """One formula's naming decision for every number at once.
 
     Classification and the syntactic bound on v0 are settled on
-    construction, and so are the instance truths over 0..scan_hi (the
+    construction, and so are the instance truths from 0 up to the second
+    true instance (two refute every number) or else up to scan_hi (the
     bound, or the budget when there is none), read from the formula's
     SemanticNaming table.  ``kind(i)`` then reads the verdict off the table;
-    an instance above scan_hi is evaluated only when asked for, and
-    remembered there.  ``proof(i)`` builds the closed proof tree behind that
-    verdict, and ``evidence(i)`` flattens it into a derivation, which only
-    what is shown to a reader or to the kernel needs.
+    an instance past the scan is evaluated only when asked for, which
+    happens only when the scan ran to scan_hi, and remembered there.
+    ``proof(i)`` builds the closed proof tree behind that verdict, and
+    ``evidence(i)`` flattens it into a derivation, which only what is shown
+    to a reader or to the kernel needs.
     """
 
     def __init__(self, mu: Formula, budget: int, bank: LemmaBank):
@@ -1081,8 +1083,11 @@ class NamingTable:
             scan_hi = got[0]
             self.bound = got
         truth = self.table.truth
-        true_at = [j for j in range(scan_hi + 1) if truth(j) is Truth.TRUE]
-        self._true_at = true_at[:2]
+        for j in range(scan_hi + 1):
+            if truth(j) is Truth.TRUE:
+                self._true_at.append(j)
+                if len(self._true_at) == 2:
+                    break
 
     def kind(self, i: int) -> str:
         """"names", "refuted" or "unknown", as ``proof(i).kind``."""

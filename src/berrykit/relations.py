@@ -134,6 +134,7 @@ def b_rel(
     theory: Theory | None = None,
     budget: int = DEFAULT_BUDGET,
     cap: int = DEFAULT_CAP,
+    bank: LemmaBank | None = None,
 ) -> RelationVerdict:
     """Some formula shorter than j provably names i.
 
@@ -142,7 +143,7 @@ def b_rel(
     canonical order is reported.  With no witness, undecided candidates
     make the verdict undecided rather than negative.
     """
-    bank = LemmaBank(theory)
+    bank = bank or LemmaBank(theory)
     unknowns = 0
     for mu in enumerate_formulas(j, cap):
         # decide first; only the witness reported needs its derivation
@@ -167,6 +168,7 @@ def prc(
     budget: int = DEFAULT_BUDGET,
     depth: int = DEFAULT_DEPTH,
     table: SymbolTable = DEFAULT_TABLE,
+    bank: LemmaBank | None = None,
 ) -> RelationVerdict:
     """i fails to code a sentence, or the theory refutes the one it codes.
 
@@ -178,7 +180,7 @@ def prc(
     if f is None or not is_closed(f):
         return RelationVerdict(True, reason="not a sentence code")
     target = Not(f)
-    bank = LemmaBank(theory)
+    bank = bank or LemmaBank(theory)
     if classify(f) is FormulaClass.DELTA0:
         try:
             d = refute_delta0(f, budget, bank)

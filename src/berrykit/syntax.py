@@ -9,9 +9,11 @@ abbreviations; length and rendering always go through the expanded form.
 
 Nodes are hash-consed (Filliatre & Conchon, Type-Safe Modular Hash-Consing,
 2006): structurally equal nodes are one object, so identity is the only
-notion of equality, and `==` and `hash` are O(1) at any depth.  Each node
-stores its expansion, so two expressions render alike exactly when
-`expand_bounded` gives the same object for both.
+notion of equality, and `==` and `hash` are O(1) at any depth.  The
+intern table is a plain dict holding each node weakly, through a slotted
+`weakref.ref` subclass that carries its key, so a node that dies removes
+its own entry.  Each node stores its expansion, so two expressions render
+alike exactly when `expand_bounded` gives the same object for both.
 
 Every bottom-up question (free variables, variable indices, length,
 class) is an algebra for one iterative postorder `fold` over `CHILDREN`
@@ -37,10 +39,20 @@ from typing import Callable, Iterator, TypeVar, Union
 
 # ---------------------------------------------------------------- AST nodes
 
-# the live node of each (type, int fields, children) key; children hash and
-# compare by identity, so a lookup (in the dict of weak references) is O(1)
-# at any depth.  Not locked: nodes are built from one thread.
-_TABLE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+# a weak reference to the live node of each (type, int fields, children)
+# key; children hash and compare by identity, so a lookup is O(1) at any
+# depth.  Not locked: nodes are built from one thread.
+_TABLE: dict[tuple, _Ref] = {}
+
+
+class _Ref(weakref.ref):  # built by C slots alone: no Python __new__/__init__
+    __slots__ = ("key",)
+
+
+def _drop(ref: _Ref, table: dict = _TABLE) -> None:
+    """A dead node's callback: delete its entry unless an equal node's replaced it."""
+    if table.get(ref.key) is ref:
+        del table[ref.key]
 
 
 class _Node:
@@ -61,13 +73,14 @@ class _Node:
     def __new__(cls, *args):
         key = (cls, *args)
         try:
-            ref = _TABLE.data.get(key)
+            ref = _TABLE.get(key)
         except TypeError:  # an unhashable child; _build names it
             ref = None
         node = None if ref is None else ref()
         if node is None:
             node = _build(cls, args)
-            _TABLE[key] = node
+            ref = _TABLE[key] = _Ref(node, _drop)
+            ref.key = key
         return node
 
     def __setattr__(self, name, value=None):

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Union
 
 from .errors import BerrykitError
-from .proofs import Derivation, Step, Theory, _check_schema, _slot_writers
+from .proofs import Derivation, Step, Theory, _MATCHERS, _check_schema, _slot_writers
 from .syntax import (
     Add,
     And,
@@ -137,15 +137,15 @@ def hyp(formula: Formula) -> Hyp:
 
 
 def mp(p: Proof, q: Proof) -> MP:
-    match p.formula:
-        case Imp(a, b):
-            if expand_bounded(a) is not expand_bounded(q.formula):
-                raise TacticError(
-                    f"mp mismatch: antecedent {render(a)!r}"
-                    f" vs argument {render(q.formula)!r}"
-                )
-            return MP(p, q, b)
-    raise TacticError(f"mp on non-implication {render(p.formula)!r}")
+    f, a = p.formula, q.formula
+    if type(f) is not Imp:
+        raise TacticError(f"mp on non-implication {render(f)!r}")
+    # they agree when they are one node or share one stored expansion
+    if f.left is not a and (f.left._expanded or f.left) is not (a._expanded or a):
+        raise TacticError(
+            f"mp mismatch: antecedent {render(f.left)!r} vs argument {render(a)!r}"
+        )
+    return MP(p, q, f.right)
 
 
 def gen(var: int, p: Proof) -> Gen:
@@ -203,14 +203,19 @@ def require_closed(p: Proof) -> None:
 
 # ------------------------------------------------------------ schema helpers
 
+# the deduction theorem's K and S go straight to the staged matchers; sch
+# checks a rejected instance again only to raise its error
+_IMP_K, _IMP_S = _MATCHERS["imp_k"], _MATCHERS["imp_s"]
+
+
 def s_imp_k(a: Formula, b: Formula) -> Sch:
-    return sch("imp_k", Imp(a, Imp(b, a)))
+    f = Imp(a, Imp(b, a))
+    return Sch("imp_k", f) if _IMP_K(f) else sch("imp_k", f)
 
 
 def s_imp_s(a: Formula, b: Formula, c: Formula) -> Sch:
-    return sch(
-        "imp_s", Imp(Imp(a, Imp(b, c)), Imp(Imp(a, b), Imp(a, c)))
-    )
+    f = Imp(Imp(a, Imp(b, c)), Imp(Imp(a, b), Imp(a, c)))
+    return Sch("imp_s", f) if _IMP_S(f) else sch("imp_s", f)
 
 
 def s_neg_intro(a: Formula, b: Formula) -> Sch:

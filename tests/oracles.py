@@ -9,8 +9,9 @@ budgeted for the soundness judge, which shows an accepted step false
 without the kernel or the evaluators), formula counting by
 a length recurrence instead of generation, the least-unnamed-number search
 by grammar-blind brute force over raw token strings (and, for whole
-reports, by re-probing every formula at every number), tokens by a
-match-at-a-time loop instead of one findall, derivations by deduplicating
+reports, by re-probing every formula at every number), a naming table's
+verdicts by scanning every instance instead of stopping at the second true
+one, tokens by a match-at-a-time loop instead of one findall, derivations by deduplicating
 proof steps on rendered strings instead of interned expansions, the deduction
 theorem by walking the whole proof tree instead of its open part, schema
 instances by a recursive pattern interpreter instead of staged flat tests,
@@ -601,6 +602,33 @@ def closure_refuted(f: Formula, budget: int = 3, work: int = 20_000) -> bool:
         if _truth3(g, budget, left, memo) is False:
             return True
     return False
+
+
+# ------------------------------------------------------ naming by full scan
+
+def naming_reference(
+    mu: Formula, budget: int, bank: LemmaBank, i: int
+) -> tuple[str, int | None]:
+    """NamingTable's verdict at i and the witness its proof refutes with,
+    from the scan it made before it stopped at the second true instance:
+    every instance over 0..scan_hi, asked of the reference evaluator."""
+    if classify(mu) is not FormulaClass.DELTA0:
+        return "unknown", None
+    got = bank.find_bound(mu)
+    if got is not None and got[0] > budget:
+        return "unknown", None
+    scan_hi = budget if got is None else got[0]
+
+    def truth(j: int) -> Truth:
+        return eval_budgeted(mu, budget, {0: j})
+
+    true_at = [j for j in range(scan_hi + 1) if truth(j) is Truth.TRUE][:2]
+    bad = next((j for j in true_at if j != i), None)
+    if bad is not None:
+        return "refuted", bad
+    if truth(i) is not Truth.TRUE:
+        return "refuted", i
+    return ("unknown" if got is None else "names"), None
 
 
 # --------------------------------------------------- counting by recurrence

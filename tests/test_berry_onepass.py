@@ -119,6 +119,51 @@ class TestKindMatchesDeciders:
             SemanticNaming(Eq(Var(0), numeral(1)), 8).kind(-1)
 
 
+class TestNamingScan:
+    """A NamingTable stops its instance scan at the second true instance;
+    its verdicts and witnesses must be those of the full scan."""
+
+    @pytest.mark.parametrize("budget", [4, 32])
+    def test_verdicts_match_the_full_scan(self, budget):
+        n = berry_number(7, "prover", 32, 8).n_value
+        bank = LemmaBank()
+        for mu in enumerate_formulas(7, 8):
+            table = NamingTable(mu, budget, bank)
+            for i in range(n + 2):
+                want = oracles.naming_reference(mu, budget, bank, i)
+                assert table.kind(i) == want[0], (mu, i)
+                got = table.proof(i)
+                assert (got.kind, got.witness) == want, (mu, i)
+
+    @pytest.mark.parametrize("budget", [4, 32])
+    def test_no_instance_past_the_second_true_one(self, budget):
+        bank = LemmaBank()
+        stopped = 0
+        for mu in enumerate_formulas(7, 8):
+            table = NamingTable(mu, budget, bank)
+            true_at = table._true_at
+            if len(true_at) < 2:
+                continue
+            stopped += 1
+            scanned = list(range(true_at[1] + 1))
+            assert sorted(table.table._truths) == scanned, mu
+            # two true instances refute every number without asking again
+            for i in (0, true_at[1] + 1, budget + 5):
+                assert table.kind(i) == "refuted"
+            assert sorted(table.table._truths) == scanned, mu
+        assert stopped
+
+    def test_scan_runs_its_range_below_two_true_instances(self):
+        table = NamingTable(Le(Var(0), numeral(3)), 32, LemmaBank())
+        assert table._true_at == [0, 1] and sorted(table.table._truths) == [0, 1]
+        table = NamingTable(Eq(Var(0), numeral(2)), 32, LemmaBank())
+        assert table._true_at == [2] and sorted(table.table._truths) == [0, 1, 2]
+        # no bound and no true instance up to the budget: kind asks past it
+        table = NamingTable(Le(numeral(5), Var(0)), 3, LemmaBank())
+        assert table._true_at == [] and sorted(table.table._truths) == [0, 1, 2, 3]
+        assert table.kind(6) == "unknown" and sorted(table.table._truths) == [0, 1, 2, 3, 6]
+
+
 def _counting(monkeypatch, owner, name: str) -> list[tuple]:
     """Replace owner.name with a wrapper recording each call's arguments."""
     calls: list[tuple] = []

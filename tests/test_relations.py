@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+from berrykit.berry import enumerate_formulas
 from berrykit.coding import DEFAULT_TABLE, decode, encode
 from berrykit.errors import CapExceededError, InputError
+from berrykit.generators import LemmaBank
 from berrykit.proofs import is_valid, robinson_arithmetic
 from berrykit.relations import RelationVerdict, b_rel, fm, lh, neg, nm, prc, snt
 from berrykit.syntax import (
@@ -174,6 +176,23 @@ class TestPrc:
     def test_hard_sentence_stays_undecided(self):
         f = Forall(0, Le(Var(0), Var(0)))
         assert prc(encode(f)).holds is None
+
+
+class TestSharedBank:
+    """b_rel and prc take the caller's LemmaBank, as the demos pass theirs;
+    a bank that already holds lemmas changes no verdict and no derivation."""
+
+    def test_prc_over_a_fragment(self):
+        bank = LemmaBank()
+        for f in enumerate_formulas(7, cap=7):
+            if is_closed(f):
+                assert prc(encode(f), budget=32, bank=bank) == prc(encode(f), budget=32), f
+
+    def test_b_rel_after_prc(self):
+        bank = LemmaBank()
+        prc(encode(Not(Eq(numeral(2), numeral(2)))), budget=32, bank=bank)
+        for i in (0, 2, 3):
+            assert b_rel(i, 6, budget=32, bank=bank) == b_rel(i, 6, budget=32), i
 
 
 class TestVerdictJson:

@@ -332,6 +332,27 @@ class TestStructureKeys:
         assert len(table) == before
         assert render(Eq(_fresh_chain(3, Var(10_007)), Zero())) == "s s s v10007 = 0"
 
+    def test_stale_removal_callback_keeps_the_live_entry(self):
+        # a dead node's callback that runs late (as the cyclic collector's
+        # can), after an equal node was rebuilt, leaves the new entry alone
+        table = syntax_module._TABLE
+        body = Eq(Var(10_009), Zero())
+        key = (Not, body)
+        f = Not(body)
+        stale = table[key]
+        callback = stale.__callback__  # a dead ref forgets its callback
+        del f
+        gc.collect()
+        assert key not in table and stale() is None
+        g = Not(body)
+        callback(stale)
+        assert table[key]() is g and Not(body) is g
+
+    def test_copy_and_pickle_return_the_interned_node(self):
+        f = BForall(1, Var(10_011), Eq(Var(1), Var(0)))
+        for twin in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+            assert twin is f and expand_bounded(twin) is expand_bounded(f)
+
     @pytest.mark.parametrize("ctor, args", [
         (Not, ("x",)), (And, (Eq(Zero(), Zero()), None)), (Succ, (3.5,)),
         (Not, (object,)), (BForall, (1, Zero(), [1])),

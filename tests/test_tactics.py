@@ -64,12 +64,35 @@ class TestLeaves:
 
     def test_mp_rejects_mismatch(self):
         k = T.s_imp_k(A, B)
-        with pytest.raises(T.TacticError):
+        with pytest.raises(T.TacticError) as e:
             T.mp(k, T.eq_refl(Succ(Zero())))
+        assert str(e.value) == "mp mismatch: antecedent '0 = 0' vs argument 's 0 = s 0'"
 
     def test_mp_rejects_non_implication(self):
-        with pytest.raises(T.TacticError):
+        with pytest.raises(T.TacticError) as e:
             T.mp(T.eq_refl(Zero()), T.eq_refl(Zero()))
+        assert str(e.value) == "mp on non-implication '0 = 0'"
+
+    def test_mp_matches_the_antecedent_by_expansion(self):
+        bounded = BForall(1, numeral(2), Eq(Var(1), Var(1)))
+        for a, arg in ((bounded, expand_bounded(bounded)), (expand_bounded(bounded), bounded)):
+            assert T.mp(T.hyp(Imp(a, A)), T.hyp(arg)).formula is A
+
+    @pytest.mark.parametrize("name, build, args, formula", [
+        ("imp_k", T.s_imp_k, (Zero(), A), Imp(Zero(), Imp(A, Zero()))),
+        ("imp_k", T.s_imp_k, (A, Var(0)), Imp(A, Imp(Var(0), A))),
+        ("imp_s", T.s_imp_s, (A, B, Zero()),
+         Imp(Imp(A, Imp(B, Zero())), Imp(Imp(A, B), Imp(A, Zero())))),
+        ("imp_s", T.s_imp_s, (Zero(), B, A),
+         Imp(Imp(Zero(), Imp(B, A)), Imp(Imp(Zero(), B), Imp(Zero(), A)))),
+    ], ids=["k-a", "k-b", "s-c", "s-a"])
+    def test_k_and_s_refuse_a_term_as_sch_does(self, name, build, args, formula):
+        with pytest.raises(T.TacticError) as direct:
+            build(*args)
+        with pytest.raises(T.TacticError) as via_sch:
+            T.sch(name, formula)
+        assert str(direct.value) == str(via_sch.value)
+        assert str(direct.value).endswith(f": not an instance of {name}")
 
     def test_gen_wraps_in_universal(self):
         p = T.gen(0, T.eq_refl(Var(0)))
