@@ -248,8 +248,8 @@ def berry_number(
             evidence = named[0].evidence(m)
             if bank is not None:
                 proofs.check(evidence.derivation, bank.theory)
-            for t in named[1:]:
-                t.proof(m)
+                for t in named[1:]:
+                    t.proof(m)
             witnesses = tuple(render(t.mu) for t in named)
             records.append(NumberRecord(m, True, witnesses, evidence))
             continue
@@ -260,8 +260,9 @@ def berry_number(
                 " the least unnamed number cannot be certified",
                 budget=budget,
             )
-        for t in tables:
-            t.proof(m)
+        if bank is not None:
+            for t in tables:
+                t.proof(m)
         records.append(NumberRecord(m, False, (), None))
         return BerryReport(
             max_len, backend, budget, m, len(mus), tuple(records)

@@ -33,7 +33,7 @@ from .errors import (
     CheckFailedError,
     InputError,
 )
-from .generators import DEFAULT_DEPTH, prove_sigma
+from .generators import prove_sigma
 from .parser import parse, parse_formula
 from .proofs import (
     check,
@@ -56,14 +56,13 @@ from .syntax import (
 )
 
 ENV_PREFIX = "BERRYKIT_"
-_DEFAULTS = {"budget": DEFAULT_BUDGET, "cap": DEFAULT_CAP, "depth": DEFAULT_DEPTH}
+_DEFAULTS = {"budget": DEFAULT_BUDGET, "cap": DEFAULT_CAP}
 
 
 @dataclass(frozen=True)
 class Settings:
     budget: int
     cap: int
-    depth: int
     as_json: bool
 
 
@@ -107,7 +106,7 @@ def _load_config(path: str) -> dict[str, int]:
         key, sep, value = line.partition("=")
         key = key.strip()
         if not sep or key not in _DEFAULTS:
-            raise InputError(f"config {path}:{lineno}: expected budget|cap|depth = N")
+            raise InputError(f"config {path}:{lineno}: expected budget|cap = N")
         try:
             out[key] = int(value.strip())
         except ValueError as err:
@@ -130,7 +129,7 @@ def _settings(args: argparse.Namespace) -> Settings:
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = flag
-    return Settings(merged["budget"], merged["cap"], merged["depth"], args.json)
+    return Settings(merged["budget"], merged["cap"], args.json)
 
 
 def _dumps(obj: object) -> str:
@@ -246,6 +245,10 @@ def _cmd_classify(args, st: Settings) -> int:
 
 
 def _cmd_rel(args, st: Settings) -> int:
+    if args.relation in ("lh", "neg", "nm", "b") and args.j is None:
+        raise InputError(f"rel {args.relation} takes two numbers")
+    if args.relation in ("fm", "snt", "prc") and args.j is not None:
+        raise InputError(f"rel {args.relation} takes one argument")
     theory = robinson_arithmetic()
     match args.relation:
         case "fm":
@@ -263,10 +266,8 @@ def _cmd_rel(args, st: Settings) -> int:
             v = b_rel(args.i, args.j, theory, st.budget, st.cap)
             return _emit_verdict(v, st)
         case "prc":
-            v = prc(args.i, theory, st.budget, st.depth)
+            v = prc(args.i, theory, st.budget)
             return _emit_verdict(v, st)
-        case other:
-            raise InputError(f"unknown relation {other!r}")
     _emit({"v": 1, "holds": value}, "true" if value else "false", st)
     return 0 if value else 1
 
@@ -462,7 +463,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("relation", choices=("fm", "lh", "nm", "b", "snt", "neg", "prc"))
     p.add_argument("i", type=int)
     p.add_argument("j", type=int, nargs="?")
-    p.set_defaults(fn=_cmd_rel_checked)
+    p.set_defaults(fn=_cmd_rel)
 
     p = sub.add_parser("check-proof", help="validate a JSON-lines derivation")
     p.add_argument("file", help="path, or - for stdin")
@@ -499,14 +500,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_demo)
 
     return top
-
-
-def _cmd_rel_checked(args, st: Settings) -> int:
-    if args.relation in ("lh", "neg", "nm", "b") and args.j is None:
-        raise InputError(f"rel {args.relation} takes two numbers")
-    if args.relation in ("fm", "snt", "prc") and args.j is not None:
-        raise InputError(f"rel {args.relation} takes one argument")
-    return _cmd_rel(args, st)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -5,7 +5,7 @@ leans on: numeral evaluation, distinctness and ordering of numerals, case
 analysis below a numeral bound, and order totality.  On top of the bank sit
 the headline constructions: a provable uniqueness statement for least
 witnesses, derivations of true bounded sentences and refutations of false
-ones, decision evidence for naming equivalences, and a small proof search.
+ones, and decision evidence for naming equivalences.
 
 Everything returned to callers is a flat Derivation the independent checker
 accepts; trees are internal.
@@ -22,7 +22,7 @@ from .errors import (
     InputError,
     RefusedError,
 )
-from .proofs import SCHEMA_NAMES, Derivation, Theory, _check_schema, robinson_arithmetic
+from .proofs import Derivation, Theory, robinson_arithmetic
 from .semantics import DEFAULT_BUDGET, SemanticNaming, Truth, Verdict, decide, eval_term
 from .syntax import (
     Add,
@@ -1179,95 +1179,3 @@ def names_provable(
     the formula (or it exceeds the budget).  Callers asking about many
     numbers for one formula should keep a NamingTable instead."""
     return NamingTable(mu, budget, bank or LemmaBank()).evidence(i)
-
-
-# ------------------------------------------------------------ proof search
-
-DEFAULT_DEPTH = 6  # the structural peeling search_proof tries
-
-def search_proof(
-    target: Formula,
-    theory: Theory | None = None,
-    depth: int = DEFAULT_DEPTH,
-    budget: int = DEFAULT_BUDGET,
-) -> Derivation | None:
-    """Search for a derivation of the target, or None.
-
-    Strategies, in order: an axiom of the theory, a schema instance, a
-    true closed sentence from the supported fragment, a decidable naming
-    equivalence, and finally structural peeling (universal closure,
-    conjunction, weakening) down to the given depth."""
-    bank = LemmaBank(theory)
-    tree = _search(target, bank, depth, budget)
-    return None if tree is None else T.compile_proof(tree)
-
-
-def _search(
-    target: Formula, bank: LemmaBank, depth: int, budget: int
-) -> T.Proof | None:
-    for label, f in bank.theory.axioms:
-        if expand_bounded(f) is expand_bounded(target):
-            return bank._ax(label)
-    for name in SCHEMA_NAMES:
-        if _check_schema(name, target) is None:
-            return T.Sch(name, target)
-    # a negative budget decides nothing; later strategies refuse it too
-    if budget >= 0 and not free_vars(target) and classify(target) in _SIGMA_CLASSES:
-        verdict = decide(target, budget)
-        if verdict[0] is Truth.TRUE:
-            return bank.prove_true(target, verdict)
-    match target:
-        case Forall(0, Iff(mu, Eq(Var(0), t))) if not free_vars(t):
-            try:
-                got = names_provable(mu, eval_term(t, {}), budget, bank)
-            except InputError:
-                got = None
-            if got is not None and got.kind == "names" and got.derivation:
-                if expand_bounded(got.derivation.conclusion) is expand_bounded(target):
-                    return _rebuild(got.derivation)
-    if depth <= 0:
-        return None
-    match target:
-        case Forall(v, body):
-            sub = _search(body, bank, depth - 1, budget)
-            if sub is not None:
-                return T.gen(v, sub)
-        case And(l, r):
-            pl = _search(l, bank, depth - 1, budget)
-            pr = _search(r, bank, depth - 1, budget) if pl is not None else None
-            if pl is not None and pr is not None:
-                return T.and_intro(pl, pr)
-        case Imp(a, b):
-            if expand_bounded(a) is expand_bounded(b):
-                return T.imp_refl(a)
-            sub = _search(b, bank, depth - 1, budget)
-            if sub is not None:
-                return T.k_lift(sub, a)
-        case Or(l, r):
-            sub = _search(l, bank, depth - 1, budget)
-            if sub is not None:
-                return T.or_left(sub, r)
-            sub = _search(r, bank, depth - 1, budget)
-            if sub is not None:
-                return T.or_right(l, sub)
-    return None
-
-
-def _rebuild(d: Derivation) -> T.Proof:
-    """Re-express a flat derivation as a proof tree."""
-    nodes: list[T.Proof] = []
-    for step in d.steps:
-        match step.rule:
-            case "axiom":
-                nodes.append(T.Ax(step.name or "", step.formula))
-            case "schema":
-                nodes.append(T.Sch(step.name or "", step.formula))
-            case "mp":
-                a, b = step.premises
-                nodes.append(T.MP(nodes[a], nodes[b], step.formula))
-            case "gen":
-                (a,) = step.premises
-                nodes.append(
-                    T.Gen(step.var if step.var is not None else 0, nodes[a], step.formula)
-                )
-    return nodes[-1]

@@ -14,15 +14,8 @@ from dataclasses import dataclass, field
 from .berry import DEFAULT_CAP, enumerate_formulas
 from .coding import DEFAULT_TABLE, SymbolTable, decode, encode
 from .errors import BudgetExhaustedError, InputError, RefusedError
-from .generators import (
-    DEFAULT_DEPTH,
-    LemmaBank,
-    NamingTable,
-    names_provable,
-    refute_delta0,
-    search_proof,
-)
-from .proofs import Derivation, Theory, robinson_arithmetic
+from .generators import LemmaBank, NamingTable, names_provable, refute_delta0
+from .proofs import Derivation, Theory
 from .semantics import DEFAULT_BUDGET, Truth, decide
 from . import tactics as T
 from .syntax import (
@@ -166,16 +159,16 @@ def prc(
     i: int,
     theory: Theory | None = None,
     budget: int = DEFAULT_BUDGET,
-    depth: int = DEFAULT_DEPTH,
     table: SymbolTable = DEFAULT_TABLE,
     bank: LemmaBank | None = None,
 ) -> RelationVerdict:
     """i fails to code a sentence, or the theory refutes the one it codes.
 
-    A found refutation certifies a positive.  A fruitless search only
-    reports undecided: unprovability is never concluded from a budget.
+    A refutation is found by one of two routes: a false Δ0 sentence is
+    refuted outright, and a sentence ~g with g a true Σ sentence is
+    refuted by a proof of ~~g.  Every other sentence is undecided:
+    unrefutability is never concluded from a budget.
     """
-    theory = theory or robinson_arithmetic()
     f = _decoded(i, table)
     if f is None or not is_closed(f):
         return RelationVerdict(True, reason="not a sentence code")
@@ -199,9 +192,6 @@ def prc(
                 if verdict[0] is Truth.TRUE:
                     d = T.compile_proof(T.dn_intro(bank.prove_true(g, verdict)))
                     return RelationVerdict(True, budget, encode(target, table), d)
-    d = search_proof(target, theory, depth, budget)
-    if d is not None:
-        return RelationVerdict(True, budget, encode(target, table), d)
     return RelationVerdict(
         None, budget, reason="no refutation found within the budget"
     )

@@ -279,8 +279,8 @@ class SemanticNaming:
         return NamingVerdict("names", i, budget)
 
     # the per-formula table interface berry_number shares with NamingTable:
-    # the verdict is all the evidence, and all the proof, a semantic table has
-    evidence = proof = verdict
+    # the verdict is all the evidence a semantic table has
+    evidence = verdict
 
     def kind(self, i: int) -> str:
         return self.verdict(i).kind

@@ -262,14 +262,6 @@ def k_lift(p: Proof, a: Formula) -> Proof:
     return mp(s_imp_k(p.formula, a), p)
 
 
-def syllogism(p: Proof, q: Proof) -> Proof:
-    """From A -> B and B -> C conclude A -> C."""
-    match p.formula:
-        case Imp(a, _):
-            return discharge(mp(q, mp(p, hyp(a))), a)
-    raise TacticError("syllogism needs implications")
-
-
 def and_intro(p: Proof, q: Proof) -> Proof:
     return mp(
         mp(sch("and_intro", Imp(p.formula, Imp(q.formula, And(p.formula, q.formula)))), p),
@@ -370,13 +362,6 @@ def dn_intro(p: Proof) -> Proof:
     return mp(mp(s_neg_intro(na, a), k_lift(p, na)), imp_refl(na))
 
 
-def dn_elim(p: Proof) -> Proof:
-    match p.formula:
-        case Not(Not(a)):
-            return mp(s_neg_elim(a), p)
-    raise TacticError("dn_elim needs a double negation")
-
-
 def excluded_middle(a: Formula) -> Proof:
     """A | ~A with no hypotheses."""
     disj = Or(a, Not(a))
@@ -401,18 +386,6 @@ def forall_elim(p: Proof, t: Term) -> Proof:
 
 def exists_intro(var: int, body: Formula, t: Term, p: Proof) -> Proof:
     return mp(s_ex_intro(var, body, t), p)
-
-
-def exists_elim(p_ex: Proof, p_all: Proof) -> Proof:
-    """From (E x) A and (A x)(A -> C) with x not free in C, conclude C."""
-    match (p_ex.formula, p_all.formula):
-        case (Exists(v, a), Forall(w, Imp(a2, c))):
-            if v != w:
-                raise TacticError("variable mismatch in exists_elim")
-            if expand_bounded(a) is not expand_bounded(a2):
-                raise TacticError("body mismatch in exists_elim")
-            return mp(mp(s_ex_shift(v, a, c), p_all), p_ex)
-    raise TacticError("exists_elim shape mismatch")
 
 
 # ------------------------------------------------------- equality toolkit
@@ -484,21 +457,6 @@ def eq_chain(first: Proof, *rest: Proof) -> Proof:
     for p in rest:
         out = eq_trans(out, p)
     return out
-
-
-def eq_transport_eq(p_l: Proof, p_r: Proof, p_eq: Proof) -> Proof:
-    """From t1=u1, t2=u2 and t1=t2 conclude u1=u2."""
-    match (p_l.formula, p_r.formula):
-        case (Eq(t1, u1), Eq(t2, u2)):
-            schema = sch(
-                "eq_eq",
-                Imp(
-                    p_l.formula,
-                    Imp(p_r.formula, Imp(Eq(t1, t2), Eq(u1, u2))),
-                ),
-            )
-            return mp(mp(mp(schema, p_l), p_r), p_eq)
-    raise TacticError("eq_transport_eq needs equations")
 
 
 def le_transport(p_l: Proof, p_r: Proof, p_le: Proof) -> Proof:

@@ -14,7 +14,10 @@ Parts:
   depth 3) and over the closed instances at v0 = 0, 1, 2 of every 9th
   formula of ``enumerate_formulas(11, 11)``, plus ``names_provable`` at
   i = 0, 1, 3 for the first 400 of those formulas.  Each derivation is
-  hashed as its JSON lines, each refusal as its error type and text.
+  hashed as its JSON lines, each refusal as its error type and text;
+- ``relations``: ``prc`` at budget 16 with one shared LemmaBank on the code
+  of every 4th of those sentences and of its negation, hashed as the
+  verdict's JSON object and its derivation's JSON lines.
 
 Not a test: pytest collects only ``test_*.py``.  It takes minutes.
 """
@@ -24,6 +27,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import random
 import sys
 from pathlib import Path
@@ -32,12 +36,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from berrykit.berry import enumerate_formulas  # noqa: E402
 from berrykit.cli import main  # noqa: E402
+from berrykit.coding import encode  # noqa: E402
 from berrykit.errors import BerrykitError  # noqa: E402
 from berrykit.generators import (  # noqa: E402
     LemmaBank, NamingEvidence, names_provable, prove_sigma, refute_delta0,
 )
 from berrykit.proofs import to_json_lines  # noqa: E402
-from berrykit.syntax import numeral, render, substitute  # noqa: E402
+from berrykit.relations import prc  # noqa: E402
+from berrykit.syntax import Not, numeral, render, substitute  # noqa: E402
 from strategies import random_closed_delta0, random_sentence  # noqa: E402
 
 BUDGET = 16
@@ -63,13 +69,18 @@ def reports() -> dict[str, str]:
     return {"berry": berry.hexdigest(), "demo": demo.hexdigest()}
 
 
-def corpus() -> dict[str, str]:
+def _corpus_sentences() -> tuple[list, list]:
+    """The corpus sentences, and the formulas whose instances are among them."""
     rng = random.Random(7)
     sentences = [random_sentence(rng, 3) for _ in range(1500)]
     sentences += [random_closed_delta0(rng, 3) for _ in range(1500)]
     formulas = list(enumerate_formulas(11, 11))[::9]
     sentences += [substitute(mu, 0, numeral(k)) for mu in formulas for k in range(3)]
+    return sentences, formulas
 
+
+def corpus() -> dict[str, str]:
+    sentences, formulas = _corpus_sentences()
     bank = LemmaBank()
     derivations, errors = hashlib.sha256(), hashlib.sha256()
     counts = {"derivations": 0, "steps": 0, "errors": 0}
@@ -106,6 +117,23 @@ def corpus() -> dict[str, str]:
             "corpus-errors": errors.hexdigest()}
 
 
+def relations() -> dict[str, str]:
+    bank = LemmaBank()
+    digest = hashlib.sha256()
+    verdicts = {True: 0, False: 0, None: 0}
+    for s in _corpus_sentences()[0][::4]:
+        for f in (s, Not(s)):
+            v = prc(encode(f), budget=BUDGET, bank=bank)
+            verdicts[v.holds] += 1
+            digest.update(f"prc {render(f)}\n{json.dumps(v.to_json_obj())}\n".encode())
+            if v.derivation is not None:
+                for line in to_json_lines(v.derivation):
+                    digest.update(f"{line}\n".encode())
+    print(f"# relations: prc holds {verdicts[True]}, unknown {verdicts[None]}",
+          file=sys.stderr)
+    return {"relations": digest.hexdigest()}
+
+
 if __name__ == "__main__":
-    for name, digest in {**reports(), **corpus()}.items():
+    for name, digest in {**reports(), **corpus(), **relations()}.items():
         print(f"{digest}  {name}")

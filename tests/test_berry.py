@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
@@ -24,7 +25,7 @@ from berrykit.errors import (
     RefusedError,
 )
 from berrykit.proofs import is_valid, robinson_arithmetic
-from berrykit.semantics import eval_delta0
+from berrykit.semantics import SemanticNaming, eval_delta0
 from berrykit.syntax import (
     Add,
     And,
@@ -160,6 +161,26 @@ class TestBerryNumber:
     def test_cap_applies(self):
         with pytest.raises(CapExceededError):
             berry_number(12)
+
+    def test_semantic_backend_decides_each_verdict_once(self):
+        # counted by code object, so a call through an alias of verdict counts
+        codes = {SemanticNaming.verdict.__code__: "verdict",
+                 SemanticNaming.kind.__code__: "kind"}
+        calls = {"verdict": 0, "kind": 0}
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in codes:
+                calls[codes[frame.f_code]] += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            rpt = berry_number(7, backend="semantic", budget=32)
+        finally:
+            sys.setprofile(previous)
+        named = sum(rec.named for rec in rpt.records)
+        assert calls["kind"] > 0 and named > 0
+        assert calls["verdict"] == calls["kind"] + named
 
     def test_report_json_shape(self):
         rpt = berry_number(4, backend="semantic", budget=32)

@@ -420,8 +420,16 @@ class TestConfig:
         cfg = tmp_path / "cfg"
         cfg.write_text("seed=7\n")
         code, _, err = run(capsys, "--config", str(cfg), "parse", "0 = 0")
-        assert code == 2 and err.endswith("expected budget|cap|depth = N\n")
+        assert code == 2 and err.endswith("expected budget|cap = N\n")
         monkeypatch.setenv("BERRYKIT_SEED", "not a number")
+        assert run(capsys, "parse", "0 = 0")[0] == 0
+
+    def test_depth_config_key_rejected(self, capsys, tmp_path, monkeypatch):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("depth = 6\n")
+        code, _, err = run(capsys, "--config", str(cfg), "parse", "0 = 0")
+        assert code == 2 and err.endswith("expected budget|cap = N\n")
+        monkeypatch.setenv("BERRYKIT_DEPTH", "not-a-number")
         assert run(capsys, "parse", "0 = 0")[0] == 0
 
 

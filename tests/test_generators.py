@@ -17,7 +17,6 @@ from berrykit.generators import (
     prove_order_totality,
     prove_sigma,
     refute_delta0,
-    search_proof,
 )
 from berrykit.proofs import is_valid, robinson_arithmetic, to_json_lines
 from berrykit.semantics import Truth, decide
@@ -378,38 +377,3 @@ class TestNamesProvable:
         obj = ev.to_json_obj()
         assert obj["kind"] == "names" and obj["number"] == 0
         assert obj["steps"] == len(ev.derivation)
-
-
-class TestSearchProof:
-    def test_finds_axioms(self):
-        for label in ("q2", "q4", "q8"):
-            d = search_proof(Q.axiom(label))
-            checked(d, Q.axiom(label))
-
-    def test_finds_schema_instances(self):
-        a, b = Eq(Zero(), Zero()), Le(Zero(), Zero())
-        d = search_proof(Imp(a, Imp(b, a)))
-        checked(d)
-
-    def test_finds_true_closed_sentences(self):
-        d = search_proof(Eq(Add(numeral(2), numeral(2)), numeral(4)))
-        checked(d)
-
-    def test_finds_naming_equivalences(self):
-        target = naming_statement(Le(Var(0), Zero()), 0)
-        checked(search_proof(target), target)
-
-    def test_peels_universal_closures(self):
-        target = Forall(1, Eq(Var(1), Var(1)))
-        checked(search_proof(target), target)
-
-    def test_splits_conjunctions(self):
-        target = And(Eq(Zero(), Zero()), Le(Zero(), numeral(2)))
-        checked(search_proof(target), target)
-
-    def test_honest_miss(self):
-        # true, but beyond every strategy: the searcher says so
-        assert search_proof(Forall(0, Le(Var(0), Var(0))), depth=4) is None
-
-    def test_depth_zero_still_finds_leaves(self):
-        assert search_proof(Q.axiom("q1"), depth=0) is not None
