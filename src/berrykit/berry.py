@@ -18,7 +18,14 @@ from . import proofs
 from .errors import BudgetExhaustedError, CapExceededError, InputError, RefusedError
 from .generators import LemmaBank, NamingEvidence, NamingTable, refute_delta0
 from .proofs import Derivation, Theory
-from .semantics import DEFAULT_BUDGET, SEARCH_BUDGET, NamingVerdict, SemanticNaming
+from .semantics import (
+    BACKENDS,
+    DEFAULT_BUDGET,
+    DEFAULT_CAP,
+    SEARCH_BUDGET,
+    NamingVerdict,
+    SemanticNaming,
+)
 from .syntax import (
     Add,
     And,
@@ -28,6 +35,7 @@ from .syntax import (
     Exists,
     Forall,
     Formula,
+    FormulaClass,
     Iff,
     Imp,
     Le,
@@ -50,8 +58,6 @@ from .syntax import (
     substitute,
     tokens,
 )
-
-DEFAULT_CAP = 8
 
 
 # ------------------------------------------------------------- enumeration
@@ -193,8 +199,6 @@ class BerryReport:
             "table": [r.to_json_obj() for r in self.records],
         }
 
-
-BACKENDS = ("semantic", "prover")
 
 
 def berry_number(
@@ -473,8 +477,6 @@ def refute_witnesses(
     to a numeral; all instances must actually be false, else the refusal
     names the witness that holds.
     """
-    from .syntax import FormulaClass  # local: avoids a wide import above
-
     if classify(mu) is not FormulaClass.DELTA0:
         raise InputError("only bounded formulas are refuted")
     extras = free_vars(mu) - {0, 1}

@@ -4,45 +4,26 @@ Configuration precedence, lowest to highest: built-in defaults, config
 file (key=value lines), BERRYKIT_* environment variables, explicit
 flags.  Exit codes: 0 success, 1 a check or verdict came out negative,
 2 malformed input or infeasible request, 3 budget exhausted.
+
+Each command imports its own layers when it runs: this module loads only
+the kernel (errors, syntax, parser, proofs) and semantics, so `parse` or
+`check-proof` never loads the tactics, generators or the Berry search.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 from dataclasses import dataclass
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-from .berry import (
-    BACKENDS,
-    DEFAULT_CAP,
-    ConcretePhi,
-    MockPhi,
-    berry_number,
-    boolos_schematic,
-    boolos_sentence,
-    certify_bounds,
-)
-from .coding import decode, encode
-from .demos import replay_demo, run_demo
-from .errors import (
-    BerrykitError,
-    BudgetExhaustedError,
-    CheckFailedError,
-    InputError,
-)
-from .generators import prove_sigma
+from .errors import BerrykitError, BudgetExhaustedError, CheckFailedError, InputError
 from .parser import parse, parse_formula
-from .proofs import (
-    check,
-    from_json_lines,
-    robinson_arithmetic,
-    to_json_lines,
-)
-from .relations import b_rel, fm, lh, neg, nm, prc, snt
-from .semantics import DEFAULT_BUDGET, Truth, decide
+from .proofs import check, from_json_lines, robinson_arithmetic, to_json_lines
+from .semantics import BACKENDS, DEFAULT_BUDGET, DEFAULT_CAP, Truth, decide
 from .syntax import (
     Exists,
     Forall,
@@ -54,6 +35,9 @@ from .syntax import (
     render,
     to_json_obj,
 )
+
+if TYPE_CHECKING:
+    from .berry import ConcretePhi, MockPhi
 
 ENV_PREFIX = "BERRYKIT_"
 _DEFAULTS = {"budget": DEFAULT_BUDGET, "cap": DEFAULT_CAP}
@@ -197,9 +181,8 @@ def _cmd_parse(args, st: Settings) -> int:
 
 
 def _cmd_gn(args, st: Settings) -> int:
-    # codes are prime-power products; lift the int/str conversion guard
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
+    from .coding import decode, encode
+
     if args.direction == "encode":
         e = parse(_read_arg_or_stdin(args.value))
         n = encode(e)
@@ -245,6 +228,8 @@ def _cmd_classify(args, st: Settings) -> int:
 
 
 def _cmd_rel(args, st: Settings) -> int:
+    from .relations import b_rel, fm, lh, neg, nm, prc, snt
+
     if args.relation in ("lh", "neg", "nm", "b") and args.j is None:
         raise InputError(f"rel {args.relation} takes two numbers")
     if args.relation in ("fm", "snt", "prc") and args.j is not None:
@@ -309,6 +294,8 @@ def _cmd_check_proof(args, st: Settings) -> int:
 
 
 def _cmd_prove_sigma(args, st: Settings) -> int:
+    from .generators import prove_sigma
+
     f = parse_formula(_read_arg_or_stdin(args.sentence))
     d = prove_sigma(f, st.budget)
     payload = "\n".join(to_json_lines(d)) + "\n"
@@ -326,6 +313,8 @@ def _cmd_prove_sigma(args, st: Settings) -> int:
 
 
 def _cmd_berry(args, st: Settings) -> int:
+    from .berry import berry_number
+
     report = berry_number(args.max_len, args.backend, st.budget, st.cap)
     obj = report.to_json_obj()
     lines = [
@@ -345,6 +334,8 @@ def _cmd_berry(args, st: Settings) -> int:
 
 
 def _provider(args) -> ConcretePhi | MockPhi:
+    from .berry import ConcretePhi, MockPhi
+
     if getattr(args, "phi_file", None):
         return ConcretePhi(parse_formula(_read_text(args.phi_file)))
     if getattr(args, "phi_mock", None):
@@ -359,6 +350,8 @@ def _provider(args) -> ConcretePhi | MockPhi:
 
 
 def _cmd_bounds(args, st: Settings) -> int:
+    from .berry import certify_bounds
+
     cert = certify_bounds(_provider(args))
     lines = [
         f"k1={cert.k1} k2={cert.k2} k={cert.k} t_len={cert.t_len}"
@@ -372,6 +365,8 @@ def _cmd_bounds(args, st: Settings) -> int:
 
 
 def _cmd_boolos(args, st: Settings) -> int:
+    from .berry import MockPhi, boolos_schematic, boolos_sentence
+
     p = _provider(args)
     if isinstance(p, MockPhi):
         obj = boolos_schematic(p, args.n)
@@ -393,6 +388,8 @@ def _cmd_boolos(args, st: Settings) -> int:
 
 
 def _cmd_demo(args, st: Settings) -> int:
+    from .demos import replay_demo, run_demo
+
     if args.replay:
         try:
             obj = json.loads(_read_text(args.replay))
@@ -430,6 +427,7 @@ def _cmd_demo(args, st: Settings) -> int:
 
 # ----------------------------------------------------------------- parser
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="berrykit",
@@ -503,6 +501,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if not hasattr(sys, "set_int_max_str_digits"):  # builds without the guard
+        return _main(argv)
+    # codes are prime-power products: lift the int/str conversion guard for
+    # this call, arguments included, and give the caller back its own limit
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _main(argv: list[str] | None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         st = _settings(args)

@@ -14,7 +14,7 @@ from typing import Iterator
 
 from .errors import InputError, NotACodeError, NotWellFormedError
 from .parser import parse
-from .syntax import Expr, Formula, tokens
+from .syntax import Eq, Expr, Forall, Formula, Iff, Var, numeral, tokens
 
 _DEFAULT_CODES = {
     "0": 1,
@@ -189,8 +189,6 @@ def naming_equivalence_code(
     m must decode to a formula; the result codes
     (A v0) ( decoded(m) <-> ( v0 = numeral(i) ) ).
     """
-    from .syntax import Eq, Forall, Iff, Var, numeral
-
     if i < 0:
         raise InputError("named number must be nonnegative")
     mu = decode(m, table)

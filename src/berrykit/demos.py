@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .berry import (
-    BACKENDS,
-    DEFAULT_CAP,
     ConcretePhi,
     MockPhi,
     berry_number,
@@ -24,9 +22,10 @@ from .berry import (
 from .coding import encode
 from .errors import InputError, RefusedError
 from .generators import LemmaBank, prove_sigma, refute_delta0
+from .parser import parse_formula
 from .proofs import Theory, is_valid, robinson_arithmetic
 from .relations import b_rel, lh, nm, prc
-from .semantics import SEARCH_BUDGET, eval_delta0
+from .semantics import BACKENDS, DEFAULT_CAP, SEARCH_BUDGET, eval_delta0
 from .syntax import (
     And,
     BForall,
@@ -329,8 +328,6 @@ def _demo4(backend: str, budget: int, scale: int, theory: Theory) -> DemoReport:
 
 
 def _parse_witness(witness: str | int | None):
-    from .parser import parse_formula
-
     if not isinstance(witness, str):
         raise InputError("expected a rendered witness formula")
     return encode(parse_formula(witness))

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .berry import DEFAULT_CAP, enumerate_formulas
+from .berry import enumerate_formulas
 from .coding import DEFAULT_TABLE, SymbolTable, decode, encode
 from .errors import BudgetExhaustedError, InputError, RefusedError
 from .generators import LemmaBank, NamingTable, names_provable, refute_delta0
 from .proofs import Derivation, Theory
-from .semantics import DEFAULT_BUDGET, Truth, decide
+from .semantics import DEFAULT_BUDGET, DEFAULT_CAP, Truth, decide
 from . import tactics as T
 from .syntax import (
     Formula,

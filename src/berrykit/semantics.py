@@ -55,6 +55,9 @@ Verdict = tuple["Truth", tuple["Verdict", ...]]
 # the demos, which decide every enumerated formula
 DEFAULT_BUDGET = 64
 SEARCH_BUDGET = 32
+# the enumeration feasibility cap, and the naming backends of the Berry search
+DEFAULT_CAP = 8
+BACKENDS = ("semantic", "prover")
 
 
 class Truth(enum.Enum):

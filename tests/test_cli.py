@@ -2,6 +2,10 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -226,6 +230,33 @@ class TestRel:
     def test_snt_takes_one_argument(self, capsys):
         code, _, err = run(capsys, "rel", "snt", str(NAMER), "4")
         assert code == 2 and "one argument" in err
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit"
+)
+class TestDigitLimit:
+    """Codes of a few thousand digits pass in and out at any caller limit,
+    and the caller gets its own limit back."""
+
+    LONG = "v0 = " + "s " * 800 + "0"  # its code has 5,273 digits
+
+    @pytest.fixture(autouse=True)
+    def default_limit(self):
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        yield
+        sys.set_int_max_str_digits(before)
+
+    def test_long_code_accepted_as_an_argument(self, capsys):
+        code, out, _ = run(capsys, "gn", "encode", self.LONG)
+        assert code == 0 and len(out.strip()) == 5273
+        sys.set_int_max_str_digits(4300)
+        assert run(capsys, "rel", "fm", out.strip()) == (0, "true\n", "")
+
+    def test_caller_limit_restored(self, capsys):
+        assert run(capsys, "gn", "encode", self.LONG)[0] == 0
+        assert sys.get_int_max_str_digits() == 4300
 
 
 class TestProofPipeline:
@@ -548,3 +579,32 @@ class TestJsonWriter:
             obj = {"a": [obj]}
         out = cli._dumps(obj)
         assert out == '{"a": [' * 20_000 + "0" + "]}" * 20_000
+
+
+class TestParserCache:
+    def test_alternating_commands_match_fresh_processes(self, capsys, tmp_path):
+        proof = tmp_path / "d.jsonl"
+        proof.write_text(
+            '{"i": 0, "f": "0 = 0", "rule": "schema", "name": "eq_refl"}\n', encoding="utf-8"
+        )
+        commands = [
+            ["parse", "s 0 + 0"],
+            ["--json", "eval", "( E v0 ) ( v0 + v0 = s s 0 )"],
+            ["--budget", "1", "eval", "( E v0 ) ( v0 = s s s 0 )"],
+            ["berry", "--max-len", "5"],
+            ["check-proof", str(proof)],
+            ["parse", "( 0 +"],
+        ]
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        fresh = []
+        for argv in commands:
+            proc = subprocess.run(
+                [sys.executable, "-m", "berrykit.cli", *argv],
+                env=env, capture_output=True, text=True,
+            )
+            fresh.append((proc.returncode, proc.stdout, proc.stderr))
+        assert [c for c, _, _ in fresh] == [0, 0, 3, 0, 0, 2]
+        for _ in range(2):
+            assert [run(capsys, *argv) for argv in commands] == fresh
+        assert cli._build_parser() is cli._build_parser()
