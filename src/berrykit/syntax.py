@@ -12,8 +12,11 @@ Nodes are hash-consed (Filliatre & Conchon, Type-Safe Modular Hash-Consing,
 notion of equality, and `==` and `hash` are O(1) at any depth.  The
 intern table is a plain dict holding each node weakly, through a slotted
 `weakref.ref` subclass that carries its key, so a node that dies removes
-its own entry.  Each node stores its expansion, so two expressions render
-alike exactly when `expand_bounded` gives the same object for both.
+its own entry.  Every fixed-shape type has its own constructor, made from
+its layout; Zero, Var and the bounded quantifiers take the generic one,
+which also raises every constructor's errors.  Each node stores its
+expansion, so two expressions render alike exactly when `expand_bounded`
+gives the same object for both.
 
 Every bottom-up question (free variables, variable indices, length,
 class) is an algebra for one iterative postorder `fold` over `CHILDREN`
@@ -43,6 +46,7 @@ from typing import Callable, Iterator, TypeVar, Union
 # key; children hash and compare by identity, so a lookup is O(1) at any
 # depth.  Not locked: nodes are built from one thread.
 _TABLE: dict[tuple, _Ref] = {}
+_MISSING = type(None)  # what a lookup that misses calls: it returns None
 
 
 class _Ref(weakref.ref):  # built by C slots alone: no Python __new__/__init__
@@ -59,10 +63,11 @@ class _Node:
     """Base of every AST node: immutable, slotted and interned.
 
     Constructing a node returns the live node with the same type, int
-    fields and children when there is one, else `_build` makes it from
-    its type's layout.  `_expanded` holds the node's bounded-quantifier
-    expansion, or None when the node is its own (a self-reference would be
-    a cycle only the cyclic collector frees).
+    fields and children when there is one, else makes it.  Zero, Var,
+    BForall and BExists build through this `__new__` and `_build`; the rest
+    have their own from `_shape_new`.  `_expanded` holds the node's
+    bounded-quantifier expansion, or None when the node is its own (a
+    self-reference would be a cycle only the cyclic collector frees).
     `_free` holds the node's free variables once `free_vars` has been asked
     for them, else None.
     """
@@ -73,10 +78,9 @@ class _Node:
     def __new__(cls, *args):
         key = (cls, *args)
         try:
-            ref = _TABLE.get(key)
+            node = _TABLE.get(key, _MISSING)()
         except TypeError:  # an unhashable child; _build names it
-            ref = None
-        node = None if ref is None else ref()
+            node = None
         if node is None:
             node = _build(cls, args)
             ref = _TABLE[key] = _Ref(node, _drop)
@@ -180,11 +184,13 @@ CHILDREN: dict[type, tuple[str, ...]] = {
 BINDERS = frozenset((Forall, Exists, BForall, BExists))
 _TERM_TYPES = frozenset((Zero, Var, Succ, Add, Mul))
 _FORMULA_TYPES = frozenset(CHILDREN) - _TERM_TYPES
-_BINARY_CONNECTIVES = {And: "&", Or: "|", Imp: "->", Iff: "<->"}
+# the token each node type writes between its operands or after its `(`
+_SYMBOLS = {Add: "+", Mul: "*", Eq: "=", Le: "<=", And: "&", Or: "|", Imp: "->", Iff: "<->",
+            Forall: "A", Exists: "E"}
 
 
-# each node type's layout, computed once: the setters `_build` writes its
-# field slots through, in field order, and its number of int fields
+# each node type's layout, computed once: the setters its field slots are
+# written through, in field order, and its number of int fields
 _LAYOUT: dict[type, tuple[tuple, int]] = {
     cls: (tuple(cls.__dict__[n].__set__ for n in cls.__match_args__),
           len(cls.__match_args__) - len(kids))
@@ -195,19 +201,18 @@ _SET_FREE = _Node.__dict__["_free"].__set__
 
 
 def _build(cls: type, args: tuple) -> Expr:
-    """A new validated node of type cls, written through its layout, with its expansion stored."""
+    """A new validated node of type cls, written through its layout, with a
+    bounded quantifier's expansion stored; every constructor's errors come from here."""
     writers, n_ints = _LAYOUT[cls]
     if len(args) != len(writers):
         raise TypeError(f"{cls.__name__} takes {len(writers)} fields, got {len(args)}")
-    sugared = False  # whether a child has an expansion of its own
     for kid in args[n_ints:]:
         if type(kid) not in CHILDREN:
             raise TypeError(f"not a term or formula node: {kid!r}")
-        if kid._expanded is not None:
-            sugared = True
     node = object.__new__(cls)
     for write, value in zip(writers, args):
         write(node, value)
+    expanded = None
     if cls is BForall or cls is BExists:
         v, bound, body = args
         if v in free_vars(bound):
@@ -215,13 +220,67 @@ def _build(cls: type, args: tuple) -> Expr:
         body = body._expanded or body
         guard = Le(Succ(Var(v)), bound)
         expanded = Forall(v, Imp(guard, body)) if cls is BForall else Exists(v, And(guard, body))
-    elif sugared:
-        expanded = cls(*args[:n_ints], *(k._expanded or k for k in args[n_ints:]))
-    else:
-        expanded = None
     _SET_EXPANDED(node, expanded)
     _SET_FREE(node, None)
     return node
+
+
+_NO = object()  # a field left out; `_build` counts only the fields given
+
+
+def _shape_new(cls: type) -> Callable:
+    """cls's own `__new__`: a hit is one key tuple, one lookup and one weakref
+    call; a miss writes the slots and the expansion (None, or the node over
+    its children's expansions) directly; anything invalid goes to `_build`."""
+    writers, n_ints = _LAYOUT[cls]
+    if len(writers) == 1:
+        (write,) = writers
+
+        def new(cls, kid=_NO, /, *more):
+            key = (cls, kid)
+            try:
+                node = _TABLE.get(key, _MISSING)()
+            except TypeError:  # an unhashable child; _build names it
+                node = None
+            if node is not None and not more:
+                return node
+            if more or type(kid) not in CHILDREN:
+                _build(cls, tuple(a for a in (kid, *more) if a is not _NO))  # raises
+            node = object.__new__(cls)
+            write(node, kid)
+            _SET_EXPANDED(node, kid._expanded and cls(kid._expanded))
+            _SET_FREE(node, None)
+            ref = _TABLE[key] = _Ref(node, _drop)
+            ref.key = key
+            return node
+        return new
+    write_a, write_b = writers
+
+    def new(cls, a=_NO, b=_NO, /, *more):  # two children, or a binder's int and body
+        key = (cls, a, b)
+        try:
+            node = _TABLE.get(key, _MISSING)()
+        except TypeError:
+            node = None
+        if node is not None and not more:
+            return node
+        if more or type(b) not in CHILDREN or not (n_ints or type(a) in CHILDREN):
+            _build(cls, tuple(x for x in (a, b, *more) if x is not _NO))  # raises
+        node = object.__new__(cls)
+        write_a(node, a)
+        write_b(node, b)
+        ax, bx = None if n_ints else a._expanded, b._expanded
+        _SET_EXPANDED(node, None if ax is bx is None else cls(ax or a, bx or b))
+        _SET_FREE(node, None)
+        ref = _TABLE[key] = _Ref(node, _drop)
+        ref.key = key
+        return node
+    return new
+
+
+for _cls in (Succ, Not, Add, Mul, Eq, Le, And, Or, Imp, Iff, Forall, Exists):
+    _cls.__new__ = staticmethod(_shape_new(_cls))
+del _cls
 
 
 def is_term(e: Expr) -> bool:
@@ -275,7 +334,7 @@ def _children_getter(names: tuple[str, ...]) -> Callable[[Expr], tuple]:
 _KIDS = {kind: _children_getter(names) for kind, names in CHILDREN.items()}
 
 
-def fold(e: Expr, alg: Callable[[Expr, tuple], R], memo=None) -> R:
+def fold(e: Expr, alg: Callable[[Expr, tuple], R], memo=None, _kids=_KIDS) -> R:
     """The value alg gives e, bottom-up: alg(node, values of its children).
 
     Iterative postorder over CHILDREN, so depth costs heap, not stack: a
@@ -285,7 +344,8 @@ def fold(e: Expr, alg: Callable[[Expr, tuple], R], memo=None) -> R:
     the value of the first non-successor below.  `memo` (a fresh dict when
     None; anything with `get` and item assignment) maps nodes to values:
     the fold reads a node's value there instead of descending, and writes
-    every value it computes.  alg never returns None.
+    every value it computes.  alg never returns None.  `_kids` gives each
+    type's children; an algebra may pass one that leaves some out.
     """
     if type(e) not in CHILDREN:
         raise TypeError(f"not a term or formula node: {e!r}")
@@ -303,7 +363,7 @@ def fold(e: Expr, alg: Callable[[Expr, tuple], R], memo=None) -> R:
         if type(node) is Succ:
             kids = (succ_spine(node)[1],)
         else:
-            kids = _KIDS[type(node)](node)
+            kids = _kids[type(node)](node)
         stack.append((node, kids))
         for kid in kids:
             if get(kid) is None:
@@ -409,40 +469,23 @@ def token_stream(e: Expr) -> Iterator[str]:
                 yield "0"
             case Var(i):
                 yield f"v{i}"
-            case Add(l, r):
+            case Add(l, r) | Mul(l, r):
                 stack.append((r, _is_composite(r)))
-                stack.append("+")
+                stack.append(_SYMBOLS[type(node)])
                 stack.append((l, _is_composite(l)))
-            case Mul(l, r):
-                stack.append((r, _is_composite(r)))
-                stack.append("*")
-                stack.append((l, _is_composite(l)))
-            case Eq(l, r):
+            case Eq(l, r) | Le(l, r):
                 stack.append((r, False))
-                stack.append("=")
-                stack.append((l, False))
-            case Le(l, r):
-                stack.append((r, False))
-                stack.append("<=")
+                stack.append(_SYMBOLS[type(node)])
                 stack.append((l, False))
             case Not(b):
                 yield "~"
                 stack.append((b, True))
             case And(l, r) | Or(l, r) | Imp(l, r) | Iff(l, r):
                 stack.append((r, True))
-                stack.append(_BINARY_CONNECTIVES[type(node)])
+                stack.append(_SYMBOLS[type(node)])
                 stack.append((l, True))
-            case Forall(v, b):
-                yield "("
-                yield "A"
-                yield f"v{v}"
-                yield ")"
-                stack.append((b, True))
-            case Exists(v, b):
-                yield "("
-                yield "E"
-                yield f"v{v}"
-                yield ")"
+            case Forall(v, b) | Exists(v, b):
+                yield from ("(", _SYMBOLS[type(node)], f"v{v}", ")")
                 stack.append((b, True))
             case _:
                 raise TypeError(f"not a term or formula node: {node!r}")
@@ -648,32 +691,29 @@ def _rank_of(node: Expr, kids: tuple) -> int:
     return _OTH  # terms and unguarded universals; expansions hold no sugar
 
 
+# a rank ignores terms, so the fold stops at atoms
+_RANK_KIDS = {**_KIDS, Eq: _KIDS[Zero], Le: _KIDS[Zero]}
+_CLASS_OF_RANK = (FormulaClass.DELTA0, FormulaClass.SIGMA, FormulaClass.OTHER, FormulaClass.OTHER)
+
+
 def classify(f: Formula) -> FormulaClass:
     """Most specific syntactic class of the expanded formula."""
     f = expand_bounded(f)  # type: ignore[assignment]
     ranks: dict[Expr, int] = {}
-    rank = fold(f, _rank_of, ranks)
+    rank = fold(f, _rank_of, ranks, _RANK_KIDS)
     if rank == _SIG and type(f) is Exists and ranks[f.body] == _D0:
         return FormulaClass.SIGMA1
-    return {_D0: FormulaClass.DELTA0, _SIG: FormulaClass.SIGMA}.get(rank, FormulaClass.OTHER)
+    return _CLASS_OF_RANK[rank]
 
 
 # ----------------------------------------------------------------- JSON AST
 
-_JSON_KINDS: dict[type, str] = {
-    Zero: "zero", Var: "var", Succ: "succ", Add: "add", Mul: "mul",
-    Eq: "eq", Le: "le", Not: "not", And: "and", Or: "or", Imp: "imp",
-    Iff: "iff", Forall: "forall", Exists: "exists",
-    BForall: "bforall", BExists: "bexists",
-}
+_JSON_KINDS: dict[type, str] = {t: t.__name__.lower() for t in CHILDREN}
 _JSON_TYPES = {k: t for t, k in _JSON_KINDS.items()}
 # the JSON key of each field of each node type, in field order
-_JSON_KEYS: dict[type, tuple[str, ...]] = {
-    Zero: (), Var: ("i",), Succ: ("t",), Not: ("f",),
-    Forall: ("i", "f"), Exists: ("i", "f"),
-    BForall: ("i", "b", "f"), BExists: ("i", "b", "f"),
-    **{t: ("l", "r") for t in (Add, Mul, Eq, Le, And, Or, Imp, Iff)},
-}
+_JSON_KEY = {"index": "i", "var": "i", "arg": "t", "body": "f", "bound": "b",
+             "left": "l", "right": "r"}
+_JSON_KEYS = {t: tuple(_JSON_KEY[n] for n in t.__match_args__) for t in CHILDREN}
 
 
 def _json_of(node: Expr, kids: tuple) -> dict:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import oracles
 import strategies as gen
 from berrykit import syntax as syntax_module
+from berrykit.berry import enumerate_formulas
 from berrykit.parser import parse_formula
 from berrykit.syntax import (
     Add,
@@ -368,6 +369,77 @@ class TestStructureKeys:
         assert str(built.value).startswith("not a term or formula node: ")
 
 
+# valid fields for each node type, with a child that has an expansion of
+# its own wherever a formula may go
+_SUGARED = BExists(1, Var(0), Eq(Var(1), Zero()))
+_SUM = Add(Var(0), Succ(Zero()))
+_SAMPLE_FIELDS = {
+    Zero: (), Var: (3,), Succ: (_SUM,), Add: (_SUM, Var(1)), Mul: (Var(1), _SUM),
+    Eq: (_SUM, Zero()), Le: (Zero(), _SUM), Not: (_SUGARED,),
+    And: (_SUGARED, Eq(Zero(), Zero())), Or: (Eq(Zero(), Zero()), _SUGARED),
+    Imp: (_SUGARED, _SUGARED), Iff: (Not(_SUGARED), _SUGARED),
+    Forall: (2, _SUGARED), Exists: (0, _SUGARED),
+    BForall: (2, Var(0), _SUGARED), BExists: (3, _SUM, _SUGARED),
+}
+_FOREIGN = ["x", None, 3.5, object, [1]]
+
+
+def _rebuilt(e):
+    """e rebuilt bottom-up from its fields through the public constructors."""
+    built = {}
+    for x in reversed(_nodes(e)):  # every node comes after its children
+        built[x] = type(x)(*(v if type(v) is int else built[v] for v in _fields(x)))
+    return built[e]
+
+
+@pytest.mark.parametrize("cls", list(_SAMPLE_FIELDS), ids=lambda cls: cls.__name__)
+class TestConstructors:
+    """Every node type's constructor keeps one contract, whichever path
+    builds it."""
+
+    def test_equal_fields_give_one_node(self, cls):
+        fields = _SAMPLE_FIELDS[cls]
+        node = cls(*fields)
+        assert type(node) is cls and _fields(node) == list(fields)
+        assert cls(*fields) is node
+        assert from_json_obj(to_json_obj(node)) is node  # every level rebuilt
+
+    def test_foreign_child_is_named_as_render_names_it(self, cls):
+        fields = _SAMPLE_FIELDS[cls]
+        children = range(len(fields) - len(syntax_module.CHILDREN[cls]), len(fields))
+        for at in children:
+            for bad in _FOREIGN:
+                with pytest.raises(TypeError) as rendered:
+                    render(bad)
+                with pytest.raises(TypeError) as built:
+                    cls(*fields[:at], bad, *fields[at + 1:])
+                assert str(built.value) == str(rendered.value)
+                assert str(built.value).startswith("not a term or formula node: ")
+
+    def test_wrong_field_count(self, cls):
+        fields = _SAMPLE_FIELDS[cls]
+        n = len(fields)
+        for args in (fields + (Zero(),), fields + (Zero(), 1), fields[:-1], ()):
+            if len(args) != n:
+                with pytest.raises(TypeError, match=f"^{cls.__name__} takes {n} fields, got {len(args)}$"):
+                    cls(*args)
+
+    def test_expansion_is_built_from_the_expanded_children(self, cls):
+        fields = _SAMPLE_FIELDS[cls]
+        plain = [v if type(v) is int else expand_bounded(v) for v in fields]
+        assert expand_bounded(cls(*fields)) is expand_bounded(cls(*plain))
+
+
+class TestRebuilding:
+    @settings(max_examples=150, deadline=None)
+    @given(gen.formulas())
+    def test_fields_rebuild_the_identical_node(self, f):
+        assert _rebuilt(f) is f
+        e = expand_bounded(f)
+        assert not any(type(x) in (BForall, BExists) for x in _nodes(e))
+        assert expand_bounded(e) is e and _rebuilt(e) is e
+
+
 class TestSubstitution:
     def test_replaces_free_occurrences(self):
         f = Eq(Var(0), Add(Var(0), Var(1)))
@@ -473,6 +545,12 @@ class TestClassify:
 
     def test_negated_existential_is_other(self):
         assert classify(Not(Exists(0, Eq(Var(0), Zero())))) is FormulaClass.OTHER
+
+    def test_every_short_formula_classifies_as_the_reference_does(self):
+        formulas = list(enumerate_formulas(8, 8))
+        assert len(formulas) == 912
+        for f in formulas:
+            assert classify(f) is oracles.classify(f)
 
 
 class TestAgainstReference:
