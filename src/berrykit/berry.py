@@ -1,18 +1,20 @@
 """Short-formula enumeration, least-unnamed numbers, and the size-bound
 certificate for the self-limiting sentence construction.
 
-The enumeration produces every one-free-variable formula below a length
-cutoff, once, in a canonical order.  On top of it sit desk-scale "least
-number no short formula names" searches with per-number evidence, the
-psi-template builder with its derived constants, the exact integer
-certification of the inequality chain those constants satisfy, and the
-substitution step that turns the template into a closed sentence.
+The enumeration builds every one-free-variable formula below a length
+cutoff once, already in renaming normal form, and lists them in a canonical
+order.  On top of it sit desk-scale "least number no short formula names"
+searches with per-number evidence, the psi-template builder with its
+derived constants, the exact integer certification of the inequality chain
+those constants satisfy, and the substitution step that turns the template
+into a closed sentence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from itertools import chain, count, product
+from typing import Iterable, Iterator
 
 from . import proofs
 from .errors import BudgetExhaustedError, CapExceededError, InputError, RefusedError
@@ -54,7 +56,6 @@ from .syntax import (
     length,
     numeral,
     render,
-    rename_to_first,
     substitute,
     tokens,
 )
@@ -94,66 +95,80 @@ def _terms_up_to(max_len: int, pool: tuple[int, ...]) -> list[list[Term]]:
     return buckets
 
 
-def _formulas_up_to(max_len: int, pool: tuple[int, ...]) -> list[list[Formula]]:
-    terms = _terms_up_to(max_len - 2, pool)
-    buckets: list[list[Formula]] = [[] for _ in range(max_len + 1)]
+_V0 = frozenset((0,))
+
+
+def _binder_indices(fv: frozenset[int], pool: tuple[int, ...]) -> range:
+    """The indices v of the pool 0..k that are the least index >= 1 outside
+    fv - {v}: from 1 up to the least index >= 1 outside fv."""
+    return range(1, min(next(v for v in count(1) if v not in fv), max(pool)) + 1)
+
+
+def _pairs(a: tuple, b: tuple, grow: bool) -> tuple[Iterable, Iterable]:
+    """The pairs of two split buckets with at most v0 free, then the others
+    (none unless grow)."""
+    (ac, ao), (bc, bo) = a, b
+    return product(ac, bc), chain(product(ac, bo), product(ao, bc + bo)) if grow else ()
+
+
+def _formulas_up_to(max_len: int, pool: tuple[int, ...]) -> list[tuple[list, list]]:
+    """Formulas over the pool in renaming normal form, by exact length, each
+    bucket split in two: the formulas with at most v0 free, then the others.
+
+    A binder ( Q v ) g is built only for v in `_binder_indices` of g's free
+    variables.  That holds at every binder exactly when rename_to_first
+    fixes the formula, and it reads nothing above the binder.  A formula
+    with a free variable other than v0 is built only where a binder still
+    fits around it, at most max_len - 6 long.
+    """
+    terms: list[tuple[list, list]] = [([], []) for _ in range(max_len - 1)]
+    for w, bucket in enumerate(_terms_up_to(max_len - 2, pool)):
+        for t in bucket:
+            terms[w][not free_vars(t) <= _V0].append(t)
+    buckets: list[tuple[list, list]] = [([], []) for _ in range(max_len + 1)]
     for w in range(3, max_len + 1):
+        grow, split = w <= max_len - 6, buckets[w]
         for wl in range(1, w - 1):
-            wr = w - 1 - wl
-            if wr < 1 or wr > max_len - 2:
-                continue
-            for l in terms[wl]:
-                for r in terms[wr]:
-                    buckets[w].append(Eq(l, r))
-                    buckets[w].append(Le(l, r))
-        if w - 3 >= 3:
-            for g in buckets[w - 3]:
-                buckets[w].append(Not(g))
-        for wl in range(3, w - 5 - 2):
-            wr = w - 5 - wl
-            if wr < 3:
-                continue
-            for l in buckets[wl]:
-                for r in buckets[wr]:
-                    buckets[w].append(And(l, r))
-                    buckets[w].append(Or(l, r))
-                    buckets[w].append(Imp(l, r))
-                    buckets[w].append(Iff(l, r))
-        if w - 6 >= 3:
-            for g in buckets[w - 6]:
-                for v in pool:
-                    if v == 0:
-                        continue
-                    buckets[w].append(Forall(v, g))
-                    buckets[w].append(Exists(v, g))
+            for out, pairs in zip(split, _pairs(terms[wl], terms[w - 1 - wl], grow)):
+                for l, r in pairs:
+                    out += (Eq(l, r), Le(l, r))
+        if w >= 6:  # negating an open formula only while a binder fits
+            for out, part in zip(split, buckets[w - 3][: 1 + grow]):
+                out += map(Not, part)
+        for wl in range(3, w - 7):
+            for out, pairs in zip(split, _pairs(buckets[wl], buckets[w - 5 - wl], grow)):
+                for l, r in pairs:
+                    out += (And(l, r), Or(l, r), Imp(l, r), Iff(l, r))
+        for g in chain(*buckets[w - 6]) if w >= 9 else ():
+            fv = free_vars(g)
+            for v in _binder_indices(fv, pool):
+                opened = not fv - {v} <= _V0
+                if grow or not opened:
+                    split[opened].extend((Forall(v, g), Exists(v, g)))
     return buckets
 
 
 def enumerate_formulas(max_len: int, cap: int = DEFAULT_CAP) -> Iterator[Formula]:
     """Every formula of length below max_len whose only free variable can
     be v0, in renaming normal form, each exactly once, shortest first and
-    token-lexicographic within a length."""
+    token-lexicographic within a length.
+
+    Normal form comes from construction (`_formulas_up_to`): no formula is
+    built and then renamed or filtered."""
     if max_len < 0:
         raise InputError("the length cutoff must be a natural number")
     if max_len > cap:
-        raise CapExceededError(
-            f"enumeration up to length {max_len} exceeds the cap {cap}"
-        )
+        raise CapExceededError(f"enumeration up to length {max_len} exceeds the cap {cap}")
     if max_len <= 3:
         return iter(())
     # nesting depth bounds the variable pool in normal form
     depth = max(0, (max_len - 4) // 6)
     pool = tuple(range(depth + 1))
-    out: list[tuple[int, tuple[str, ...], Formula]] = []
-    for bucket in _formulas_up_to(max_len - 1, pool):
-        for f in bucket:
-            # each formula is built once; keep those in renaming normal form
-            if free_vars(f) - {0} or rename_to_first(f, max_len) is not f:
-                continue
-            toks = tuple(tokens(f))
-            out.append((len(toks), toks, f))
-    out.sort(key=lambda item: (item[0], item[1]))
-    return iter(f for _, _, f in out)
+    out: list[Formula] = []
+    for closable, _ in _formulas_up_to(max_len - 1, pool):
+        # a bucket holds one length, so its token count is the length
+        out += sorted(closable, key=lambda f: tuple(tokens(f)))
+    return iter(out)
 
 
 # ------------------------------------------------------- least unnamed number

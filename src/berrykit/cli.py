@@ -3,7 +3,8 @@
 Configuration precedence, lowest to highest: built-in defaults, config
 file (key=value lines), BERRYKIT_* environment variables, explicit
 flags.  Exit codes: 0 success, 1 a check or verdict came out negative,
-2 malformed input or infeasible request, 3 budget exhausted.
+2 malformed input or infeasible request, 3 budget exhausted, 141 standard
+output closed by its reader (the shell's code for SIGPIPE).
 
 Each command imports its own layers when it runs: this module loads only
 the kernel (errors, syntax, parser, proofs) and semantics, so `parse` or
@@ -516,8 +517,13 @@ def main(argv: list[str] | None = None) -> int:
 def _main(argv: list[str] | None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        st = _settings(args)
-        return args.fn(args, st)
+        code = args.fn(args, _settings(args))
+        sys.stdout.flush()  # a reader that left shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # what is still buffered goes nowhere, so the last flush cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except BudgetExhaustedError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3

@@ -398,6 +398,8 @@ def run_demo(
     """Build one report, executing every desk-checkable step now."""
     if corollary not in _DEMOS:
         raise InputError("demos are numbered 1 through 5")
+    if scale < 0:
+        raise InputError(f"scale {scale} is negative; it must be a natural number")
     if scale > DEFAULT_CAP:
         raise InputError(
             f"scale {scale} is past the feasibility cap; the fragment explodes"

@@ -7,7 +7,9 @@ recursion,
 truth by textual substitution instead of environments (three-valued and
 budgeted for the soundness judge, which shows an accepted step false
 without the kernel or the evaluators), formula counting by
-a length recurrence instead of generation, the least-unnamed-number search
+a length recurrence instead of generation, the enumeration by building
+every formula and keeping the ``rename_to_first`` fixed points instead of
+building only those, the least-unnamed-number search
 by grammar-blind brute force over raw token strings (and, for whole
 reports, by re-probing every formula at every number), a naming table's
 verdicts by scanning every instance instead of stopping at the second true
@@ -27,7 +29,8 @@ from __future__ import annotations
 import re
 from itertools import product
 
-from berrykit.berry import BerryReport, NumberRecord, enumerate_formulas
+from berrykit import syntax
+from berrykit.berry import BerryReport, NumberRecord, _terms_up_to, enumerate_formulas
 from berrykit.errors import BudgetExhaustedError, InputError, NotDelta0Error, RefusedError
 from berrykit.generators import _C0, LemmaBank, _guard_parts, names_provable
 from berrykit.parser import ParseError, parse_formula
@@ -682,6 +685,49 @@ def _operand_count(atomic_headed: list[int], composite: list[int], width: int) -
     if width - 2 >= 1:
         out += composite[width - 2]
     return out
+
+
+# ------------------------------------------- generation, then a normal filter
+
+def all_formulas_up_to(max_len: int, pool: tuple[int, ...]) -> list[list[Formula]]:
+    """Every formula over the pool by exact length, each once: every binder
+    index in the pool but v0, every free variable."""
+    terms = _terms_up_to(max_len - 2, pool)
+    buckets: list[list[Formula]] = [[] for _ in range(max_len + 1)]
+    for w in range(3, max_len + 1):
+        for wl in range(1, w - 1):
+            wr = w - 1 - wl
+            if 1 <= wr <= max_len - 2:
+                buckets[w] += [k(l, r) for l in terms[wl] for r in terms[wr] for k in (Eq, Le)]
+        if w - 3 >= 3:
+            buckets[w] += [Not(g) for g in buckets[w - 3]]
+        for wl in range(3, w - 7):
+            wr = w - 5 - wl
+            if wr >= 3:
+                buckets[w] += [
+                    k(l, r) for l in buckets[wl] for r in buckets[wr] for k in (And, Or, Imp, Iff)
+                ]
+        if w - 6 >= 3:
+            buckets[w] += [
+                k(v, g) for g in buckets[w - 6] for v in pool if v != 0 for k in (Forall, Exists)
+            ]
+    return buckets
+
+
+def enumerate_formulas_reference(max_len: int) -> list[Formula]:
+    """What ``enumerate_formulas(max_len, max_len)`` lists, found by building
+    every formula over the variable pool and keeping those with only v0 free
+    that ``rename_to_first`` fixes, sorted by length, then tokens."""
+    if max_len <= 3:
+        return []
+    pool = tuple(range(max(0, (max_len - 4) // 6) + 1))
+    kept = [
+        f
+        for bucket in all_formulas_up_to(max_len - 1, pool)
+        for f in bucket
+        if free_vars(f) <= {0} and syntax.rename_to_first(f, max_len) is f
+    ]
+    return sorted(kept, key=lambda f: (len(tokens(f)), tuple(tokens(f))))
 
 
 # ------------------------------------------- brute force over token strings

@@ -84,6 +84,22 @@ def formulas(max_leaves: int = 5) -> st.SearchStrategy:
     )
 
 
+def binder_formulas(max_leaves: int = 12) -> st.SearchStrategy:
+    """Formulas whose only quantifiers are unbounded, over indices 0 to 3,
+    binders nested several deep: mostly longer than the enumeration reaches."""
+    return st.recursive(
+        atoms(2),
+        lambda inner: st.one_of(
+            st.builds(Forall, _VARS, inner),
+            st.builds(Exists, _VARS, inner),
+            st.builds(Not, inner),
+            st.builds(And, inner, inner),
+            st.builds(Imp, inner, inner),
+        ),
+        max_leaves=max_leaves,
+    )
+
+
 def _bound_ok(triple) -> bool:
     from berrykit.syntax import all_var_indices
 

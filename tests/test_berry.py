@@ -4,8 +4,11 @@ import json
 import sys
 
 import pytest
+from hypothesis import given, settings
 
 from berrykit.berry import (
+    _binder_indices,
+    _formulas_up_to,
     BerryReport,
     BoundCertificate,
     ConcretePhi,
@@ -32,12 +35,14 @@ from berrykit.syntax import (
     BForall,
     Eq,
     Exists,
+    Forall,
     Le,
     Mul,
     Not,
     Succ,
     Var,
     Zero,
+    fold,
     free_vars,
     is_closed,
     length,
@@ -49,6 +54,7 @@ from berrykit.syntax import (
 )
 
 import oracles
+import strategies as gen
 
 Q = robinson_arithmetic()
 
@@ -91,6 +97,32 @@ class TestEnumeration:
         for f in enumerate_formulas(L):
             assert render(rename_to_first(f, L + 1)) == render(f)
 
+    @pytest.mark.parametrize("L", range(12))
+    def test_equals_the_generate_then_filter_reference(self, L):
+        got = list(enumerate_formulas(L, L))
+        want = oracles.enumerate_formulas_reference(L)
+        assert len(got) == len(want) and all(a is b for a, b in zip(got, want))
+
+    @settings(max_examples=300, deadline=None)
+    @given(gen.binder_formulas())
+    def test_binder_test_holds_everywhere_exactly_at_renaming_fixed_points(self, f):
+        for v in sorted(free_vars(f) - {0}):
+            f = Forall(v, f)
+        j = length(f) + 1
+        renamed = rename_to_first(f, j)
+        for g in (f, renamed):
+            assert _binders_pass(g) == (rename_to_first(g, j) is g)
+        assert _binders_pass(renamed)
+
+    @pytest.mark.parametrize("max_len, pool", [(8, (0,)), (10, (0, 1)), (10, (0, 1, 2))])
+    def test_no_open_formula_where_no_binder_fits(self, max_len, pool):
+        buckets = _formulas_up_to(max_len, pool)
+        for w, (closable, opened) in enumerate(buckets):
+            assert all(free_vars(f) <= {0} for f in closable)
+            assert all(free_vars(f) - {0} for f in opened)
+            if w > max_len - 6:
+                assert opened == []
+
     def test_cap_guards_infeasible_limits(self):
         with pytest.raises(CapExceededError):
             list(enumerate_formulas(16))
@@ -100,6 +132,18 @@ class TestEnumeration:
     def test_negative_limit_rejected(self):
         with pytest.raises(InputError):
             list(enumerate_formulas(-1))
+
+
+def _binders_pass(f) -> bool:
+    """Every unbounded binder of f takes an index `_binder_indices` allows."""
+
+    def alg(node, kids: tuple) -> bool:
+        ok = all(kids)
+        if type(node) in (Forall, Exists):
+            ok = ok and node.var in _binder_indices(free_vars(node.body), range(length(f)))
+        return ok
+
+    return fold(f, alg)
 
 
 class TestBerryNumber:

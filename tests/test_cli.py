@@ -414,6 +414,23 @@ class TestDemo:
         code, _, _ = run(capsys, "demo")
         assert code == 2
 
+    @pytest.mark.parametrize("corollary", ["1", "2", "3", "4", "5"])
+    def test_negative_scale_is_bad_input_for_every_demo(self, capsys, corollary):
+        code, out, err = run(capsys, "demo", corollary, "--scale", "-1")
+        assert (code, out) == (2, "")
+        assert err == "error: scale -1 is negative; it must be a natural number\n"
+        code, _, _ = run(capsys, "demo", corollary, "--scale", "0")
+        assert code == 0
+
+    def test_replay_of_a_negative_scale_is_bad_input(self, capsys, tmp_path):
+        report = tmp_path / "demo.json"
+        run(capsys, "demo", "2", "--scale", "0", "-o", str(report))
+        obj = json.loads(report.read_text())
+        obj["params"]["scale"] = -1
+        report.write_text(json.dumps(obj))
+        code, _, err = run(capsys, "demo", "--replay", str(report))
+        assert (code, err) == (2, "error: scale -1 is negative; it must be a natural number\n")
+
 
 class TestConfig:
     def test_env_overrides_default(self, capsys, monkeypatch):
@@ -579,6 +596,29 @@ class TestJsonWriter:
             obj = {"a": [obj]}
         out = cli._dumps(obj)
         assert out == '{"a": [' * 20_000 + "0" + "]}" * 20_000
+
+
+class TestClosedStdout:
+    """A reader that is gone before anything is written: exit 141, the
+    shell's code for SIGPIPE, with nothing on stderr."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--json", "berry", "--max-len", "7"],
+        ["parse", "0 = 0"],
+    ], ids=["berry", "parse"])
+    def test_exits_141_without_a_traceback(self, argv):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "berrykit.cli", *argv],
+                env={**os.environ, "PYTHONPATH": src},
+                stdout=write, stderr=subprocess.PIPE, text=True,
+            )
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (141, "")
 
 
 class TestParserCache:
