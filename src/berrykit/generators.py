@@ -54,6 +54,7 @@ from .syntax import (
     numeral_value,
     render,
     substitute,
+    succ_spine,
 )
 
 # the one equation every refutation funnels through
@@ -140,11 +141,7 @@ class LemmaBank:
         if numeral_value(t) is not None:
             p: T.Proof = T.eq_refl(t)
         else:
-            succs = 0
-            core = t
-            while type(core) is Succ:
-                succs += 1
-                core = core.arg
+            succs, core = succ_spine(t)
             match core:
                 case Add(l, r):
                     pl, pr = self.eval_closed(l), self.eval_closed(r)
@@ -457,10 +454,7 @@ class LemmaBank:
             p_ab = he if fwd else sym
             if x not in free_vars(s):
                 return T.eq_refl(s)
-            succs = 0
-            while type(s) is Succ:
-                succs += 1
-                s = s.arg
+            succs, s = succ_spine(s)
             match s:
                 case Var(i) if i == x:
                     p: T.Proof = p_ab
@@ -1005,16 +999,6 @@ class NamingEvidence:
     witness: int | None
     derivation: Derivation | None
     reason: str | None = None
-
-    def to_json_obj(self) -> dict:
-        out: dict = {"kind": self.kind, "number": self.number}
-        if self.witness is not None:
-            out["witness"] = self.witness
-        if self.reason is not None:
-            out["reason"] = self.reason
-        if self.derivation is not None:
-            out["steps"] = len(self.derivation)
-        return out
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ one without the memo, error texts included.
 from __future__ import annotations
 
 import re
+from typing import Callable
 
 from .errors import InputError
 from .syntax import (
@@ -200,16 +201,23 @@ def _tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text)
 
 
-def _parse_tokens(text: str) -> Formula:
-    toks = _tokenize(text)
+def _whole(toks: list[str], rule: Callable[[_Parser], Expr]) -> tuple[Expr | None, _Parser]:
+    """rule's parse of all of toks, or None, with the parser that ran."""
     p = _Parser(toks)
     try:
-        f = p.formula()
+        e = rule(p)
         if p.pos != len(toks):
             p.fail("end of input")
     except _Fail:
-        raise p.error() from None
-    return f
+        return None, p
+    return e, p
+
+
+def _parse_tokens(text: str, rule: Callable[[_Parser], Expr] = _Parser.formula) -> Expr:
+    e, p = _whole(_tokenize(text), rule)
+    if e is None:
+        raise p.error()
+    return e
 
 
 # a binary connective between parenthesized operands, spaced as `render`
@@ -283,36 +291,23 @@ def parse_formula(text: str, memo: dict[str, Formula] | None = None) -> Formula:
 
 
 def parse_term(text: str) -> Term:
-    toks = _tokenize(text)
-    p = _Parser(toks)
-    try:
-        t = p.term()
-        if p.pos != len(toks):
-            p.fail("end of input")
-    except _Fail:
-        raise p.error() from None
-    return t
+    return _parse_tokens(text, _Parser.term)
 
 
 def parse(text: str) -> Expr:
-    """Parse a formula or, failing that, a term; report the deeper error."""
+    """Parse a formula or, failing that, a term.
+
+    A failure reports the formula parser's error, which never stops short
+    of the term parser's: a text starting with `~` or a quantifier prefix
+    fails as a term at its first or second token, and any other is tried
+    as an atom, which starts with the same term.
+    """
     toks = _tokenize(text)
     if not toks:
         raise ParseError(1, "empty input")
-    fp = _Parser(toks)
-    try:
-        f = fp.formula()
-        if fp.pos != len(toks):
-            fp.fail("end of input")
-        return f
-    except _Fail:
-        pass
-    tp = _Parser(toks)
-    try:
-        t = tp.term()
-        if tp.pos != len(toks):
-            tp.fail("end of input")
-        return t
-    except _Fail:
-        pass
-    raise (fp if fp.far_pos >= tp.far_pos else tp).error()
+    f, p = _whole(toks, _Parser.formula)
+    if f is None:
+        f = _whole(toks, _Parser.term)[0]
+    if f is None:
+        raise p.error()
+    return f

@@ -47,7 +47,6 @@ from .syntax import (
     is_term,
     render,
     substitute,
-    succ_spine,
 )
 
 
@@ -215,64 +214,26 @@ _PATTERN_SCHEMAS: dict[str, tuple] = {
 _MATCHERS = {name: _stage(pattern) for name, pattern in _PATTERN_SCHEMAS.items()}
 
 
-def _rewrap_succ(n: int, t: Term) -> Term:
-    for _ in range(n):
-        t = Succ(t)
-    return t
-
-
 def _find_witness(body: Formula, var: int, target: Formula) -> Term | None:
-    """A term t with target plausibly equal to body[var := t].
+    """A term t for which target may be body[var := t]: target's subterm at
+    the place of var's first free occurrence in body; Zero when var is not
+    free in body; None when the two differ in type on the way there.
 
-    Only a candidate: the caller must re-run the substitution and compare.
-    Returns Zero when var has no free occurrence to read the witness from.
+    The descent goes through body and target together, at each node into
+    the first child in which var is free.  An alpha-variant of
+    body[var := t] has body's shape and holds t where var was free, so no
+    witness is missed.  Only a candidate: the caller re-runs the
+    substitution and compares.
     """
-    stack: list[tuple[object, object, dict[int, int]]] = [(body, target, {})]
-    while stack:
-        x, y, bound = stack.pop()
-        if is_term(x):
-            if not is_term(y):
-                return None
-            nx, cx = succ_spine(x)
-            ny, cy = succ_spine(y)
-            if type(cx) is Var and cx.index == var and var not in bound:
-                if ny >= nx:
-                    return _rewrap_succ(ny - nx, cy)
-                return None
-            if nx != ny or type(cx) is not type(cy):
-                return None
-            match cx:
-                case Zero():
-                    continue
-                case Var(i):
-                    if i in bound:
-                        if type(cy) is Var and cy.index == bound[i]:
-                            continue
-                        return None
-                    if type(cy) is Var and cy.index == i:
-                        continue
-                    return None
-                case Add(l, r) | Mul(l, r):
-                    stack.append((l, cy.left, bound))
-                    stack.append((r, cy.right, bound))
-                    continue
+    if var not in free_vars(body):
+        return Zero()
+    occurrence = Var(var)
+    while body is not occurrence:
+        if type(body) is not type(target):
             return None
-        if type(x) is not type(y):
-            return None
-        match x:
-            case Eq(l, r) | Le(l, r):
-                stack.append((l, y.left, bound))
-                stack.append((r, y.right, bound))
-            case Not(b):
-                stack.append((b, y.body, bound))
-            case And(l, r) | Or(l, r) | Imp(l, r) | Iff(l, r):
-                stack.append((l, y.left, bound))
-                stack.append((r, y.right, bound))
-            case Forall(v, b) | Exists(v, b):
-                stack.append((b, y.body, {**bound, v: y.var}))
-            case _:
-                return None
-    return Zero()
+        name = next(n for n in CHILDREN[type(body)] if var in free_vars(getattr(body, n)))
+        body, target = getattr(body, name), getattr(target, name)
+    return target
 
 
 def _is_substitution_instance(body: Formula, var: int, target: Formula) -> bool:

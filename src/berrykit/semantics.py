@@ -231,12 +231,6 @@ class NamingVerdict:
     budget: int
     witness: int | None = None
 
-    def to_json_obj(self) -> dict:
-        obj: dict = {"kind": self.kind, "number": self.number, "budget": self.budget}
-        if self.witness is not None:
-            obj["witness"] = self.witness
-        return obj
-
 
 class SemanticNaming:
     """One formula's budget-relative naming verdicts for every number.

@@ -126,7 +126,7 @@ def ax(theory: Theory, label: str) -> Ax:
 
 
 def sch(name: str, formula: Formula) -> Sch:
-    reason = _check_schema(name, formula)
+    reason = _check_schema(name, expand_bounded(formula))  # as `check` reads the step
     if reason is not None:
         raise TacticError(f"bad {name} instance {render(formula)!r}: {reason}")
     return Sch(name, formula)

@@ -371,9 +371,3 @@ class TestNamesProvable:
     def test_rejects_extra_free_variables(self):
         with pytest.raises(InputError):
             names_provable(Eq(Var(0), Var(1)), 0)
-
-    def test_json_shape(self):
-        ev = names_provable(Le(Var(0), Zero()), 0)
-        obj = ev.to_json_obj()
-        assert obj["kind"] == "names" and obj["number"] == 0
-        assert obj["steps"] == len(ev.derivation)

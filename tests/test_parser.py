@@ -91,6 +91,83 @@ def test_error_position_points_at_offender():
     assert "token" in str(exc.value).lower() or "expected" in str(exc.value).lower()
 
 
+# --------------------------------------------------------- entry points
+
+OPERAND, RELATION, END = ("(", "0", "s", "v<i>"), ("<=", "="), ("end of input",)
+
+
+def _entry_outcome(fn, text):
+    try:
+        return repr(fn(text))
+    except ParseError as err:
+        return (err.position, str(err), err.expected)
+
+
+def _error(position, message, expected=()):
+    err = ParseError(position, message, expected)
+    return (err.position, str(err), err.expected)
+
+
+NO_END = _error(1, "unexpected 'end of input'", OPERAND)
+ZERO = "Zero()"
+EQ00 = "Eq(left=Zero(), right=Zero())"
+SUM00 = "Add(left=Zero(), right=Zero())"
+
+# text: what parse, parse_term and parse_formula give it
+ENTRY_POINTS = {
+    "": (_error(1, "empty input"), NO_END, NO_END),
+    "   ": (_error(1, "empty input"), NO_END, NO_END),
+    "0": (ZERO, ZERO, _error(2, "unexpected 'end of input'", RELATION)),
+    "( 0 + 0 )": (SUM00, SUM00, _error(6, "unexpected 'end of input'", RELATION)),
+    "0 = 0": (EQ00, _error(2, "unexpected '='", END), EQ00),
+    "0 = 0 )": (_error(4, "unexpected ')'", END), _error(2, "unexpected '='", END),
+                _error(4, "unexpected ')'", END)),
+    "( 0 = 0": (_error(5, "unexpected 'end of input'", (")",)), _error(3, "unexpected '='", (")",)),
+                _error(5, "unexpected 'end of input'", (")",))),
+    "0 + + 0": (_error(2, "unexpected '+'", RELATION), _error(2, "unexpected '+'", END),
+                _error(2, "unexpected '+'", RELATION)),
+    "~ 0": (_error(2, "unexpected '0'", ("(",)), _error(1, "unexpected '~'", OPERAND),
+            _error(2, "unexpected '0'", ("(",))),
+    "( A v0 ) v0 = 0": (_error(5, "unexpected 'v0'", ("(",)), _error(2, "unexpected 'A'", OPERAND),
+                        _error(5, "unexpected 'v0'", ("(",))),
+    "( 0 = 0 ) <-> ( 0 + 0 )": (_error(11, "unexpected ')'", RELATION),
+                                _error(3, "unexpected '='", (")",)),
+                                _error(11, "unexpected ')'", RELATION)),
+    "v0 = $": (_error(3, "unknown token '$'"),) * 3,
+}
+
+
+@pytest.mark.parametrize("text", list(ENTRY_POINTS))
+def test_entry_points_keep_their_results(text):
+    memo: dict = {}
+    parse_formula("( 0 = 0 ) & ( v1 <= 0 )", memo)
+    got = [_entry_outcome(fn, text) for fn in (parse, parse_term, parse_formula)]
+    assert got == list(ENTRY_POINTS[text])
+    assert _entry_outcome(lambda t: parse_formula(t, memo), text) == got[2]
+
+
+# every token, one that does not tokenize, and two variables
+ENTRY_TOKENS = ["0", "s", "v0", "v1", "+", "*", "=", "<=", "~", "&", "|", "->", "<->",
+                "(", ")", "A", "E", "x"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(ENTRY_TOKENS), max_size=14))
+def test_parse_is_a_formula_else_a_term_else_the_formula_error(toks):
+    # the term parser never fails deeper than the formula parser: a text
+    # that does not start with `~` or a quantifier prefix is tried as an
+    # atom, which starts with a term, and one that does fails as a term at
+    # its first or second token
+    text = " ".join(toks)
+    formula = _entry_outcome(parse_formula, text)
+    term = _entry_outcome(parse_term, text)
+    if not toks:
+        expected = _error(1, "empty input")
+    else:
+        expected = term if isinstance(formula, tuple) and isinstance(term, str) else formula
+    assert _entry_outcome(parse, text) == expected
+
+
 # ------------------------------------------------ tokenizer and shared memo
 
 def _scan_outcome(fn, text):

@@ -49,6 +49,7 @@ from berrykit import syntax as syntax_module
 from berrykit import tactics as T
 from berrykit.generators import LemmaBank, names_provable, prove_ne_numerals
 from berrykit.parser import parse_formula
+import oracles
 import strategies as gen
 from oracles import pattern_match
 
@@ -238,6 +239,43 @@ class TestStagedMatcher:
             verdicts = [proofs_module._check_schema(name, f) is None for f in candidates]
             assert verdicts == [pattern_match(pattern, f, {}) for f in candidates], name
             assert verdicts[:2] == [True, True], name
+
+
+def _subterms(e) -> set:
+    """Every term node of e, at any depth."""
+    out, stack = set(), [e]
+    while stack:
+        node = stack.pop()
+        if syntax_module.is_term(node):
+            out.add(node)
+        stack += [getattr(node, n) for n in syntax_module.CHILDREN[type(node)]]
+    return out
+
+
+class TestWitness:
+    """`all_inst` and `ex_intro` accept a target exactly when some term among
+    Zero and the target's subterms makes it an alpha-variant of the body
+    with that term substituted, by the reference substitution and alpha
+    equality of tests/oracles.py."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(gen.formulas(), gen.binder_formulas(8)), st.integers(0, 3), gen.terms(3),
+           st.integers(0, 3), st.integers(0, 3))
+    def test_accepts_exactly_the_instances(self, f, v, t, k, w):
+        body = expand_bounded(f)
+        inst = oracles.substitute(body, v, t)
+        targets = [
+            inst,
+            syntax_module._rebuild(inst, {}, first=k),
+            oracles.substitute(inst, w, Var((w + 1) % 4)),  # a near miss
+        ]
+        for target in targets:
+            expected = any(oracles.alpha_equal(oracles.substitute(body, v, u), target)
+                           for u in {Zero()} | _subterms(target))
+            for name, g in (("all_inst", Imp(Forall(v, body), target)),
+                            ("ex_intro", Imp(target, Exists(v, body)))):
+                assert (proofs_module._check_schema(name, g) is None) == expected, name
+        assert proofs_module._check_schema("all_inst", Imp(Forall(v, body), inst)) is None
 
 
 class TestStepRecord:

@@ -184,10 +184,6 @@ class TestNamesSemantic:
         v = names_semantic(Eq(Var(0), Zero()), 0, 9)
         assert v.budget == 9
 
-    def test_json_shape(self):
-        obj = names_semantic(Eq(Var(0), Zero()), 0, 9).to_json_obj()
-        assert obj["kind"] == "names" and obj["budget"] == 9
-
 
 class TestAgainstTwoInterpreters:
     """The one evaluator against the two it replaced (tests/oracles.py)."""

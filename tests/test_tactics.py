@@ -10,7 +10,7 @@ from berrykit import proofs as proofs_module
 from berrykit import syntax as syntax_module
 from berrykit.berry import enumerate_formulas
 from berrykit.generators import _C0, LemmaBank, names_provable
-from berrykit.proofs import Derivation, is_valid, robinson_arithmetic, to_json_lines
+from berrykit.proofs import Derivation, Step, is_valid, robinson_arithmetic, to_json_lines
 from berrykit.syntax import (
     Add,
     And,
@@ -31,6 +31,7 @@ from berrykit.syntax import (
     expand_bounded,
     numeral,
     render,
+    substitute,
 )
 from berrykit import tactics as T
 from oracles import (
@@ -163,6 +164,43 @@ class TestQuantifiers:
         witness = T.eq_refl(numeral(2))
         p = T.exists_intro(0, Eq(Var(0), Var(0)), numeral(2), witness)
         concludes(p, Exists(0, Eq(Var(0), Var(0))))
+
+
+def _sch_accepts(name, f) -> bool:
+    try:
+        T.sch(name, f)
+    except T.TacticError:
+        return False
+    return True
+
+
+class TestSchOnSugar:
+    """`sch` accepts a schema instance written with bounded quantifiers
+    exactly when `check` accepts it as a step, which reads the expansion."""
+
+    def test_all_inst_through_a_bounded_quantifier(self):
+        b = BForall(1, Var(0), Le(Var(1), Var(0)))
+        f = Imp(Forall(0, b), substitute(b, 0, numeral(2)))
+        assert is_valid(Derivation((Step(f, "schema", name="all_inst"),)), Q)
+        assert T.sch("all_inst", f).formula is f
+
+    def test_ex_shift_over_a_bounded_universal(self):
+        a = Eq(Zero(), Zero())
+        f = Imp(BForall(0, numeral(2), a), Imp(Exists(0, Le(Succ(Var(0)), numeral(2))), a))
+        assert is_valid(Derivation((Step(f, "schema", name="ex_shift"),)), Q)
+        assert T.sch("ex_shift", f).formula is f
+
+    @settings(max_examples=100, deadline=None)
+    @given(formulas(), st.integers(0, 3), st.sampled_from([Zero(), Var(1), numeral(2)]),
+           st.sampled_from(["all_inst", "ex_intro", "all_shift", "ex_shift"]))
+    def test_same_verdict_as_check(self, f, v, t, name):
+        target = substitute(f, v, t)
+        for body, inst in ((f, target), (expand_bounded(f), target), (f, expand_bounded(target)),
+                           (f, f)):
+            g = (Imp(Forall(v, body), inst) if name != "ex_intro"
+                 else Imp(inst, Exists(v, body)))
+            step = Derivation((Step(g, "schema", name=name),))
+            assert _sch_accepts(name, g) == is_valid(step, Q)
 
 
 class TestEquality:
