@@ -19,7 +19,7 @@ from typing import Iterable, Iterator
 from . import proofs
 from .errors import BudgetExhaustedError, CapExceededError, InputError, RefusedError
 from .generators import LemmaBank, NamingEvidence, NamingTable, refute_delta0
-from .proofs import Derivation, Theory
+from .proofs import Derivation
 from .semantics import (
     BACKENDS,
     DEFAULT_BUDGET,
@@ -221,7 +221,6 @@ def berry_number(
     backend: str = "semantic",
     budget: int = SEARCH_BUDGET,
     cap: int = DEFAULT_CAP,
-    theory: Theory | None = None,
 ) -> BerryReport:
     """The least number no enumerated formula names, with evidence.
 
@@ -251,7 +250,7 @@ def berry_number(
     mus = list(enumerate_formulas(max_len, cap))
     bank: LemmaBank | None = None
     if backend == "prover":
-        bank = LemmaBank(theory)
+        bank = LemmaBank()
         tables: list[SemanticNaming | NamingTable] = [
             NamingTable(mu, budget, bank) for mu in mus
         ]
@@ -465,6 +464,8 @@ def boolos_sentence(provider: PhiProvider, n: int | None = None) -> Formula:
 
 def boolos_schematic(provider: MockPhi, n: int | None = None) -> dict:
     """Size-level description of the sentence for declared-size providers."""
+    if n is not None and n < 0:
+        raise InputError("the number must be natural")
     _, c = build_psi(provider)
     return {
         "v": 1,

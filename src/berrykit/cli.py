@@ -235,7 +235,6 @@ def _cmd_rel(args, st: Settings) -> int:
         raise InputError(f"rel {args.relation} takes two numbers")
     if args.relation in ("fm", "snt", "prc") and args.j is not None:
         raise InputError(f"rel {args.relation} takes one argument")
-    theory = robinson_arithmetic()
     match args.relation:
         case "fm":
             value = fm(args.i)
@@ -246,13 +245,13 @@ def _cmd_rel(args, st: Settings) -> int:
         case "neg":
             value = neg(args.i, args.j)
         case "nm":
-            v = nm(args.i, args.j, theory, st.budget)
+            v = nm(args.i, args.j, st.budget)
             return _emit_verdict(v, st)
         case "b":
-            v = b_rel(args.i, args.j, theory, st.budget, st.cap)
+            v = b_rel(args.i, args.j, st.budget, st.cap)
             return _emit_verdict(v, st)
         case "prc":
-            v = prc(args.i, theory, st.budget)
+            v = prc(args.i, st.budget)
             return _emit_verdict(v, st)
     _emit({"v": 1, "holds": value}, "true" if value else "false", st)
     return 0 if value else 1
@@ -492,7 +491,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("demo", help="argument-skeleton reports, checked where possible")
     p.add_argument("corollary", type=int, nargs="?", help="1..5")
-    p.add_argument("--backend", default="semantic", choices=BACKENDS)
+    p.add_argument(
+        "--backend", default="semantic", choices=BACKENDS,
+        help="the Berry search backend of demo 1; demos 2-5 only record it",
+    )
     p.add_argument("--scale", type=int, default=6, help="length cutoff for fragments")
     p.add_argument("-o", "--out", help="write the JSON report here")
     p.add_argument("--replay", help="re-run a saved report and diff it")

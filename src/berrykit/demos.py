@@ -5,6 +5,9 @@ machine-replayable evidence produced on the spot, or Asserted, a
 meta-level step at a scale no desk can reach, labeled with a classical
 citation.  The two kinds are never mixed: nothing here pretends to
 verify the unverifiable.
+
+Only demo 1 reads the backend: its Berry search runs on it.  Demos 2 to 5
+record it in their report's params and run the same way on either.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .coding import encode
 from .errors import InputError, RefusedError
 from .generators import LemmaBank, prove_sigma, refute_delta0
 from .parser import parse_formula
-from .proofs import Theory, is_valid, robinson_arithmetic
+from .proofs import is_valid
 from .relations import b_rel, lh, nm, prc
 from .semantics import BACKENDS, DEFAULT_CAP, SEARCH_BUDGET, eval_delta0
 from .syntax import (
@@ -87,6 +90,10 @@ class DemoReport:
         }
 
 
+# what a demo builds: its title, its claims and its summary
+_Parts = tuple[str, tuple[Claim, ...], str]
+
+
 def checked(statement: str, evidence: dict) -> Claim:
     return Claim(statement, "checked", evidence=evidence)
 
@@ -99,10 +106,10 @@ def _closed_fragment(scale: int) -> list:
     return [f for f in enumerate_formulas(scale + 1, cap=scale + 1) if is_closed(f)]
 
 
-def _demo1(backend: str, budget: int, scale: int, theory: Theory) -> DemoReport:
+def _demo1(backend: str, budget: int, scale: int) -> _Parts:
     report = berry_number(scale, backend=backend, budget=budget)
     n = report.n_value
-    rel = b_rel(n, scale, theory, budget=budget)
+    rel = b_rel(n, scale, budget=budget)
     cert_c = certify_bounds(ConcretePhi(Eq(Var(0), Var(1))))
     cert_m = certify_bounds(MockPhi(length=200, v1_occurrences=20))
     claims = (
@@ -136,20 +143,16 @@ def _demo1(backend: str, budget: int, scale: int, theory: Theory) -> DemoReport:
         ),
     )
     ok = rel.holds is False and cert_c.holds and cert_m.holds
-    return DemoReport(
-        1,
+    return (
         "soundness forces incompleteness",
-        backend,
-        budget,
-        scale,
         claims,
         f"desk-scale skeleton complete: n_{scale} = {n}, exhaustion and size"
         f" certificates {'hold' if ok else 'FAILED'}",
     )
 
 
-def _demo2(backend: str, budget: int, scale: int, theory: Theory) -> DemoReport:
-    bank = LemmaBank(theory)
+def _demo2(backend: str, budget: int, scale: int) -> _Parts:
+    bank = LemmaBank()
     fragment = _closed_fragment(scale)
     rows = []
     agree = True
@@ -160,13 +163,13 @@ def _demo2(backend: str, budget: int, scale: int, theory: Theory) -> DemoReport:
         steps_p = steps_r = 0
         try:
             d = prove_sigma(s, budget, bank)
-            provable = is_valid(d, theory)
+            provable = is_valid(d, bank.theory)
             steps_p = len(d)
         except RefusedError:
             pass
         try:
             d = refute_delta0(s, budget, bank)
-            refutable = is_valid(d, theory)
+            refutable = is_valid(d, bank.theory)
             steps_r = len(d)
         except RefusedError:
             pass
@@ -199,27 +202,23 @@ def _demo2(backend: str, budget: int, scale: int, theory: Theory) -> DemoReport:
             _TARSKI,
         ),
     )
-    return DemoReport(
-        2,
+    return (
         "truth is not definable",
-        backend,
-        budget,
-        scale,
         claims,
         f"fragment coincidence {'holds' if agree else 'FAILED'} on"
         f" {len(fragment)} sentences",
     )
 
 
-def _demo3(backend: str, budget: int, scale: int, theory: Theory) -> DemoReport:
-    bank = LemmaBank(theory)
+def _demo3(backend: str, budget: int, scale: int) -> _Parts:
+    bank = LemmaBank()
     toy = BForall(2, numeral(5), Le(Var(2), numeral(7)))
     d_toy = prove_sigma(toy, budget, bank)
-    toy_ok = is_valid(d_toy, theory)
+    toy_ok = is_valid(d_toy, bank.theory)
     mu = And(Eq(Succ(Var(2)), Var(0)), Le(Var(1), Var(1)))
     upto = 10
     ders = refute_witnesses(mu, 0, numeral(7), upto, budget, bank)
-    wit_ok = all(is_valid(d, theory) for d in ders)
+    wit_ok = all(is_valid(d, bank.theory) for d in ders)
     claims = (
         checked(
             "the bounded-universal toy instance lies in the provable-Σ class"
@@ -248,20 +247,16 @@ def _demo3(backend: str, budget: int, scale: int, theory: Theory) -> DemoReport:
             _GODEL,
         ),
     )
-    return DemoReport(
-        3,
+    return (
         "omega-consistency blocks the witness route",
-        backend,
-        budget,
-        scale,
         claims,
         f"toy Σ derivation ({len(d_toy)} steps) and {len(ders)} witness"
         f" refutations {'check out' if toy_ok and wit_ok else 'FAILED'}",
     )
 
 
-def _demo4(backend: str, budget: int, scale: int, theory: Theory) -> DemoReport:
-    bank = LemmaBank(theory)
+def _demo4(backend: str, budget: int, scale: int) -> _Parts:
+    bank = LemmaBank()
     candidates = [
         Eq(Var(0), Zero()),
         Eq(Var(0), numeral(2)),
@@ -272,9 +267,9 @@ def _demo4(backend: str, budget: int, scale: int, theory: Theory) -> DemoReport:
     all_ok = True
     for i in range(3):
         for mu in candidates:
-            v = nm(i, encode(mu), theory, budget, bank=bank)
+            v = nm(i, encode(mu), budget, bank)
             ok = v.holds is not None and (
-                v.derivation is None or is_valid(v.derivation, theory)
+                v.derivation is None or is_valid(v.derivation, bank.theory)
             )
             all_ok = all_ok and ok
             rows.append(
@@ -285,11 +280,11 @@ def _demo4(backend: str, budget: int, scale: int, theory: Theory) -> DemoReport:
                     "evidence_ok": ok,
                 }
             )
-    rel = b_rel(0, scale, theory, budget=budget, bank=bank)
+    rel = b_rel(0, scale, budget=budget, bank=bank)
     conj = (
         rel.holds is True
-        and nm(0, encode_witness := _parse_witness(rel.witness), theory, budget,
-               bank=bank).holds is True
+        and nm(0, encode_witness := _parse_witness(rel.witness), budget,
+               bank).holds is True
         and lh(encode_witness, scale)
     )
     claims = (
@@ -315,12 +310,8 @@ def _demo4(backend: str, budget: int, scale: int, theory: Theory) -> DemoReport:
             _CHURCH,
         ),
     )
-    return DemoReport(
-        4,
+    return (
         "provability is undecidable",
-        backend,
-        budget,
-        scale,
         claims,
         f"{len(rows)} table entries decided with valid evidence:"
         f" {'yes' if all_ok and conj else 'FAILED'}",
@@ -333,22 +324,22 @@ def _parse_witness(witness: str | int | None):
     return encode(parse_formula(witness))
 
 
-def _demo5(backend: str, budget: int, scale: int, theory: Theory) -> DemoReport:
-    bank = LemmaBank(theory)
+def _demo5(backend: str, budget: int, scale: int) -> _Parts:
+    bank = LemmaBank()
     fragment = _closed_fragment(scale)
     rows = []
     complementary = True
     for s in fragment:
         code = encode(s)
-        v = prc(code, theory, budget, bank=bank)
+        v = prc(code, budget, bank)
         provable = False
         try:
             d = prove_sigma(s, budget, bank)
-            provable = is_valid(d, theory)
+            provable = is_valid(d, bank.theory)
         except RefusedError:
             pass
         refut_ok = v.holds is True and v.derivation is not None and is_valid(
-            v.derivation, theory
+            v.derivation, bank.theory
         )
         if not (refut_ok ^ provable):
             complementary = False
@@ -373,12 +364,8 @@ def _demo5(backend: str, budget: int, scale: int, theory: Theory) -> DemoReport:
             _ROSSER,
         ),
     )
-    return DemoReport(
-        5,
+    return (
         "refutability complements provability on decidable ground",
-        backend,
-        budget,
-        scale,
         claims,
         f"complementation {'holds' if complementary else 'FAILED'} on"
         f" {len(fragment)} sentences",
@@ -393,7 +380,6 @@ def run_demo(
     backend: str = "semantic",
     budget: int = SEARCH_BUDGET,
     scale: int = 6,
-    theory: Theory | None = None,
 ) -> DemoReport:
     """Build one report, executing every desk-checkable step now."""
     if corollary not in _DEMOS:
@@ -407,11 +393,11 @@ def run_demo(
         )
     if backend not in BACKENDS:
         raise InputError(f"unknown backend {backend!r}")
-    theory = theory or robinson_arithmetic()
-    return _DEMOS[corollary](backend, budget, scale, theory)
+    title, claims, summary = _DEMOS[corollary](backend, budget, scale)
+    return DemoReport(corollary, title, backend, budget, scale, claims, summary)
 
 
-def replay_demo(obj: dict, theory: Theory | None = None) -> tuple[bool, list[str]]:
+def replay_demo(obj: dict) -> tuple[bool, list[str]]:
     """Re-run a serialized report's demo and diff the claims.
 
     Every checked claim must reproduce exactly; asserted claims must match
@@ -420,20 +406,29 @@ def replay_demo(obj: dict, theory: Theory | None = None) -> tuple[bool, list[str
     if not isinstance(obj, dict) or obj.get("v") != 1:
         raise InputError("not a version-1 report object")
     try:
-        cor = obj["corollary"]
-        params = obj["params"]
-        fresh = run_demo(
-            cor,
-            backend=params["backend"],
-            budget=params["budget"],
-            scale=params["scale"],
-            theory=theory,
-        )
+        cor, params = obj["corollary"], obj["params"]
+        if not isinstance(params, dict):
+            raise InputError("report field 'params' must be an object")
+        backend, budget, scale = params["backend"], params["budget"], params["scale"]
     except KeyError as err:
         raise InputError(f"report object missing field {err}") from err
-    mismatches: list[str] = []
-    new = fresh.to_json_obj()
+    # type(), not isinstance: a JSON true is not the integer 1
+    for name, value, want in (
+        ("corollary", cor, int),
+        ("backend", backend, str),
+        ("budget", budget, int),
+        ("scale", scale, int),
+    ):
+        if type(value) is not want:
+            kind = "an integer" if want is int else "a string"
+            raise InputError(f"report field {name!r} must be {kind}")
     old_claims = obj.get("claims", [])
+    if not isinstance(old_claims, list) or not all(
+        isinstance(a, dict) for a in old_claims
+    ):
+        raise InputError("report field 'claims' must be a list of objects")
+    new = run_demo(cor, backend, budget, scale).to_json_obj()
+    mismatches: list[str] = []
     if len(old_claims) != len(new["claims"]):
         mismatches.append(
             f"claim count {len(old_claims)} differs from fresh {len(new['claims'])}"

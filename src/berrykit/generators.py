@@ -1,4 +1,4 @@
-"""Derivation builders over the base arithmetic theory.
+"""Derivation builders over Robinson's Q, the base arithmetic theory.
 
 The LemmaBank caches proof trees for the arithmetic facts everything else
 leans on: numeral evaluation, distinctness and ordering of numerals, case
@@ -13,6 +13,7 @@ accepts; trees are internal.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -22,7 +23,7 @@ from .errors import (
     InputError,
     RefusedError,
 )
-from .proofs import Derivation, Theory, robinson_arithmetic
+from .proofs import Derivation, robinson_arithmetic
 from .semantics import DEFAULT_BUDGET, SemanticNaming, Truth, Verdict, decide, eval_term
 from .syntax import (
     Add,
@@ -72,11 +73,26 @@ def _binders_of(node, kids: tuple) -> frozenset[int]:
     return out | {node.var} if type(node) in BINDERS else out
 
 
-class LemmaBank:
-    """Cached proof trees over a fixed theory (the eight base axioms)."""
+def _lemma(build: Callable[..., T.Proof]) -> Callable[..., T.Proof]:
+    """A LemmaBank method whose tree is built once per bank and arguments."""
+    name = build.__name__
 
-    def __init__(self, theory: Theory | None = None):
-        self.theory = theory if theory is not None else robinson_arithmetic()
+    @functools.wraps(build)
+    def cached(self: LemmaBank, *args) -> T.Proof:
+        key = (name, *args)
+        got = self._cache.get(key)
+        if got is None:
+            got = self._cache[key] = build(self, *args)
+        return got
+
+    return cached
+
+
+class LemmaBank:
+    """Cached proof trees over Robinson's Q (the eight base axioms)."""
+
+    def __init__(self) -> None:
+        self.theory = robinson_arithmetic()
         self._cache: dict[tuple, T.Proof] = {}
 
     def _ax(self, label: str) -> T.Proof:
@@ -84,60 +100,51 @@ class LemmaBank:
 
     def _ladder(
         self,
-        tag: str,
+        tag: tuple,
         n: int,
         zero: Callable[[], T.Proof],
-        step: Callable[[int], T.Proof],
+        step: Callable[[int, T.Proof], T.Proof],
     ) -> T.Proof:
         """Rung n of a lemma proved for 0, then for each m from rung m-1;
-        every rung up to n is cached."""
-        if (tag, n) not in self._cache:
+        every rung up to n is cached, and no rung is built twice."""
+        top = (*tag, n)
+        if top not in self._cache:
+            prev = None
             for m in range(n + 1):
-                if (tag, m) not in self._cache:
-                    self._cache[tag, m] = zero() if m == 0 else step(m)
-        return self._cache[tag, n]
+                key = (*tag, m)
+                if key not in self._cache:
+                    self._cache[key] = zero() if m == 0 else step(m, prev)
+                prev = self._cache[key]
+        return self._cache[top]
 
     # -------------------------------------------------- numeral arithmetic
 
     def add_eq(self, i: int, j: int) -> T.Proof:
         """i + j = (i+j), on numerals."""
-        key = ("add", i, j)
-        if key not in self._cache:
-            i_ = numeral(i)
-            q5i_ = T.forall_elim(self._ax("q5"), i_)
-            self._cache[("add", i, 0)] = T.forall_elim(self._ax("q4"), i_)
-            for m in range(1, j + 1):
-                if ("add", i, m) in self._cache:
-                    continue
-                prev = self._cache[("add", i, m - 1)]
-                q5i = T.forall_elim(q5i_, numeral(m - 1))
-                step = T.eq_trans(q5i, T.eq_succ(prev))
-                self._cache[("add", i, m)] = step
-        return self._cache[key]
+
+        def step(m: int, prev: T.Proof) -> T.Proof:
+            q5i = T.forall_elim(T.forall_elim(self._ax("q5"), numeral(i)), numeral(m - 1))
+            return T.eq_trans(q5i, T.eq_succ(prev))
+
+        return self._ladder(
+            ("add_eq", i), j, lambda: T.forall_elim(self._ax("q4"), numeral(i)), step
+        )
 
     def mul_eq(self, i: int, j: int) -> T.Proof:
         """i * j = (i*j), on numerals."""
-        key = ("mul", i, j)
-        if key not in self._cache:
-            i_ = numeral(i)
-            q7i_ = T.forall_elim(self._ax("q7"), i_)
-            refl_i = T.eq_refl(i_)
-            self._cache[("mul", i, 0)] = T.forall_elim(self._ax("q6"), i_)
-            for m in range(1, j + 1):
-                if ("mul", i, m) in self._cache:
-                    continue
-                prev = self._cache[("mul", i, m - 1)]
-                q7i = T.forall_elim(q7i_, numeral(m - 1))
-                cong = T.eq_add_cong(prev, refl_i)
-                step = T.eq_chain(q7i, cong, self.add_eq(i * (m - 1), i))
-                self._cache[("mul", i, m)] = step
-        return self._cache[key]
 
+        def step(m: int, prev: T.Proof) -> T.Proof:
+            q7i = T.forall_elim(T.forall_elim(self._ax("q7"), numeral(i)), numeral(m - 1))
+            cong = T.eq_add_cong(prev, T.eq_refl(numeral(i)))
+            return T.eq_chain(q7i, cong, self.add_eq(i * (m - 1), i))
+
+        return self._ladder(
+            ("mul_eq", i), j, lambda: T.forall_elim(self._ax("q6"), numeral(i)), step
+        )
+
+    @_lemma
     def eval_closed(self, t: Term) -> T.Proof:
         """t = n for the closed term t with value n."""
-        key = ("ev", t)
-        if key in self._cache:
-            return self._cache[key]
         if numeral_value(t) is not None:
             p: T.Proof = T.eq_refl(t)
         else:
@@ -155,18 +162,15 @@ class LemmaBank:
                     raise InputError(f"term is not closed: {render(t)!r}")
             for _ in range(succs):
                 p = T.eq_succ(p)
-        self._cache[key] = p
         return p
 
     # ---------------------------------------------- numeral order facts
 
+    @_lemma
     def ne(self, i: int, j: int) -> T.Proof:
         """~(i = j) for distinct numerals."""
         if i == j:
             raise InputError("the numerals must differ")
-        key = ("ne", i, j)
-        if key in self._cache:
-            return self._cache[key]
         h = Eq(numeral(i), numeral(j))
         if i < j:
             cur: T.Proof = T.hyp(h)
@@ -179,49 +183,40 @@ class LemmaBank:
             flipped = T.eq_sym(cur)  # s^(j-i) 0 = 0
             d1 = T.discharge(flipped, h)
             q2i = T.forall_elim(self._ax("q2"), numeral(j - i - 1))
-            p = T.mp(T.mp(T.s_neg_intro(h, flipped.formula), d1), T.k_lift(q2i, h))
-        else:
-            base = self.ne(j, i)
-            d1 = T.discharge(T.eq_sym(T.hyp(h)), h)
-            p = T.mp(
-                T.mp(T.s_neg_intro(h, Eq(numeral(j), numeral(i))), d1),
-                T.k_lift(base, h),
-            )
-        self._cache[key] = p
-        return p
+            return T.mp(T.mp(T.s_neg_intro(h, flipped.formula), d1), T.k_lift(q2i, h))
+        base = self.ne(j, i)
+        d1 = T.discharge(T.eq_sym(T.hyp(h)), h)
+        return T.mp(
+            T.mp(T.s_neg_intro(h, Eq(numeral(j), numeral(i))), d1),
+            T.k_lift(base, h),
+        )
 
+    @_lemma
     def le(self, i: int, j: int) -> T.Proof:
         """i <= j on numerals, i at most j."""
         if i > j:
             raise InputError("the first numeral must not exceed the second")
-        key = ("le", i, j)
-        if key in self._cache:
-            return self._cache[key]
         q8ij = T.forall_elim(T.forall_elim(self._ax("q8"), numeral(i)), numeral(j))
         body = Eq(Add(Var(2), numeral(i)), numeral(j))
         ex = T.exists_intro(2, body, numeral(j - i), self.add_eq(j - i, i))
-        p = T.mp(T.iff_right(q8ij), ex)
-        self._cache[key] = p
-        return p
+        return T.mp(T.iff_right(q8ij), ex)
 
     def u_lemma(self, n: int) -> T.Proof:
         """(A v0)(v0 + n = s^n v0): adding a numeral is iterated successor."""
-        return self._ladder("u", n, lambda: self._ax("q4"), self._u_step)
+        return self._ladder(("u_lemma",), n, lambda: self._ax("q4"), self._u_step)
 
-    def _u_step(self, m: int) -> T.Proof:
+    def _u_step(self, m: int, prev: T.Proof) -> T.Proof:
         q5i = T.forall_elim(
             T.forall_elim(self._ax("q5"), Var(0)), numeral(m - 1)
         )
-        ih = T.forall_elim(self._cache[("u", m - 1)], Var(0))
+        ih = T.forall_elim(prev, Var(0))
         return T.gen(0, T.eq_trans(q5i, T.eq_succ(ih)))
 
+    @_lemma
     def nle(self, j: int, n: int) -> T.Proof:
         """~(j <= n) for numerals with j > n."""
         if j <= n:
             raise InputError("the first numeral must exceed the second")
-        key = ("nle", j, n)
-        if key in self._cache:
-            return self._cache[key]
         a = Eq(Add(Var(2), numeral(j)), numeral(n))
         ha = T.hyp(a)
         ui = T.forall_elim(self.u_lemma(j), Var(2))
@@ -238,28 +233,20 @@ class LemmaBank:
         exs = T.mp(T.s_ex_shift(2, a, _C0), ga)
         notex = T.contrapose(exs, self.ne(0, 1))
         q8jn = T.forall_elim(T.forall_elim(self._ax("q8"), numeral(j)), numeral(n))
-        p = T.contrapose(T.iff_left(q8jn), notex)
-        self._cache[key] = p
-        return p
+        return T.contrapose(T.iff_left(q8jn), notex)
 
+    @_lemma
     def g1(self) -> T.Proof:
         """(A v0)(0 <= v0)."""
-        key = ("g1",)
-        if key in self._cache:
-            return self._cache[key]
         q8i = T.forall_elim(T.forall_elim(self._ax("q8"), Zero()), Var(0))
         body = Eq(Add(Var(2), Zero()), Var(0))
         q4i = T.forall_elim(self._ax("q4"), Var(0))
         ex = T.exists_intro(2, body, Var(0), q4i)
-        p = T.gen(0, T.mp(T.iff_right(q8i), ex))
-        self._cache[key] = p
-        return p
+        return T.gen(0, T.mp(T.iff_right(q8i), ex))
 
+    @_lemma
     def m2(self) -> T.Proof:
         """(A v0)(A v1)((s v0 <= s v1) -> (v0 <= v1))."""
-        key = ("m2",)
-        if key in self._cache:
-            return self._cache[key]
         h = Le(Succ(Var(0)), Succ(Var(1)))
         hh = T.hyp(h)
         q8ss = T.forall_elim(
@@ -279,15 +266,13 @@ class LemmaBank:
         c = T.mp(T.iff_right(q80), exb)
         ga = T.gen(2, T.discharge(c, a))
         c2 = T.mp(T.mp(T.s_ex_shift(2, a, Le(Var(0), Var(1))), ga), exa)
-        p = T.gen(0, T.gen(1, T.discharge(c2, h)))
-        self._cache[key] = p
-        return p
+        return T.gen(0, T.gen(1, T.discharge(c2, h)))
 
     # ------------------------------------ case analysis below a numeral
 
     def l7(self, n: int) -> T.Proof:
         """(A v0)((v0 <= n) -> (v0=0 | v0=1 | ... | v0=n)), right-nested."""
-        return self._ladder("l7", n, self._l7_zero, self._l7_step)
+        return self._ladder(("l7",), n, self._l7_zero, self._l7_step)
 
     def _l7_zero(self) -> T.Proof:
         h = Le(Var(0), Zero())
@@ -316,8 +301,7 @@ class LemmaBank:
         c0 = T.mp(T.mp(T.s_ex_shift(2, a, target), ga), exa)
         return T.gen(0, T.discharge(c0, h))
 
-    def _l7_step(self, m: int) -> T.Proof:
-        prev = self._cache[("l7", m - 1)]
+    def _l7_step(self, m: int, prev: T.Proof) -> T.Proof:
         h = Le(Var(0), numeral(m))
         hh = T.hyp(h)
         cs = [Eq(Var(0), numeral(k)) for k in range(m + 1)]
@@ -344,11 +328,9 @@ class LemmaBank:
         out = T.or_elim(T.excluded_middle(v0eq0), b_eq, b_ne)
         return T.gen(0, T.discharge(out, h))
 
+    @_lemma
     def l5(self, n: int) -> T.Proof:
         """(A v0)((n <= v0) -> ((s n <= v0) | (n = v0)))."""
-        key = ("l5", n)
-        if key in self._cache:
-            return self._cache[key]
         g_left = Le(Succ(numeral(n)), Var(0))
         g_right = Eq(numeral(n), Var(0))
         g = Or(g_left, g_right)
@@ -390,20 +372,17 @@ class LemmaBank:
         ca = T.or_elim(T.excluded_middle(e2), b_zero, b_ne)
         ga = T.gen(2, T.discharge(ca, a))
         ch = T.mp(T.mp(T.s_ex_shift(2, a, g), ga), exa)
-        p = T.gen(0, T.discharge(ch, h))
-        self._cache[key] = p
-        return p
+        return T.gen(0, T.discharge(ch, h))
 
     def tot(self, n: int) -> T.Proof:
         """(A v0)((v0 <= n) | (n <= v0))."""
-        return self._ladder("tot", n, self._tot_zero, self._tot_step)
+        return self._ladder(("tot",), n, self._tot_zero, self._tot_step)
 
     def _tot_zero(self) -> T.Proof:
         g1i = T.forall_elim(self.g1(), Var(0))
         return T.gen(0, T.or_right(Le(Var(0), Zero()), g1i))
 
-    def _tot_step(self, m: int) -> T.Proof:
-        prev = self._cache[("tot", m - 1)]
+    def _tot_step(self, m: int, prev: T.Proof) -> T.Proof:
         left = Le(Var(0), numeral(m))
         right = Le(numeral(m), Var(0))
         ti = T.forall_elim(prev, Var(0))

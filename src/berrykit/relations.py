@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .berry import enumerate_formulas
-from .coding import DEFAULT_TABLE, SymbolTable, decode, encode
+from .coding import decode, encode
 from .errors import BudgetExhaustedError, InputError, RefusedError
 from .generators import LemmaBank, NamingTable, names_provable, refute_delta0
-from .proofs import Derivation, Theory
+from .proofs import Derivation
 from .semantics import DEFAULT_BUDGET, DEFAULT_CAP, Truth, decide
 from . import tactics as T
 from .syntax import (
@@ -58,36 +58,36 @@ class RelationVerdict:
         return out
 
 
-def _decoded(i: int, table: SymbolTable) -> Formula | None:
+def _decoded(i: int) -> Formula | None:
     try:
-        e = decode(i, table)
+        e = decode(i)
     except InputError:
         return None
     return e if is_formula(e) else None
 
 
-def fm(i: int, table: SymbolTable = DEFAULT_TABLE) -> bool:
+def fm(i: int) -> bool:
     """i codes a formula whose one permitted free variable is v0."""
-    f = _decoded(i, table)
+    f = _decoded(i)
     return f is not None and not (free_vars(f) - {0})
 
 
-def lh(i: int, j: int, table: SymbolTable = DEFAULT_TABLE) -> bool:
+def lh(i: int, j: int) -> bool:
     """i codes a formula shorter than j."""
-    f = _decoded(i, table)
+    f = _decoded(i)
     return f is not None and length(f) < j
 
 
-def snt(i: int, table: SymbolTable = DEFAULT_TABLE) -> bool:
+def snt(i: int) -> bool:
     """i codes a sentence."""
-    f = _decoded(i, table)
+    f = _decoded(i)
     return f is not None and is_closed(f)
 
 
-def neg(i: int, j: int, table: SymbolTable = DEFAULT_TABLE) -> bool:
+def neg(i: int, j: int) -> bool:
     """j codes the negation of the sentence coded by i."""
-    f = _decoded(i, table)
-    g = _decoded(j, table)
+    f = _decoded(i)
+    g = _decoded(j)
     if f is None or g is None or not is_closed(f):
         return False
     return type(g) is Not and expand_bounded(g.body) is expand_bounded(f)
@@ -96,9 +96,7 @@ def neg(i: int, j: int, table: SymbolTable = DEFAULT_TABLE) -> bool:
 def nm(
     i: int,
     j: int,
-    theory: Theory | None = None,
     budget: int = DEFAULT_BUDGET,
-    table: SymbolTable = DEFAULT_TABLE,
     bank: LemmaBank | None = None,
 ) -> RelationVerdict:
     """The formula coded by j provably names i.
@@ -106,10 +104,10 @@ def nm(
     A negative on a genuine one-variable formula carries the refutation;
     a non-formula code fails outright with no search.
     """
-    if not fm(j, table):
+    if not fm(j):
         return RelationVerdict(False, budget, reason="code is not a naming candidate")
-    mu = decode(j, table)
-    bank = bank or LemmaBank(theory)
+    mu = decode(j)
+    bank = bank or LemmaBank()
     got = names_provable(mu, i, budget, bank)
     match got.kind:
         case "names":
@@ -124,7 +122,6 @@ def nm(
 def b_rel(
     i: int,
     j: int,
-    theory: Theory | None = None,
     budget: int = DEFAULT_BUDGET,
     cap: int = DEFAULT_CAP,
     bank: LemmaBank | None = None,
@@ -136,7 +133,7 @@ def b_rel(
     canonical order is reported.  With no witness, undecided candidates
     make the verdict undecided rather than negative.
     """
-    bank = bank or LemmaBank(theory)
+    bank = bank or LemmaBank()
     unknowns = 0
     for mu in enumerate_formulas(j, cap):
         # decide first; only the witness reported needs its derivation
@@ -157,27 +154,25 @@ def b_rel(
 
 def prc(
     i: int,
-    theory: Theory | None = None,
     budget: int = DEFAULT_BUDGET,
-    table: SymbolTable = DEFAULT_TABLE,
     bank: LemmaBank | None = None,
 ) -> RelationVerdict:
-    """i fails to code a sentence, or the theory refutes the one it codes.
+    """i fails to code a sentence, or Q refutes the one it codes.
 
     A refutation is found by one of two routes: a false Δ0 sentence is
     refuted outright, and a sentence ~g with g a true Σ sentence is
     refuted by a proof of ~~g.  Every other sentence is undecided:
     unrefutability is never concluded from a budget.
     """
-    f = _decoded(i, table)
+    f = _decoded(i)
     if f is None or not is_closed(f):
         return RelationVerdict(True, reason="not a sentence code")
     target = Not(f)
-    bank = bank or LemmaBank(theory)
+    bank = bank or LemmaBank()
     if classify(f) is FormulaClass.DELTA0:
         try:
             d = refute_delta0(f, budget, bank)
-            return RelationVerdict(True, budget, encode(target, table), d)
+            return RelationVerdict(True, budget, encode(target), d)
         except (RefusedError, BudgetExhaustedError):
             pass
     else:
@@ -191,7 +186,7 @@ def prc(
                 verdict = decide(g, budget)
                 if verdict[0] is Truth.TRUE:
                     d = T.compile_proof(T.dn_intro(bank.prove_true(g, verdict)))
-                    return RelationVerdict(True, budget, encode(target, table), d)
+                    return RelationVerdict(True, budget, encode(target), d)
     return RelationVerdict(
         None, budget, reason="no refutation found within the budget"
     )

@@ -247,6 +247,8 @@ class SemanticNaming:
         if not fv <= {0}:
             extra = ", ".join(f"v{j}" for j in sorted(fv - {0}))
             raise InputError(f"naming formula must use only v0 free (has {extra})")
+        if budget < 0:
+            raise InputError("budget must be nonnegative")
         self.mu = mu
         self.budget = budget
         self._truths: dict[int, Truth] = {}

@@ -19,7 +19,8 @@ Parts:
   of every 4th of those sentences and of its negation, hashed as the
   verdict's JSON object and its derivation's JSON lines.
 
-Not a test: pytest collects only ``test_*.py``.  It takes minutes.
+Not a test: pytest collects only ``test_*.py``.  It takes minutes; each
+part's wall time goes to stderr, so stdout holds only the five lines.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import io
 import json
 import random
 import sys
+import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -135,5 +137,10 @@ def relations() -> dict[str, str]:
 
 
 if __name__ == "__main__":
-    for name, digest in {**reports(), **corpus(), **relations()}.items():
+    digests: dict[str, str] = {}
+    for part in (reports, corpus, relations):
+        start = time.perf_counter()
+        digests.update(part())
+        print(f"# {part.__name__}: {time.perf_counter() - start:.1f} s", file=sys.stderr)
+    for name, digest in digests.items():
         print(f"{digest}  {name}")

@@ -792,14 +792,13 @@ def berry_number_reference(
     backend: str = "semantic",
     budget: int = 32,
     cap: int = 8,
-    theory=None,
 ):
     """The least-unnamed search as a per-pair probe loop: every formula is
     asked afresh about every number up to the answer, through the public
     one-shot deciders.  Slow, (n+1)*|mu| probes, each building its own
     evidence; kept as the differential oracle for ``berry_number``."""
     mus = list(enumerate_formulas(max_len, cap))
-    bank = LemmaBank(theory) if backend == "prover" else None
+    bank = LemmaBank() if backend == "prover" else None
 
     def probe(mu: Formula, m: int):
         match backend:

@@ -231,6 +231,10 @@ class TestRel:
         code, _, err = run(capsys, "rel", "snt", str(NAMER), "4")
         assert code == 2 and "one argument" in err
 
+    def test_nm_negative_budget_is_bad_input(self, capsys):
+        code, out, err = run(capsys, "--budget", "-1", "rel", "nm", "0", str(NAMER))
+        assert (code, out, err) == (2, "", "error: budget must be nonnegative\n")
+
 
 @pytest.mark.skipif(
     not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit"
@@ -392,6 +396,10 @@ class TestBoundsAndSentence:
         obj = json.loads(out)
         assert code == 0 and obj["schematic"] is True
 
+    def test_mock_rejects_a_negative_number(self, capsys):
+        code, out, err = run(capsys, "boolos", "--phi-mock", "50:2", "--n", "-1")
+        assert (code, out, err) == (2, "", "error: the number must be natural\n")
+
 
 class TestDemo:
     def test_run_and_replay(self, capsys, tmp_path):
@@ -421,6 +429,44 @@ class TestDemo:
         assert err == "error: scale -1 is negative; it must be a natural number\n"
         code, _, _ = run(capsys, "demo", corollary, "--scale", "0")
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("claims", [1, 2, 3]),
+            ("claims", 5),
+            ("params", []),
+            ("scale", "6"),
+            ("scale", 2.5),
+            ("budget", None),
+            ("backend", 1),
+            ("corollary", [1]),
+            ("corollary", True),
+        ],
+        ids=[
+            "claims-not-objects", "claims-not-a-list", "params-not-an-object",
+            "scale-string", "scale-float", "budget-null", "backend-number",
+            "corollary-list", "corollary-bool",
+        ],
+    )
+    def test_replay_of_a_malformed_field_is_bad_input(self, capsys, tmp_path, field, value):
+        obj = {
+            "v": 1,
+            "corollary": 2,
+            "params": {"backend": "semantic", "budget": 32, "scale": 0},
+            "claims": [],
+            "summary": "",
+        }
+        if field in obj:
+            obj[field] = value
+        else:
+            obj["params"][field] = value
+        report = tmp_path / "demo.json"
+        report.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "demo", "--replay", str(report))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: report field ") and err.count("\n") == 1
+        assert repr(field) in err
 
     def test_replay_of_a_negative_scale_is_bad_input(self, capsys, tmp_path):
         report = tmp_path / "demo.json"

@@ -87,10 +87,33 @@ class TestLemmaBank:
                 continue
             checked(T.compile_proof(self.bank.eval_closed(t)), Eq(t, numeral(value)))
 
-    def test_cache_is_shared(self):
+    CACHED = {
+        "add_eq": (3, 4),
+        "mul_eq": (2, 3),
+        "eval_closed": (Add(numeral(2), Mul(numeral(1), numeral(3))),),
+        "ne": (3, 1),
+        "le": (1, 4),
+        "nle": (4, 1),
+        "g1": (),
+        "m2": (),
+        "l5": (2,),
+        "u_lemma": (3,),
+        "l7": (2,),
+        "tot": (2,),
+    }
+
+    @pytest.mark.parametrize("lemma", CACHED)
+    def test_cache_is_shared(self, lemma):
         bank = LemmaBank()
-        first = bank.add_eq(3, 4)
-        assert bank.add_eq(3, 4) is first
+        first = getattr(bank, lemma)(*self.CACHED[lemma])
+        assert getattr(bank, lemma)(*self.CACHED[lemma]) is first
+
+    def test_ladder_rungs_are_built_once(self):
+        bank = LemmaBank()
+        add0, mul0 = bank.add_eq(3, 0), bank.mul_eq(2, 0)
+        bank.add_eq(3, 5)
+        bank.mul_eq(2, 4)
+        assert bank.add_eq(3, 0) is add0 and bank.mul_eq(2, 0) is mul0
 
 
 def substitute_term(t, v):
@@ -371,3 +394,7 @@ class TestNamesProvable:
     def test_rejects_extra_free_variables(self):
         with pytest.raises(InputError):
             names_provable(Eq(Var(0), Var(1)), 0)
+
+    def test_rejects_a_negative_budget(self):
+        with pytest.raises(InputError, match="^budget must be nonnegative$"):
+            names_provable(Eq(Var(0), Zero()), 0, -1)
