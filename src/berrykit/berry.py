@@ -13,6 +13,7 @@ into a closed sentence.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, count, product
 from typing import Iterable, Iterator
 
@@ -57,7 +58,6 @@ from .syntax import (
     numeral,
     render,
     substitute,
-    tokens,
 )
 
 
@@ -166,8 +166,9 @@ def enumerate_formulas(max_len: int, cap: int = DEFAULT_CAP) -> Iterator[Formula
     pool = tuple(range(depth + 1))
     out: list[Formula] = []
     for closable, _ in _formulas_up_to(max_len - 1, pool):
-        # a bucket holds one length, so its token count is the length
-        out += sorted(closable, key=lambda f: tuple(tokens(f)))
+        # one length per bucket, and every token character sorts above the space, so
+        # text order is token order; one memo renders the bucket's shared operands once
+        out += sorted(closable, key=partial(render, memo={}))
     return iter(out)
 
 

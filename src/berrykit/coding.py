@@ -14,7 +14,7 @@ from typing import Iterator
 
 from .errors import InputError, NotACodeError, NotWellFormedError
 from .parser import parse
-from .syntax import Eq, Expr, Forall, Formula, Iff, Var, numeral, tokens
+from .syntax import Eq, Expr, Forall, Formula, Iff, Var, numeral, render, tokens
 
 _DEFAULT_CODES = {
     "0": 1,
@@ -153,7 +153,7 @@ def decode(n: int, table: SymbolTable = DEFAULT_TABLE) -> Expr:
         expr = parse(text)
     except InputError as err:
         raise NotWellFormedError(f"token sequence {text!r}: {err}") from err
-    if tokens(expr) != toks:
+    if render(expr) != text:
         raise NotWellFormedError(f"token sequence {text!r} is not canonical")
     return expr
 

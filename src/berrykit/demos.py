@@ -403,7 +403,7 @@ def replay_demo(obj: dict) -> tuple[bool, list[str]]:
     Every checked claim must reproduce exactly; asserted claims must match
     verbatim.  Returns the mismatch descriptions, empty on success.
     """
-    if not isinstance(obj, dict) or obj.get("v") != 1:
+    if not isinstance(obj, dict) or obj.get("v") != 1 or type(obj["v"]) is not int:
         raise InputError("not a version-1 report object")
     try:
         cor, params = obj["corollary"], obj["params"]

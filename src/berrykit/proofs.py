@@ -416,8 +416,9 @@ def is_valid(derivation: Derivation, theory: Theory) -> bool:
 
 def to_json_lines(derivation: Derivation) -> Iterator[str]:
     """One JSON object per step: index, canonical text, and justification."""
+    memo: dict = {}  # shared by the steps, so each node is rendered once
     for i, step in enumerate(derivation.steps):
-        obj: dict = {"i": i, "f": render(step.formula), "rule": step.rule}
+        obj: dict = {"i": i, "f": render(step.formula, memo), "rule": step.rule}
         if step.name is not None:
             obj["name"] = step.name
         if step.premises:

@@ -18,17 +18,19 @@ which also raises every constructor's errors.  Each node stores its
 expansion, so two expressions render alike exactly when `expand_bounded`
 gives the same object for both.
 
-Every bottom-up question (free variables, variable indices, length,
-class) is an algebra for one iterative postorder `fold` over `CHILDREN`
-(Meijer, Fokkinga & Paterson, Functional Programming with Bananas, Lenses,
-Envelopes and Barbed Wire, 1991): a function from a node and its
-children's values to the node's value.  The fold memoizes by identity
-within a call.  Only free variables persist between calls: a node never
-changes, so the fold fills its `_free` slot the first time they are asked
-for, with one shared frozenset per distinct set.  Substitution and
-canonical renaming are one iterative, capture-avoiding rebuild
-(`_rebuild`) that skips subtrees whose stored free variables miss its map;
-two expressions are alpha-equal when their canonical variants are one node.
+Every bottom-up question (free variables, variable indices, canonical
+text, class, JSON) is an algebra for one iterative postorder `fold` over
+`CHILDREN` (Meijer, Fokkinga & Paterson, Functional Programming with
+Bananas, Lenses, Envelopes and Barbed Wire, 1991): a function from a node
+and its children's values to the node's value.  The fold memoizes by
+identity within a call, or across the calls that share a memo, as
+`render`'s callers do.  Tokens and length are read off the text.  Only
+free variables persist on the nodes: a node never changes, so the fold
+fills its `_free` slot the first time they are asked for, with one shared
+frozenset per distinct set.  Substitution and canonical renaming are one
+iterative, capture-avoiding rebuild (`_rebuild`) that skips subtrees whose
+stored free variables miss its map; two expressions are alpha-equal when
+their canonical variants are one node.
 """
 
 from __future__ import annotations
@@ -36,8 +38,9 @@ from __future__ import annotations
 import weakref
 from dataclasses import FrozenInstanceError
 from enum import Enum
+from functools import partial
 from operator import attrgetter
-from typing import Callable, Iterator, TypeVar, Union
+from typing import Callable, TypeVar, Union
 
 
 # ---------------------------------------------------------------- AST nodes
@@ -338,10 +341,10 @@ def fold(e: Expr, alg: Callable[[Expr, tuple], R], memo=None, _kids=_KIDS) -> R:
     """The value alg gives e, bottom-up: alg(node, values of its children).
 
     Iterative postorder over CHILDREN, so depth costs heap, not stack: a
-    node is expanded once, pushing an exit entry and then only those
-    children without a value, and its value is computed at the exit.  A
-    successor spine is one node to the fold: alg sees its top Succ with
-    the value of the first non-successor below.  `memo` (a fresh dict when
+    node is expanded once, pushing itself, its children's tuple as its exit
+    entry, and then only those children without a value, and its value is
+    computed at the exit.  A successor spine is one node to the fold: alg
+    sees its top Succ with the value of the first non-successor below.  `memo` (a fresh dict when
     None; anything with `get` and item assignment) maps nodes to values:
     the fold reads a node's value there instead of descending, and writes
     every value it computes.  alg never returns None.  `_kids` gives each
@@ -354,8 +357,8 @@ def fold(e: Expr, alg: Callable[[Expr, tuple], R], memo=None, _kids=_KIDS) -> R:
     stack: list = [e]
     while stack:
         node = stack.pop()
-        if type(node) is tuple:  # the exit entry of an expanded node
-            node, kids = node
+        if type(node) is tuple:  # an expanded node's children, the node below them
+            kids, node = node, stack.pop()
             done[node] = alg(node, tuple(map(get, kids)))
             continue
         if get(node) is not None:  # reached again through a shared child
@@ -364,7 +367,7 @@ def fold(e: Expr, alg: Callable[[Expr, tuple], R], memo=None, _kids=_KIDS) -> R:
             kids = (succ_spine(node)[1],)
         else:
             kids = _kids[type(node)](node)
-        stack.append((node, kids))
+        stack += (node, kids)
         for kid in kids:
             if get(kid) is None:
                 stack.append(kid)
@@ -423,10 +426,6 @@ def is_closed(e: Expr) -> bool:
 
 # ---------------------------------------------------------------- rendering
 
-def _is_composite(t: Term) -> bool:
-    return type(t) is Add or type(t) is Mul
-
-
 def expand_bounded(e: Expr) -> Expr:
     """Every bounded quantifier replaced by its guarded unbounded form.
 
@@ -441,85 +440,83 @@ def expand_bounded(e: Expr) -> Expr:
     return e if expanded is None else expanded
 
 
-def token_stream(e: Expr) -> Iterator[str]:
-    e = expand_bounded(e)
-    stack: list[object] = [(e, False)]
+def _join(rope: tuple) -> str:
+    """The text a rope spells: its pieces in order, nested ropes flattened."""
+    out, stack = [], [rope]
     while stack:
-        item = stack.pop()
-        if type(item) is str:
-            yield item
+        piece = stack.pop()
+        if type(piece) is str:
+            out.append(piece)
+        else:
+            stack += piece[::-1]
+    return "".join(out)
+
+
+_COMPOUND = frozenset((Add, Mul))  # the terms parenthesized as operands
+
+
+def _text_of(parents: dict, node: Expr, kids: tuple) -> str | tuple:
+    """node's canonical text: a rope when parents counts one parent for it,
+    else joined.  A node's parentheses are its parent's to write."""
+    kind = type(node)
+    if kind is Zero or kind is Var:
+        return "0" if kind is Zero else f"v{node.index}"
+    if kind is Succ:  # a whole spine; a bare sum would re-parse with the s's on its left
+        n, core = succ_spine(node)
+        rope = ("s " * n + "( ", kids[0], " )") if type(core) in _COMPOUND else ("s " * n, kids[0])
+    elif kind in _COMPOUND:
+        left, right = (("( ", text, " )") if type(kid) in _COMPOUND else text
+                       for kid, text in zip((node.left, node.right), kids))
+        rope = (left, f" {_SYMBOLS[kind]} ", right)
+    elif kind is Eq or kind is Le:
+        rope = (kids[0], f" {_SYMBOLS[kind]} ", kids[1])
+    elif kind is Not:
+        rope = ("~ ( ", kids[0], " )")
+    elif kind is Forall or kind is Exists:
+        rope = (f"( {_SYMBOLS[kind]} v{node.var} ) ( ", kids[0], " )")
+    else:  # a binary connective
+        rope = ("( ", kids[0], f" ) {_SYMBOLS[kind]} ( ", kids[1], " )")
+    return rope if parents.get(node) == 1 else _join(rope)
+
+
+def render(e: Expr, memo: dict | None = None) -> str:
+    """The canonical text of e's expansion: its tokens joined by spaces.
+
+    One fold, whose value is a rope (a tuple of strings and ropes) at a
+    node with one parent and a joined string at the root and at shared
+    nodes, found by counting parents first.  `memo` (a fresh dict when
+    None) maps nodes to these values; one that only render has filled may
+    be shared by many calls, a derivation's steps say, and a rope it holds
+    is joined when its node is reached again.  A call's time and memory
+    are then linear in the nodes memo lacks plus the text it returns.
+    """
+    e = expand_bounded(e)
+    if type(e) not in CHILDREN:
+        raise TypeError(f"not a term or formula node: {e!r}")
+    memo = {} if memo is None else memo
+    parents: dict = {}  # of each node reached, among the nodes memo lacks
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        text = memo.get(node)
+        if type(text) is tuple:  # a rope from an earlier call: now shared
+            memo[node] = _join(text)
+        if text is not None:
             continue
-        node, paren = item  # type: ignore[misc]
-        if paren:
-            yield "("
-            stack.append(")")
-        # successor chains emitted without growing the stack
-        n = 0
-        while type(node) is Succ:
-            n += 1
-            node = node.arg
-        for _ in range(n):
-            yield "s"
-        if n and _is_composite(node):
-            # a bare core would re-parse with the successors on its left operand
-            yield "("
-            stack.append(")")
-        match node:
-            case Zero():
-                yield "0"
-            case Var(i):
-                yield f"v{i}"
-            case Add(l, r) | Mul(l, r):
-                stack.append((r, _is_composite(r)))
-                stack.append(_SYMBOLS[type(node)])
-                stack.append((l, _is_composite(l)))
-            case Eq(l, r) | Le(l, r):
-                stack.append((r, False))
-                stack.append(_SYMBOLS[type(node)])
-                stack.append((l, False))
-            case Not(b):
-                yield "~"
-                stack.append((b, True))
-            case And(l, r) | Or(l, r) | Imp(l, r) | Iff(l, r):
-                stack.append((r, True))
-                stack.append(_SYMBOLS[type(node)])
-                stack.append((l, True))
-            case Forall(v, b) | Exists(v, b):
-                yield from ("(", _SYMBOLS[type(node)], f"v{v}", ")")
-                stack.append((b, True))
-            case _:
-                raise TypeError(f"not a term or formula node: {node!r}")
+        for kid in (succ_spine(node)[1],) if type(node) is Succ else _KIDS[type(node)](node):
+            parents[kid] = parents.get(kid, 0) + 1
+            if parents[kid] == 1:
+                stack.append(kid)
+    return fold(e, partial(_text_of, parents), memo)
 
 
 def tokens(e: Expr) -> list[str]:
-    return list(token_stream(e))
-
-
-def render(e: Expr) -> str:
-    return " ".join(token_stream(e))
-
-
-# the tokens a node adds to its children's: its symbol, the parentheses
-# around formula operands, a quantifier prefix
-_OWN_TOKENS = {
-    Zero: 1, Var: 1, Add: 1, Mul: 1, Eq: 1, Le: 1, Not: 3,
-    Forall: 6, Exists: 6, And: 5, Or: 5, Imp: 5, Iff: 5,
-}
-
-
-def _length_of(node: Expr, kids: tuple) -> int:
-    if type(node) is Succ:  # a whole spine: one s each, parentheses on a sum
-        n, core = succ_spine(node)
-        return kids[0] + n + 2 * _is_composite(core)
-    n = sum(kids) + _OWN_TOKENS[type(node)]
-    if type(node) is Add or type(node) is Mul:  # parenthesized composite operands
-        n += 2 * (_is_composite(node.left) + _is_composite(node.right))
-    return n
+    return render(e).split(" ")
 
 
 def length(e: Expr) -> int:
     """Token count of the canonical rendering of the expanded form."""
-    return fold(expand_bounded(e), _length_of)
+    return render(e).count(" ") + 1
 
 
 # ---------------------------------------------------------------- rebuilding

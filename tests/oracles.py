@@ -13,7 +13,8 @@ building only those, the least-unnamed-number search
 by grammar-blind brute force over raw token strings (and, for whole
 reports, by re-probing every formula at every number), a naming table's
 verdicts by scanning every instance instead of stopping at the second true
-one, tokens by a match-at-a-time loop instead of one findall, derivations by deduplicating
+one, tokens by a match-at-a-time loop instead of one findall, canonical
+text by a token walk instead of the text fold, derivations by deduplicating
 proof steps on rendered strings instead of interned expansions, the deduction
 theorem by walking the whole proof tree instead of its open part, schema
 instances by a recursive pattern interpreter instead of staged flat tests,
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import re
 from itertools import product
+from typing import Iterator
 
 from berrykit import syntax
 from berrykit.berry import BerryReport, NumberRecord, _terms_up_to, enumerate_formulas
@@ -43,7 +45,7 @@ from berrykit.tactics import MP, Ax, Gen, Hyp, Proof, Sch, TacticError
 from berrykit.syntax import (
     Add, And, BExists, BForall, Eq, Exists, Forall, Formula, FormulaClass,
     Iff, Imp, Le, Mul, Not, Or, Succ, Term, Var, Zero, expand_bounded,
-    guarded_exists, guarded_forall, is_formula, is_term, numeral, render, tokens,
+    guarded_exists, guarded_forall, is_formula, is_term, numeral, render,
 )
 
 
@@ -276,7 +278,7 @@ def rename_to_first(f: Formula, j: int) -> Formula:
     fv = free_vars(f)
     if fv - {0}:
         raise ValueError(f"free variables beyond v0: {sorted(fv - {0})}")
-    if len(tokens(f)) >= j:
+    if len(list(render_reference(f))) >= j:
         raise ValueError("formula too long for the requested variable window")
 
     def term(t: Term, rho: dict[int, int]) -> Term:
@@ -727,7 +729,8 @@ def enumerate_formulas_reference(max_len: int) -> list[Formula]:
         for f in bucket
         if free_vars(f) <= {0} and syntax.rename_to_first(f, max_len) is f
     ]
-    return sorted(kept, key=lambda f: (len(tokens(f)), tuple(tokens(f))))
+    keys = {f: tuple(render_reference(f)) for f in kept}
+    return sorted(kept, key=lambda f: (len(keys[f]), keys[f]))
 
 
 # ------------------------------------------- brute force over token strings
@@ -1201,6 +1204,68 @@ def pattern_match(pattern, expr, binding: dict) -> bool:
         if not pattern_match(sub, getattr(expr, field), binding):
             return False
     return True
+
+
+# ------------------------------------------------------- reference renderer
+
+def _is_composite(t: Term) -> bool:
+    return type(t) is Add or type(t) is Mul
+
+
+_SYMBOLS = {Add: "+", Mul: "*", Eq: "=", Le: "<=", And: "&", Or: "|", Imp: "->", Iff: "<->",
+            Forall: "A", Exists: "E"}
+
+
+def render_reference(e) -> Iterator[str]:
+    """The canonical tokens of e's expansion, one at a time, by a walk with
+    a parenthesis flag per node instead of the text fold's ropes."""
+    e = expand_bounded(e)
+    stack: list[object] = [(e, False)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            yield item
+            continue
+        node, paren = item  # type: ignore[misc]
+        if paren:
+            yield "("
+            stack.append(")")
+        # successor chains emitted without growing the stack
+        n = 0
+        while type(node) is Succ:
+            n += 1
+            node = node.arg
+        for _ in range(n):
+            yield "s"
+        if n and _is_composite(node):
+            # a bare core would re-parse with the successors on its left operand
+            yield "("
+            stack.append(")")
+        match node:
+            case Zero():
+                yield "0"
+            case Var(i):
+                yield f"v{i}"
+            case Add(l, r) | Mul(l, r):
+                stack.append((r, _is_composite(r)))
+                stack.append(_SYMBOLS[type(node)])
+                stack.append((l, _is_composite(l)))
+            case Eq(l, r) | Le(l, r):
+                stack.append((r, False))
+                stack.append(_SYMBOLS[type(node)])
+                stack.append((l, False))
+            case Not(b):
+                yield "~"
+                stack.append((b, True))
+            case And(l, r) | Or(l, r) | Imp(l, r) | Iff(l, r):
+                stack.append((r, True))
+                stack.append(_SYMBOLS[type(node)])
+                stack.append((l, True))
+            case Forall(v, b) | Exists(v, b):
+                yield from ("(", _SYMBOLS[type(node)], f"v{v}", ")")
+                stack.append((b, True))
+            case _:
+                raise TypeError(f"not a term or formula node: {node!r}")
 
 
 # ------------------------------------------------------- character-loop scan

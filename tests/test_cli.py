@@ -442,11 +442,12 @@ class TestDemo:
             ("backend", 1),
             ("corollary", [1]),
             ("corollary", True),
+            ("v", True),
         ],
         ids=[
             "claims-not-objects", "claims-not-a-list", "params-not-an-object",
             "scale-string", "scale-float", "budget-null", "backend-number",
-            "corollary-list", "corollary-bool",
+            "corollary-list", "corollary-bool", "version-bool",
         ],
     )
     def test_replay_of_a_malformed_field_is_bad_input(self, capsys, tmp_path, field, value):
@@ -465,6 +466,9 @@ class TestDemo:
         report.write_text(json.dumps(obj))
         code, out, err = run(capsys, "demo", "--replay", str(report))
         assert (code, out) == (2, "")
+        if field == "v":  # a JSON true equals 1 in Python, yet is no version
+            assert err == "error: not a version-1 report object\n"
+            return
         assert err.startswith("error: report field ") and err.count("\n") == 1
         assert repr(field) in err
 

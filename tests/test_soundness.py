@@ -286,15 +286,43 @@ def _ex_shift_attack() -> tuple[list[Step], int]:
     ], 6
 
 
+def _shift_attack(name: str, a, v: int, tail) -> tuple[list[Step], int]:
+    """(A v)(a -> a) by gen, then the named shift schema's instance
+    (A v)(a -> a) -> tail, the one unsound step, and tail by mp."""
+    every = Forall(v, Imp(a, a))
+    return _imp_refl(a) + [
+        Step(every, "gen", premises=(4,), var=v),
+        Step(Imp(every, tail), "schema", name=name),
+        Step(tail, "mp", premises=(6, 5)),
+    ], 6
+
+
+_V0_IS_0, _TRUE, _FALSE = Eq(Var(0), Zero()), Eq(Zero(), Zero()), Eq(Zero(), Succ(Zero()))
+
+
 def _all_shift_attack() -> tuple[list[Step], int]:
     # v0 = 0 -> (A v0) v0 = 0 by all_shift, though v0 is free in v0 = 0
-    a = Eq(Var(0), Zero())
-    every = Forall(0, Imp(a, a))
-    return _imp_refl(a) + [
-        Step(every, "gen", premises=(4,), var=0),
-        Step(Imp(every, Imp(a, Forall(0, a))), "schema", name="all_shift"),
-        Step(Imp(a, Forall(0, a)), "mp", premises=(6, 5)),
-    ], 6
+    return _shift_attack("all_shift", _V0_IS_0, 0, Imp(_V0_IS_0, Forall(0, _V0_IS_0)))
+
+
+def _all_shift_variables_attack() -> tuple[list[Step], int]:
+    # the same conclusion from (A v1), which binds nothing in v0 = 0
+    return _shift_attack("all_shift", _V0_IS_0, 1, Imp(_V0_IS_0, Forall(0, _V0_IS_0)))
+
+
+def _all_shift_components_attack() -> tuple[list[Step], int]:
+    # 0 = 0 -> (A v1) 0 = s 0 from (A v1)(0 = 0 -> 0 = 0)
+    return _shift_attack("all_shift", _TRUE, 1, Imp(_TRUE, Forall(1, _FALSE)))
+
+
+def _ex_shift_variables_attack() -> tuple[list[Step], int]:
+    # (E v0)(v0 = 0) -> v0 = 0 from (A v1), which binds nothing in v0 = 0
+    return _shift_attack("ex_shift", _V0_IS_0, 1, Imp(Exists(0, _V0_IS_0), _V0_IS_0))
+
+
+def _ex_shift_components_attack() -> tuple[list[Step], int]:
+    # (E v0)(0 = 0) -> 0 = s 0 from (A v0)(0 = 0 -> 0 = 0)
+    return _shift_attack("ex_shift", _TRUE, 0, Imp(Exists(0, _TRUE), _FALSE))
 
 
 def _imp_k_attack() -> tuple[list[Step], int]:
@@ -308,8 +336,12 @@ def _imp_k_attack() -> tuple[list[Step], int]:
     ], 1
 
 
-@pytest.mark.parametrize("attack", [_ex_shift_attack, _all_shift_attack, _imp_k_attack],
-                         ids=["ex_shift", "all_shift", "imp_k"])
+@pytest.mark.parametrize("attack", [
+    _ex_shift_attack, _all_shift_attack, _imp_k_attack,
+    _all_shift_variables_attack, _all_shift_components_attack,
+    _ex_shift_variables_attack, _ex_shift_components_attack,
+], ids=["ex_shift", "all_shift", "imp_k", "all_shift-variables", "all_shift-components",
+        "ex_shift-variables", "ex_shift-components"])
 def test_side_condition_attacks_are_rejected(attack):
     # each derivation is sound but for one step, which a kernel missing
     # that step's check would accept; the last step is false

@@ -564,8 +564,37 @@ class TestAgainstReference:
         assert free_vars(e) is free_vars(e)
         assert is_closed(e) == (not oracles.free_vars(e))
         assert all_var_indices(e) == oracles.all_var_indices(e)
-        assert length(e) == len(tokens(e))
+        reference = list(oracles.render_reference(e))
+        assert render(e) == " ".join(reference) and tokens(e) == reference
+        assert length(e) == len(reference)
         assert classify(e) is oracles.classify(e)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(gen.formulas(), gen.terms()), st.randoms(use_true_random=False))
+    def test_text_through_a_shared_memo(self, e, rng):
+        # a memo shared by calls on e's nodes in any order: ropes left by
+        # one call are joined by a later one
+        nodes = list(dict.fromkeys(_nodes(e)))
+        rng.shuffle(nodes)
+        memo = {}
+        for x in nodes + [e] + nodes:
+            assert render(x, memo) == " ".join(oracles.render_reference(x))
+
+    def test_text_of_the_enumeration(self):
+        formulas = list(enumerate_formulas(10, 10))
+        assert len(formulas) == 5_596
+        memo = {}
+        for f in formulas:
+            want = " ".join(oracles.render_reference(f))
+            assert render(f) == want and render(f, memo) == want
+
+    def test_text_of_deep_inputs(self):
+        atom = Eq(Zero(), Zero())
+        chain = atom
+        for _ in range(50_000):
+            chain = And(chain, atom)
+        for e in (_nest(50_000), chain, numeral(50_000)):
+            assert render(e) == " ".join(oracles.render_reference(e))
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(gen.formulas(), gen.terms()), st.integers(min_value=0, max_value=3),
