@@ -5,11 +5,11 @@ parentheses).  Errors carry the 1-based token position and the tokens that
 would have been acceptable there.
 
 `parse_formula` with a memo reads the lines of a derivation: it looks a
-text up whole, then splits `( X ) c ( Y )` at a left operand X that is
-already a key, walking the right spine in a loop, and tokenizes only what
-is left.  The memo holds raw texts only; equal subformulas inside a
-tokenized text are one node because nodes are interned.  The parse is the
-one without the memo, error texts included.
+text up whole, then splits `( X ) c ( Y )` where its first parenthesis
+closes (a regex skips balanced runs), walks the right spine in a loop,
+and tokenizes only what is left.  The memo holds raw texts only; equal
+subformulas inside a tokenized text are one node because nodes are
+interned.  The parse is the one without the memo, error texts included.
 """
 
 from __future__ import annotations
@@ -223,24 +223,28 @@ def _parse_tokens(text: str, rule: Callable[[_Parser], Expr] = _Parser.formula) 
 # a binary connective between parenthesized operands, spaced as `render`
 # spaces it
 _SPLIT_RE = re.compile(r" \) (<->|->|&|\|) \( ")
+# a balanced run, groups nested at most 8 deep; possessive, never backtracks
+_RUN_RE = re.compile(r"[^()]*+(?:\(" * 8 + r"[^()]*+" + r"\)[^()]*+)*+" * 8)
 
 
 def _split(text: str) -> re.Match | None:
     """For a text `( X ) c ( Y )`, the ` ) c ( ` match that ends X.
 
-    That is the first candidate before which the parentheses balance.  X
-    and Y are only likely operands until each of them is read.
+    X ends where the first parenthesis closes.  `_RUN_RE` skips balanced
+    runs; each parenthesis a run stops at (closing, or deeper than the
+    pattern) moves `depth` by one.  No character is read by more than nine
+    runs: linear time at any depth.  X and Y are still only likely operands.
     """
     if not (text.startswith("( ") and text.endswith(" )")):
         return None
-    depth, i = 0, 2
-    for m in _SPLIT_RE.finditer(text, 2, len(text) - 2):
-        j = m.start()
-        depth += text.count("(", i, j) - text.count(")", i, j)
-        if depth == 0:
-            return m
-        i = m.end()
-    return None
+    depth, i = 1, 1
+    while depth:
+        i = _RUN_RE.match(text, i).end()
+        if i == len(text):
+            return None
+        depth += 1 if text[i] == "(" else -1
+        i += 1
+    return _SPLIT_RE.match(text, i - 2, len(text) - 2)
 
 
 def _read(text: str, memo: dict[str, Formula]) -> Formula:
@@ -274,13 +278,10 @@ def parse_formula(text: str, memo: dict[str, Formula] | None = None) -> Formula:
     """Parse one formula.
 
     With `memo`, a dict kept across calls that maps raw texts to their
-    parses, a text is read through its raw slices before it is tokenized:
-    the whole text is looked up; a text `( X ) c ( Y )` whose X is a key
-    (or reads alone) is read as the connective over X and Y, Y the same
-    way, down the right spine.  What does not split so is tokenized whole.
-    The result is the node the text parses to without the memo, since
-    nodes are interned.  A text that fails to parse is parsed again without
-    the memo, so the error is the one reported without it.
+    parses, the text is read through its raw slices (`_read`) first.  The
+    result is the node the text parses to without the memo, since nodes
+    are interned; a text that fails is parsed again without the memo, so
+    the error is the one reported without it.
     """
     if memo is None:
         return _parse_tokens(text)

@@ -49,6 +49,8 @@ from .syntax import (
     substitute,
 )
 
+_decode = json.JSONDecoder().raw_decode  # json.loads less its BOM and trailing tests
+
 
 class ProofCheckError(CheckFailedError):
     def __init__(self, index: int, message: str):
@@ -429,9 +431,11 @@ def to_json_lines(derivation: Derivation) -> Iterator[str]:
 
 
 def from_json_lines(lines: Iterable[str]) -> Derivation:
-    """Read a derivation; equal subformula texts become one shared node.
-    A field of the wrong JSON type (`true` as a premise, say) raises
-    InputError naming the line, counted from 1."""
+    """Read a derivation, one JSON object per line: `f` (formula text) and
+    `rule` (string); optional `i` (index, from 0), `name` (string), `var`
+    (integer), each may be null, and `prem` (list of step indices).  Blank
+    lines are skipped.  A malformed line raises InputError with its number,
+    from 1; an `f` that does not parse, ParseError.  Equal texts share nodes."""
     steps: list[Step] = []
     memo: dict[str, Formula] = {}
     for lineno, line in enumerate(lines, 1):
@@ -439,20 +443,25 @@ def from_json_lines(lines: Iterable[str]) -> Derivation:
         if not line:
             continue
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as err:
-            raise InputError(f"line {lineno}: bad JSON: {err}") from err
-        if not isinstance(obj, dict) or "f" not in obj or "rule" not in obj:
+            obj, end = _decode(line)
+            if end != len(line):
+                raise ValueError("trailing data")
+        except (ValueError, RecursionError):
+            try:  # again, for the error text `json.loads` gives
+                obj = json.loads(line)
+            except (ValueError, RecursionError) as err:
+                raise InputError(f"line {lineno}: bad JSON: {err}") from err
+        if type(obj) is not dict or "f" not in obj or "rule" not in obj:
             raise InputError(f"line {lineno}: step needs 'f' and 'rule'")
-        if not isinstance(obj["f"], str):
+        if type(obj["f"]) is not str:
             raise InputError(f"line {lineno}: 'f' must be a formula text")
         rule, name, premises = obj["rule"], obj.get("name"), obj.get("prem", [])
         if type(rule) is not str or name is not None and type(name) is not str:
             raise InputError(f"line {lineno}: 'rule' and 'name' must be strings")
-        if type(premises) is not list or any(type(p) is not int for p in premises):
+        if type(premises) is not list or not {int}.issuperset(map(type, premises)):
             raise InputError(f"line {lineno}: 'prem' must be a list of step indices")
         expected, var = obj.get("i"), obj.get("var")
-        if any(x is not None and type(x) is not int for x in (expected, var)):
+        if type(expected) not in (int, type(None)) or type(var) not in (int, type(None)):
             raise InputError(f"line {lineno}: 'i' and 'var' must be integers")
         if expected is not None and expected != len(steps):
             raise InputError(f"line {lineno}: index {expected} out of order")

@@ -13,7 +13,10 @@ building only those, the least-unnamed-number search
 by grammar-blind brute force over raw token strings (and, for whole
 reports, by re-probing every formula at every number), a naming table's
 verdicts by scanning every instance instead of stopping at the second true
-one, tokens by a match-at-a-time loop instead of one findall, canonical
+one, tokens by a match-at-a-time loop instead of one findall, the split
+of `( X ) c ( Y )` by trying each connective in turn instead of skipping
+balanced runs, derivation lines by `json.loads` and generator field checks
+instead of one `raw_decode` and type tests, canonical
 text by a token walk instead of the text fold, derivations by deduplicating
 proof steps on rendered strings instead of interned expansions, the deduction
 theorem by walking the whole proof tree instead of its open part, schema
@@ -27,6 +30,7 @@ syntax.  Expected values frozen in tests come from here.
 
 from __future__ import annotations
 
+import json
 import re
 from itertools import product
 from typing import Iterator
@@ -1287,6 +1291,59 @@ def scan_tokens(text: str) -> list[str]:
             toks.append(m.group())
         i = m.end()
     return toks
+
+
+# ---------------------------------------------- reading derivations, per line
+
+_SPLIT_RE = re.compile(r" \) (<->|->|&|\|) \( ")
+
+
+def split_reference(text: str) -> re.Match | None:
+    """For a text `( X ) c ( Y )`, the ` ) c ( ` match that ends X: the
+    first candidate, tried left to right, before which the parentheses
+    after `( ` balance."""
+    if not (text.startswith("( ") and text.endswith(" )")):
+        return None
+    depth, i = 0, 2
+    for m in _SPLIT_RE.finditer(text, 2, len(text) - 2):
+        j = m.start()
+        depth += text.count("(", i, j) - text.count(")", i, j)
+        if depth == 0:
+            return m
+        i = m.end()
+    return None
+
+
+def from_json_lines_reference(lines) -> Derivation:
+    """A derivation read by `json.loads` per line, with generator field
+    checks.  A line nested too deeply for the decoder, or holding a number
+    past the int/str digit limit, raises RecursionError or ValueError."""
+    steps: list[Step] = []
+    memo: dict = {}
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as err:
+            raise InputError(f"line {lineno}: bad JSON: {err}") from err
+        if not isinstance(obj, dict) or "f" not in obj or "rule" not in obj:
+            raise InputError(f"line {lineno}: step needs 'f' and 'rule'")
+        if not isinstance(obj["f"], str):
+            raise InputError(f"line {lineno}: 'f' must be a formula text")
+        rule, name, premises = obj["rule"], obj.get("name"), obj.get("prem", [])
+        if type(rule) is not str or name is not None and type(name) is not str:
+            raise InputError(f"line {lineno}: 'rule' and 'name' must be strings")
+        if type(premises) is not list or any(type(p) is not int for p in premises):
+            raise InputError(f"line {lineno}: 'prem' must be a list of step indices")
+        expected, var = obj.get("i"), obj.get("var")
+        if any(x is not None and type(x) is not int for x in (expected, var)):
+            raise InputError(f"line {lineno}: 'i' and 'var' must be integers")
+        if expected is not None and expected != len(steps):
+            raise InputError(f"line {lineno}: index {expected} out of order")
+        steps.append(Step(parse_formula(obj["f"], memo), rule, tuple(premises), name, var))
+    return Derivation(tuple(steps))
 
 
 # ------------------------------------------------------------------- primes

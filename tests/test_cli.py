@@ -320,6 +320,15 @@ class TestProofPipeline:
         code, _, err = run(capsys, "check-proof", str(path))
         assert code == 2 and err.startswith("error: line 1: bad JSON: ")
 
+    def test_json_nested_too_deeply_names_its_line(self, capsys, tmp_path):
+        # once the catch-all's "input nested too deeply", with no line
+        path = tmp_path / "d.jsonl"
+        path.write_text("[" * 100_000 + "\n")
+        code, out, err = run(capsys, "check-proof", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: line 1: bad JSON: maximum recursion depth exceeded")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
 
     @pytest.mark.parametrize("field, value, message", [
         ("prem", [True, 0], "'prem' must be a list of step indices"),

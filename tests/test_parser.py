@@ -5,6 +5,7 @@ from __future__ import annotations
 import gzip
 import json
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 import oracles
 import strategies as gen
+from berrykit import parser
 from berrykit.errors import InputError
 from berrykit.parser import ParseError, _tokenize, parse, parse_formula, parse_term
 from berrykit.proofs import from_json_lines, to_json_lines
@@ -252,6 +254,67 @@ def test_fixture_lines_read_as_without_memo(name):
     assert "".join(line + "\n" for line in to_json_lines(d)) == data
 
 
+def _split_key(m):
+    return None if m is None else (m.start(), m.group(1))
+
+
+def _assert_split_agrees(text):
+    """`_split` and the candidate loop agree on text and on every operand
+    slice the reading path would cut from it."""
+    todo = [text]
+    while todo:
+        text = todo.pop()
+        m = parser._split(text)
+        assert _split_key(m) == _split_key(oracles.split_reference(text)), text
+        if m is not None:
+            todo += [text[2:m.start()], text[m.end():-2]]
+
+
+def test_split_agrees_on_fixture_texts(monkeypatch):
+    seen = []
+    split = parser._split
+    monkeypatch.setattr(parser, "_split", lambda text: seen.append(text) or split(text))
+    for name in ("naming_v0_5", "naming_v0_10"):
+        with gzip.open(FIXTURES / f"{name}.jsonl.gz", "rt", encoding="utf-8") as fh:
+            from_json_lines(fh)
+    monkeypatch.undo()
+    assert len(seen) > 10_000
+    for text in seen:
+        assert _split_key(parser._split(text)) == _split_key(oracles.split_reference(text))
+
+
+@settings(max_examples=300, deadline=None)
+@given(gen.formulas(24))
+def test_split_agrees_on_renderings(f):
+    _assert_split_agrees(render(f))
+
+
+def _deep_chains(depth):
+    """A left-nested and a right-nested `->` chain, depth connectives each."""
+    atom = "v0 = 0"
+    return ("( " * depth + atom + f" ) -> ( {atom} )" * depth,
+            f"( {atom} ) -> ( " * depth + atom + " )" * depth)
+
+
+def test_split_of_deep_chains_is_linear():
+    for depth in (5_000, 50_000):
+        left, right = _deep_chains(depth)
+        assert _split_key(parser._split(left)) == (len(left) - 16, "->")
+        assert _split_key(parser._split(right)) == (8, "->")
+        for text in (left, right):
+            assert _split_key(parser._split(text)) == _split_key(oracles.split_reference(text))
+    # best of several interleaved runs, so a stall of the host is not counted
+    best = {5_000: float("inf"), 50_000: float("inf")}
+    for _ in range(5):
+        for depth in best:
+            texts = _deep_chains(depth)
+            start = time.perf_counter()
+            for text in texts:
+                parser._split(text)
+            best[depth] = min(best[depth], time.perf_counter() - start)
+    assert best[50_000] <= 15 * best[5_000], best
+
+
 def _outcome(text, memo=None):
     try:
         return parse_formula(text, memo)
@@ -313,6 +376,19 @@ def test_known_left_operand_reads_as_without_memo(a, b, conn, rng):
                     oracles.scan_tokens(variant)
                 except ParseError as err:
                     assert got == ("error", str(err), err.position)
+
+
+@settings(max_examples=150, deadline=None)
+@given(gen.formulas(12), st.randoms(use_true_random=False))
+def test_split_of_a_malformed_text_is_a_reference_split(f, rng):
+    # the candidate loop may split a malformed text after its first group
+    # has closed, where `_split` does not; a split `_split` finds with a
+    # nonempty X, the loop finds too
+    text = render(f)
+    for variant in _malformed(text, rng) + _respaced(text, rng):
+        m = parser._split(variant)
+        if m is not None and m.start() >= 2:
+            assert _split_key(m) == _split_key(oracles.split_reference(variant)), variant
 
 
 def test_deep_negation_nest_reads_with_a_memo():

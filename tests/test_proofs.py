@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import contextlib
 import copy
+import functools
+import gzip
 import itertools
 import json
 import pickle
 import re
+import sys
 from dataclasses import FrozenInstanceError, fields, replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -452,6 +457,22 @@ class TestTamper:
         assert not is_valid(mutated, Q)
 
 
+# JSON the decoder gives up on: nested past the recursion limit, and an
+# integer past the int/str digit limit
+_DEEP_JSON = "[" * 100_000
+_LONG_NUMBER_JSON = '{"i": 0, "f": "0 = 0", "rule": "axiom", "prem": [' + "9" * 5000 + "]}"
+
+
+@contextlib.contextmanager
+def _digit_limit(digits):
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
 class TestJsonLines:
     def test_round_trip_preserves_validity(self):
         d = prove_ne_numerals(0, 4)
@@ -494,6 +515,94 @@ class TestJsonLines:
     def test_missing_keys_rejected(self):
         with pytest.raises(InputError):
             from_json_lines(['{"i": 0, "f": "0 = 0"}'])
+
+    @pytest.mark.parametrize("line", [_DEEP_JSON, _LONG_NUMBER_JSON],
+                             ids=["deep-nesting", "long-number"])
+    def test_json_past_the_decoder_is_bad_input(self, line):
+        # both once escaped as RecursionError and ValueError
+        good = '{"i": 0, "f": "0 = 0", "rule": "schema", "name": "eq_refl"}'
+        with _digit_limit(4300), pytest.raises(InputError, match=r"^line 2: bad JSON: "):
+            from_json_lines([good, line])
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
+_JSON_VALUES = [None, True, False, 0, 1, -1, 2.5, "x", "", [], [0], [True], [1, "a"],
+                {}, {"f": "0 = 0"}]
+
+
+@functools.cache
+def _fixture_lines() -> tuple[str, ...]:
+    with gzip.open(FIXTURES / "naming_v0_5.jsonl.gz", "rt", encoding="utf-8") as fh:
+        return tuple(fh)
+
+
+@st.composite
+def _reader_cases(draw):
+    """(kind, lines, number of the changed line): lines 1 to k + 3 of the
+    v0 = 5 fixture with line k + 1 changed once, in one field or as a
+    whole, or preceded by a blank line.  Its first 400 lines hold every
+    rule, `gen` from line 273."""
+    lines = _fixture_lines()
+    k = draw(st.integers(0, 399))
+    line, obj = lines[k], json.loads(lines[k])
+    kind = draw(st.sampled_from([
+        "retype", "drop", "null", "true-premise", "reindex", "trailing", "bom",
+        "blank", "not-an-object", "truncated", "deep", "long-number",
+    ]))
+    field = draw(st.sampled_from(["i", "f", "rule", "name", "prem", "var"]))
+    new = [line]
+    match kind:
+        case "retype":
+            obj[field] = draw(st.sampled_from(_JSON_VALUES))
+        case "drop":
+            obj.pop(field, None)
+        case "null":
+            obj[draw(st.sampled_from(["i", "name", "var"]))] = None
+        case "true-premise":
+            prem = obj.get("prem", [])
+            obj["prem"] = prem[:-1] + [True] if prem else [True]
+        case "reindex":
+            obj["i"] = k + draw(st.sampled_from([-1, 1, 2]))
+        case "trailing":
+            new = [line.rstrip("\n") + draw(st.sampled_from([" x", " {}", "]", ",", " 1"]))]
+        case "bom":
+            new = ["\ufeff" + line]
+        case "blank":
+            new = [draw(st.sampled_from(["\n", "   \n", "\t\r\n", "\u2003\n"])), line]
+        case "not-an-object":
+            new = [json.dumps(draw(st.sampled_from([v for v in _JSON_VALUES
+                                                    if type(v) is not dict])))]
+        case "truncated":
+            new = [line[:draw(st.integers(0, len(line) - 2))]]
+        case "deep":
+            new = [_DEEP_JSON]
+        case "long-number":
+            new = [_LONG_NUMBER_JSON]
+    if kind in ("retype", "drop", "null", "true-premise", "reindex"):
+        new = [json.dumps(obj)]
+    return kind, list(lines[:k]) + new + list(lines[k + 1:k + 3]), k + len(new)
+
+
+def _read_outcome(read, lines):
+    try:
+        return read(lines).steps
+    except InputError as err:
+        return str(err)
+
+
+@settings(max_examples=250, deadline=None)
+@given(_reader_cases())
+def test_reader_agrees_with_the_reference(case):
+    kind, lines, lineno = case
+    with _digit_limit(4300):
+        got = _read_outcome(from_json_lines, lines)
+        if kind in ("deep", "long-number"):
+            with pytest.raises((RecursionError, ValueError)) as ref:
+                oracles.from_json_lines_reference(lines)
+            assert not isinstance(ref.value, InputError)
+            assert got.startswith(f"line {lineno}: bad JSON: ")
+        else:
+            assert got == _read_outcome(oracles.from_json_lines_reference, lines)
 
 
 class TestSharedReading:
