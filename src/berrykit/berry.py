@@ -26,8 +26,10 @@ from .semantics import (
     DEFAULT_BUDGET,
     DEFAULT_CAP,
     SEARCH_BUDGET,
+    FormulaClass,
     NamingVerdict,
     SemanticNaming,
+    classify,
 )
 from .syntax import (
     Add,
@@ -38,7 +40,6 @@ from .syntax import (
     Exists,
     Forall,
     Formula,
-    FormulaClass,
     Iff,
     Imp,
     Le,
@@ -49,7 +50,6 @@ from .syntax import (
     Term,
     Var,
     Zero,
-    classify,
     expand_bounded,
     fold,
     free_vars,

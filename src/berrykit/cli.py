@@ -24,17 +24,20 @@ from typing import TYPE_CHECKING, Iterator
 from .errors import BerrykitError, BudgetExhaustedError, CheckFailedError, InputError
 from .parser import parse, parse_formula
 from .proofs import check, from_json_lines, robinson_arithmetic, to_json_lines
-from .semantics import BACKENDS, DEFAULT_BUDGET, DEFAULT_CAP, Truth, decide
+from .semantics import BACKENDS, DEFAULT_BUDGET, DEFAULT_CAP, Truth, classify, decide
 from .syntax import (
+    CHILDREN,
     Exists,
+    Expr,
     Forall,
-    classify,
+    Succ,
     expand_bounded,
+    fold,
     is_closed,
     is_formula,
     length,
     render,
-    to_json_obj,
+    succ_spine,
 )
 
 if TYPE_CHECKING:
@@ -150,6 +153,30 @@ def _dumps(obj: object) -> str:
     return "".join(out)
 
 
+# the JSON kind of each node type, and the JSON key of each of its fields
+_JSON_KINDS: dict[type, str] = {t: t.__name__.lower() for t in CHILDREN}
+_JSON_KEY = {"index": "i", "var": "i", "arg": "t", "body": "f", "bound": "b",
+             "left": "l", "right": "r"}
+_JSON_KEYS = {t: tuple(_JSON_KEY[n] for n in t.__match_args__) for t in CHILDREN}
+
+
+def _json_of(node: Expr, kids: tuple) -> dict:
+    if type(node) is Succ:  # a whole spine, wrapped from its core outwards
+        obj = kids[0]
+        for _ in range(succ_spine(node)[0]):
+            obj = {"k": "succ", "t": obj}
+        return obj
+    names = node.__match_args__
+    ints = [getattr(node, name) for name in names[:len(names) - len(kids)]]
+    return {"k": _JSON_KINDS[type(node)], **dict(zip(_JSON_KEYS[type(node)], ints + [*kids]))}
+
+
+def to_json_obj(e: Expr) -> dict:
+    """The tagged JSON object of e, as `parse --json` writes its `ast`;
+    iterative, so deep terms are safe."""
+    return fold(e, _json_of)
+
+
 def _emit(obj: dict, text: str, st: Settings) -> None:
     print(_dumps(obj) if st.as_json else text)
 
@@ -165,19 +192,13 @@ def _read_arg_or_stdin(value: str | None) -> str:
 def _cmd_parse(args, st: Settings) -> int:
     e = parse(_read_arg_or_stdin(args.expr))
     kind = "formula" if is_formula(e) else "term"
-    obj = {
-        "v": 1,
-        "kind": kind,
-        "text": render(e),
-        "length": length(e),
-        "ast": to_json_obj(e),
-    }
+    text, n = render(e), length(e)
+    obj = {"v": 1, "kind": kind, "text": text, "length": n, "ast": to_json_obj(e)}
+    summary = f"kind: {kind}  length: {n}"
     if kind == "formula":
         obj["class"] = classify(e).value
-    lines = [render(e), f"kind: {kind}  length: {length(e)}"]
-    if kind == "formula":
-        lines[1] += f"  class: {classify(e).value}"
-    _emit(obj, "\n".join(lines), st)
+        summary += f"  class: {obj['class']}"
+    _emit(obj, f"{text}\n{summary}", st)
     return 0
 
 

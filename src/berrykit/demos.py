@@ -28,7 +28,7 @@ from .generators import LemmaBank, prove_sigma, refute_delta0
 from .parser import parse_formula
 from .proofs import is_valid
 from .relations import b_rel, lh, nm, prc
-from .semantics import BACKENDS, DEFAULT_CAP, SEARCH_BUDGET, eval_delta0
+from .semantics import BACKENDS, DEFAULT_CAP, SEARCH_BUDGET, classify, eval_delta0
 from .syntax import (
     And,
     BForall,
@@ -37,7 +37,6 @@ from .syntax import (
     Succ,
     Var,
     Zero,
-    classify,
     is_closed,
     numeral,
     render,

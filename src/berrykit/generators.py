@@ -24,7 +24,18 @@ from .errors import (
     RefusedError,
 )
 from .proofs import Derivation, robinson_arithmetic
-from .semantics import DEFAULT_BUDGET, SemanticNaming, Truth, Verdict, decide, eval_term
+from .semantics import (
+    DEFAULT_BUDGET,
+    FormulaClass,
+    SemanticNaming,
+    Truth,
+    Verdict,
+    classify,
+    decide,
+    eval_term,
+    guarded_exists,
+    guarded_forall,
+)
 from .syntax import (
     Add,
     And,
@@ -33,7 +44,6 @@ from .syntax import (
     Exists,
     Forall,
     Formula,
-    FormulaClass,
     Iff,
     Imp,
     Le,
@@ -45,12 +55,9 @@ from .syntax import (
     Var,
     Zero,
     all_var_indices,
-    classify,
     expand_bounded,
     fold,
     free_vars,
-    guarded_exists,
-    guarded_forall,
     numeral,
     numeral_value,
     render,
@@ -1021,8 +1028,6 @@ class NamingTable:
     """
 
     def __init__(self, mu: Formula, budget: int, bank: LemmaBank):
-        if free_vars(mu) - {0}:
-            raise InputError("the formula may only mention v0 free")
         self.mu = mu
         self.budget = budget
         self.bank = bank

@@ -434,8 +434,8 @@ def from_json_lines(lines: Iterable[str]) -> Derivation:
     """Read a derivation, one JSON object per line: `f` (formula text) and
     `rule` (string); optional `i` (index, from 0), `name` (string), `var`
     (integer), each may be null, and `prem` (list of step indices).  Blank
-    lines are skipped.  A malformed line raises InputError with its number,
-    from 1; an `f` that does not parse, ParseError.  Equal texts share nodes."""
+    lines are skipped.  A malformed line, or one whose `f` does not parse,
+    raises InputError with its number, from 1.  Equal texts share nodes."""
     steps: list[Step] = []
     memo: dict[str, Formula] = {}
     for lineno, line in enumerate(lines, 1):
@@ -465,5 +465,10 @@ def from_json_lines(lines: Iterable[str]) -> Derivation:
             raise InputError(f"line {lineno}: 'i' and 'var' must be integers")
         if expected is not None and expected != len(steps):
             raise InputError(f"line {lineno}: index {expected} out of order")
-        steps.append(Step(parse_formula(obj["f"], memo), rule, tuple(premises), name, var))
+        try:
+            formula = parse_formula(obj["f"], memo)
+        except (InputError, RecursionError) as err:
+            why = "formula nested too deeply to read" if type(err) is RecursionError else err
+            raise InputError(f"line {lineno}: {why}") from err
+        steps.append(Step(formula, rule, tuple(premises), name, var))
     return Derivation(tuple(steps))

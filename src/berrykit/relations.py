@@ -16,13 +16,11 @@ from .coding import decode, encode
 from .errors import BudgetExhaustedError, InputError, RefusedError
 from .generators import LemmaBank, NamingTable, names_provable, refute_delta0
 from .proofs import Derivation
-from .semantics import DEFAULT_BUDGET, DEFAULT_CAP, Truth, decide
+from .semantics import DEFAULT_BUDGET, DEFAULT_CAP, FormulaClass, Truth, classify, decide
 from . import tactics as T
 from .syntax import (
     Formula,
-    FormulaClass,
     Not,
-    classify,
     expand_bounded,
     free_vars,
     is_closed,

@@ -12,6 +12,11 @@ instead of asking again.  ``eval_budgeted`` is its truth alone, and
 ``eval_delta0`` the exact two-valued reading for Δ0 formulas, refusing any
 other.  A formula's truth at a number is read under ``{v: j}``, never by
 substituting a numeral first.
+
+Classification lives here too: ``classify`` folds a formula's expansion
+to its most specific class (Δ0, Σ1, Σ or neither), reading guarded
+quantifiers with ``guarded_forall`` and ``guarded_exists``, as the
+evaluator does.  The proof checker never asks it.
 """
 
 from __future__ import annotations
@@ -23,13 +28,14 @@ from typing import Literal
 
 from .errors import InputError, NotDelta0Error
 from .syntax import (
+    _KIDS,
     Add,
     And,
     Eq,
     Exists,
+    Expr,
     Forall,
     Formula,
-    FormulaClass,
     Iff,
     Imp,
     Le,
@@ -40,11 +46,9 @@ from .syntax import (
     Term,
     Var,
     Zero,
-    classify,
     expand_bounded,
+    fold,
     free_vars,
-    guarded_exists,
-    guarded_forall,
     succ_spine,
 )
 
@@ -59,6 +63,72 @@ SEARCH_BUDGET = 32
 DEFAULT_CAP = 8
 BACKENDS = ("semantic", "prover")
 
+
+# ------------------------------------------------------------ classification
+
+class FormulaClass(enum.Enum):
+    DELTA0 = "delta0"
+    SIGMA1 = "sigma1"
+    SIGMA = "sigma"
+    OTHER = "other"
+
+
+def guarded_forall(f: Formula) -> tuple[int, Term, Formula] | None:
+    """Match forall v ((s v <= b) -> body) with v not free in b."""
+    match f:
+        case Forall(v, Imp(Le(Succ(Var(w)), b), body)) if w == v and v not in free_vars(b):
+            return v, b, body
+    return None
+
+
+def guarded_exists(f: Formula) -> tuple[int, Term, Formula] | None:
+    """Match exists v ((s v <= b) & body) with v not free in b."""
+    match f:
+        case Exists(v, And(Le(Succ(Var(w)), b), body)) if w == v and v not in free_vars(b):
+            return v, b, body
+    return None
+
+
+# class ranks in the fold: Δ0, Σ, neither, and an implication from a Δ0
+# formula to a Σ one, no Σ formula itself but one under a guarded ∀
+_D0, _SIG, _OTH, _D0_TO_SIG = range(4)
+
+
+def _rank_of(node: Expr, kids: tuple) -> int:
+    kind = type(node)
+    if kind is Eq or kind is Le:
+        return _D0
+    if kind is Imp and kids == (_D0, _SIG):
+        return _D0_TO_SIG
+    if kind is Not or kind is Iff or kind is Imp:
+        return _D0 if max(kids) == _D0 else _OTH
+    if kind is And or kind is Or:
+        return min(max(kids), _OTH)
+    if kind is Exists:
+        if guarded_exists(node) is not None:
+            return kids[0]
+        return _SIG if kids[0] <= _SIG else _OTH
+    if kind is Forall and guarded_forall(node) is not None:
+        return {_D0: _D0, _D0_TO_SIG: _SIG}.get(kids[0], _OTH)
+    return _OTH  # terms and unguarded universals; expansions hold no sugar
+
+
+# a rank ignores terms, so the fold stops at atoms
+_RANK_KIDS = {**_KIDS, Eq: _KIDS[Zero], Le: _KIDS[Zero]}
+_CLASS_OF_RANK = (FormulaClass.DELTA0, FormulaClass.SIGMA, FormulaClass.OTHER, FormulaClass.OTHER)
+
+
+def classify(f: Formula) -> FormulaClass:
+    """Most specific syntactic class of the expanded formula."""
+    f = expand_bounded(f)  # type: ignore[assignment]
+    ranks: dict[Expr, int] = {}
+    rank = fold(f, _rank_of, ranks, _RANK_KIDS)
+    if rank == _SIG and type(f) is Exists and ranks[f.body] == _D0:
+        return FormulaClass.SIGMA1
+    return _CLASS_OF_RANK[rank]
+
+
+# -------------------------------------------------------------- evaluation
 
 class Truth(enum.Enum):
     TRUE = "true"

@@ -19,7 +19,7 @@ expansion, so two expressions render alike exactly when `expand_bounded`
 gives the same object for both.
 
 Every bottom-up question (free variables, variable indices, canonical
-text, class, JSON) is an algebra for one iterative postorder `fold` over
+text) is an algebra for one iterative postorder `fold` over
 `CHILDREN` (Meijer, Fokkinga & Paterson, Functional Programming with
 Bananas, Lenses, Envelopes and Barbed Wire, 1991): a function from a node
 and its children's values to the node's value.  The fold memoizes by
@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import FrozenInstanceError
-from enum import Enum
 from functools import partial
 from operator import attrgetter
 from typing import Callable, TypeVar, Union
@@ -637,122 +636,3 @@ def rename_to_first(f: Formula, j: int) -> Formula:
     out = _rebuild(f, {}, first=1)
     assert all(v < j for v in all_var_indices(out))
     return out  # type: ignore[return-value]
-
-
-# ------------------------------------------------------------ classification
-
-class FormulaClass(Enum):
-    DELTA0 = "delta0"
-    SIGMA1 = "sigma1"
-    SIGMA = "sigma"
-    OTHER = "other"
-
-
-def guarded_forall(f: Formula) -> tuple[int, Term, Formula] | None:
-    """Match forall v ((s v <= b) -> body) with v not free in b."""
-    match f:
-        case Forall(v, Imp(Le(Succ(Var(w)), b), body)) if w == v and v not in free_vars(b):
-            return v, b, body
-    return None
-
-
-def guarded_exists(f: Formula) -> tuple[int, Term, Formula] | None:
-    """Match exists v ((s v <= b) & body) with v not free in b."""
-    match f:
-        case Exists(v, And(Le(Succ(Var(w)), b), body)) if w == v and v not in free_vars(b):
-            return v, b, body
-    return None
-
-
-# class ranks in the fold: Δ0, Σ, neither, and an implication from a Δ0
-# formula to a Σ one, no Σ formula itself but one under a guarded ∀
-_D0, _SIG, _OTH, _D0_TO_SIG = range(4)
-
-
-def _rank_of(node: Expr, kids: tuple) -> int:
-    kind = type(node)
-    if kind is Eq or kind is Le:
-        return _D0
-    if kind is Imp and kids == (_D0, _SIG):
-        return _D0_TO_SIG
-    if kind is Not or kind is Iff or kind is Imp:
-        return _D0 if max(kids) == _D0 else _OTH
-    if kind is And or kind is Or:
-        return min(max(kids), _OTH)
-    if kind is Exists:
-        if guarded_exists(node) is not None:
-            return kids[0]
-        return _SIG if kids[0] <= _SIG else _OTH
-    if kind is Forall and guarded_forall(node) is not None:
-        return {_D0: _D0, _D0_TO_SIG: _SIG}.get(kids[0], _OTH)
-    return _OTH  # terms and unguarded universals; expansions hold no sugar
-
-
-# a rank ignores terms, so the fold stops at atoms
-_RANK_KIDS = {**_KIDS, Eq: _KIDS[Zero], Le: _KIDS[Zero]}
-_CLASS_OF_RANK = (FormulaClass.DELTA0, FormulaClass.SIGMA, FormulaClass.OTHER, FormulaClass.OTHER)
-
-
-def classify(f: Formula) -> FormulaClass:
-    """Most specific syntactic class of the expanded formula."""
-    f = expand_bounded(f)  # type: ignore[assignment]
-    ranks: dict[Expr, int] = {}
-    rank = fold(f, _rank_of, ranks, _RANK_KIDS)
-    if rank == _SIG and type(f) is Exists and ranks[f.body] == _D0:
-        return FormulaClass.SIGMA1
-    return _CLASS_OF_RANK[rank]
-
-
-# ----------------------------------------------------------------- JSON AST
-
-_JSON_KINDS: dict[type, str] = {t: t.__name__.lower() for t in CHILDREN}
-_JSON_TYPES = {k: t for t, k in _JSON_KINDS.items()}
-# the JSON key of each field of each node type, in field order
-_JSON_KEY = {"index": "i", "var": "i", "arg": "t", "body": "f", "bound": "b",
-             "left": "l", "right": "r"}
-_JSON_KEYS = {t: tuple(_JSON_KEY[n] for n in t.__match_args__) for t in CHILDREN}
-
-
-def _json_of(node: Expr, kids: tuple) -> dict:
-    if type(node) is Succ:  # a whole spine, wrapped from its core outwards
-        obj = kids[0]
-        for _ in range(succ_spine(node)[0]):
-            obj = {"k": "succ", "t": obj}
-        return obj
-    names = node.__match_args__
-    ints = [getattr(node, name) for name in names[:len(names) - len(kids)]]
-    return {"k": _JSON_KINDS[type(node)], **dict(zip(_JSON_KEYS[type(node)], ints + [*kids]))}
-
-
-def to_json_obj(e: Expr) -> dict:
-    """The tagged JSON object of e; iterative, so deep terms are safe."""
-    return fold(e, _json_of)
-
-
-def from_json_obj(obj: dict) -> Expr:
-    """Inverse of to_json_obj; iterative, so deep objects are safe."""
-    built: dict[int, Expr] = {}  # id(JSON object) -> its node
-    stack = [obj]
-    while stack:
-        o = stack[-1]
-        if id(o) in built:
-            stack.pop()
-            continue
-        if not isinstance(o, dict) or "k" not in o:
-            raise ValueError(f"not a tagged AST object: {o!r}")
-        k = o["k"]
-        kind = _JSON_TYPES.get(k)
-        if kind is None:
-            raise ValueError(f"unknown AST kind {k!r}")
-        try:
-            values = [o[key] for key in _JSON_KEYS[kind]]
-        except KeyError as exc:
-            raise ValueError(f"AST object {k!r} missing field {exc}") from exc
-        n_ints = len(values) - len(CHILDREN[kind])
-        kids = [v for v in values[n_ints:] if id(v) not in built]
-        if kids:
-            stack.extend(kids)
-            continue
-        stack.pop()
-        built[id(o)] = kind(*map(int, values[:n_ints]), *(built[id(v)] for v in values[n_ints:]))
-    return built[id(obj)]

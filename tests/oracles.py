@@ -25,7 +25,8 @@ true sentences proved and false ones refuted by asking the evaluator at
 each choice instead of following the verdict it returned, and primes by a
 plain sieve.  The evaluator is checked against the two
 interpreters it replaced, one match ladder per question over the surface
-syntax.  Expected values frozen in tests come from here.
+syntax.  The AST's JSON form is read back here, as the reference inverse
+of the CLI's writer.  Expected values frozen in tests come from here.
 """
 
 from __future__ import annotations
@@ -42,14 +43,15 @@ from berrykit.generators import _C0, LemmaBank, _guard_parts, names_provable
 from berrykit.parser import ParseError, parse_formula
 from berrykit.proofs import _PATTERN_NODES, Derivation, Step
 from berrykit.semantics import (
-    Env, Truth, _of_bool, _t_and, _t_iff, _t_or, eval_term, names_semantic,
+    Env, FormulaClass, Truth, _of_bool, _t_and, _t_iff, _t_or, eval_term, guarded_exists,
+    guarded_forall, names_semantic,
 )
 from berrykit import tactics as T
 from berrykit.tactics import MP, Ax, Gen, Hyp, Proof, Sch, TacticError
 from berrykit.syntax import (
-    Add, And, BExists, BForall, Eq, Exists, Forall, Formula, FormulaClass,
-    Iff, Imp, Le, Mul, Not, Or, Succ, Term, Var, Zero, expand_bounded,
-    guarded_exists, guarded_forall, is_formula, is_term, numeral, render,
+    Add, And, BExists, BForall, Eq, Exists, Forall, Formula, Iff, Imp, Le,
+    Mul, Not, Or, Succ, Term, Var, Zero, expand_bounded, is_formula, is_term,
+    numeral, render,
 )
 
 
@@ -1272,6 +1274,38 @@ def render_reference(e) -> Iterator[str]:
                 raise TypeError(f"not a term or formula node: {node!r}")
 
 
+# ------------------------------------------------------ the AST's JSON form
+
+_JSON_TYPES = {t.__name__.lower(): t for t in syntax.CHILDREN}
+_JSON_FIELD_KEY = {"index": "i", "var": "i", "arg": "t", "body": "f", "bound": "b",
+                   "left": "l", "right": "r"}
+
+
+def from_json_obj(obj: dict):
+    """The node of a tagged JSON object, the inverse of `cli.to_json_obj`:
+    a postorder over the objects that builds each from its fields' values
+    once every child object is built.  Iterative, so deep objects are safe."""
+    built: dict[int, object] = {}  # id(JSON object) -> its node
+    stack = [obj]
+    while stack:
+        o = stack[-1]
+        if id(o) in built:
+            stack.pop()
+            continue
+        if not isinstance(o, dict) or o.get("k") not in _JSON_TYPES:
+            raise ValueError(f"not a tagged AST object: {o!r}")
+        kind = _JSON_TYPES[o["k"]]
+        values = [o[_JSON_FIELD_KEY[name]] for name in kind.__match_args__]
+        n_ints = len(values) - len(syntax.CHILDREN[kind])
+        pending = [v for v in values[n_ints:] if id(v) not in built]
+        if pending:
+            stack += pending
+            continue
+        stack.pop()
+        built[id(o)] = kind(*values[:n_ints], *(built[id(v)] for v in values[n_ints:]))
+    return built[id(obj)]
+
+
 # ------------------------------------------------------- character-loop scan
 
 _SCAN_RE = re.compile(r"\s+|v\d+|<->|->|<=|[0s+*=~&|()AE]")
@@ -1342,7 +1376,13 @@ def from_json_lines_reference(lines) -> Derivation:
             raise InputError(f"line {lineno}: 'i' and 'var' must be integers")
         if expected is not None and expected != len(steps):
             raise InputError(f"line {lineno}: index {expected} out of order")
-        steps.append(Step(parse_formula(obj["f"], memo), rule, tuple(premises), name, var))
+        try:
+            formula = parse_formula(obj["f"], memo)
+        except ParseError as err:
+            raise InputError(f"line {lineno}: {err}") from err
+        except RecursionError as err:
+            raise InputError(f"line {lineno}: formula nested too deeply to read") from err
+        steps.append(Step(formula, rule, tuple(premises), name, var))
     return Derivation(tuple(steps))
 
 

@@ -329,6 +329,19 @@ class TestProofPipeline:
         assert err.startswith("error: line 1: bad JSON: maximum recursion depth exceeded")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("formula, message", [
+        ("0 = = 0", "syntax error at token 3: unexpected '=' (expected one of: (, 0, s, v<i>)"),
+        ("( " * 3000 + "v0 = 0" + " ) -> ( v0 = 0 )" * 3000, "formula nested too deeply to read"),
+    ], ids=["syntax-error", "left-nested"])
+    def test_unreadable_formula_names_its_line(self, capsys, tmp_path, formula, message):
+        # once the parser's error alone, or the catch-all's "input nested
+        # too deeply", with no line
+        good = {"i": 0, "f": "0 = 0", "rule": "schema", "name": "eq_refl"}
+        path = tmp_path / "d.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps({**good, "i": 1, "f": formula}) + "\n")
+        code, out, err = run(capsys, "check-proof", str(path))
+        assert (code, out, err) == (2, "", f"error: line 2: {message}\n")
+
 
     @pytest.mark.parametrize("field, value, message", [
         ("prem", [True, 0], "'prem' must be a list of step indices"),

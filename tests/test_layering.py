@@ -1,9 +1,10 @@
 """The package's layering: which modules each entry point loads.
 
-The kernel (errors, syntax, parser, proofs) loads on its own, the CLI adds
-only semantics, and the reading commands load none of the tactics, the
-generators or the Berry search.  Each check runs in a fresh interpreter,
-so nothing another test imported counts.
+The kernel (errors, syntax, parser, proofs) loads on its own and holds
+only what the checker reads, the CLI adds only semantics, and the reading
+commands load none of the tactics, the generators or the Berry search.
+Each check runs in a fresh interpreter, so nothing another test imported
+counts.
 """
 
 from __future__ import annotations
@@ -47,6 +48,24 @@ def test_kernel_loads_alone():
 
 def test_cli_adds_only_semantics():
     assert loaded("import berrykit.cli") == KERNEL | {"semantics", "cli"}
+
+
+def test_semantics_adds_itself_to_the_syntax_layer():
+    # classification lives in semantics, which reads the AST and nothing
+    # of the checker
+    assert loaded("import berrykit.semantics") == {"berrykit", "errors", "syntax", "semantics"}
+
+
+def test_syntax_holds_no_classification_or_json():
+    from berrykit import syntax
+
+    for name in ("classify", "FormulaClass", "to_json_obj"):
+        assert not hasattr(syntax, name), name
+
+
+def test_kernel_is_at_most_1470_lines():
+    files = [Path(SRC) / "berrykit" / f"{m}.py" for m in sorted(KERNEL - {"berrykit"})]
+    assert sum(len(f.read_text(encoding="utf-8").splitlines()) for f in files) <= 1470
 
 
 def test_submodule_import_through_the_root():

@@ -14,11 +14,15 @@ from berrykit.berry import enumerate_formulas
 from berrykit.errors import InputError, NotDelta0Error
 from berrykit.parser import parse_formula
 from berrykit.semantics import (
+    FormulaClass,
     Truth,
+    classify,
     decide,
     eval_budgeted,
     eval_delta0,
     eval_term,
+    guarded_exists,
+    guarded_forall,
     names_semantic,
 )
 from berrykit.syntax import (
@@ -29,7 +33,6 @@ from berrykit.syntax import (
     Eq,
     Exists,
     Forall,
-    FormulaClass,
     Iff,
     Imp,
     Le,
@@ -39,10 +42,7 @@ from berrykit.syntax import (
     Succ,
     Var,
     Zero,
-    classify,
     expand_bounded,
-    guarded_exists,
-    guarded_forall,
     numeral,
     substitute,
 )

@@ -13,9 +13,12 @@ from hypothesis import strategies as st
 
 import oracles
 import strategies as gen
+from oracles import from_json_obj
 from berrykit import syntax as syntax_module
 from berrykit.berry import enumerate_formulas
+from berrykit.cli import to_json_obj
 from berrykit.parser import parse_formula
+from berrykit.semantics import FormulaClass, classify
 from berrykit.syntax import (
     Add,
     And,
@@ -24,7 +27,6 @@ from berrykit.syntax import (
     Eq,
     Exists,
     Forall,
-    FormulaClass,
     Iff,
     Imp,
     Le,
@@ -36,10 +38,8 @@ from berrykit.syntax import (
     Zero,
     all_var_indices,
     alpha_equal,
-    classify,
     expand_bounded,
     free_vars,
-    from_json_obj,
     is_closed,
     length,
     numeral,
@@ -47,7 +47,6 @@ from berrykit.syntax import (
     render,
     rename_to_first,
     substitute,
-    to_json_obj,
     tokens,
 )
 
