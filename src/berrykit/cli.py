@@ -73,6 +73,16 @@ def _read_text(path: str, what: str = "") -> str:
     return _utf8(data, f"{what}{path}")
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write text to a UTF-8 file; a path that cannot be written is bad
+    input, named in the error."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as err:
+        raise InputError(f"cannot write {path}: {err}") from err
+
+
 def _utf8_lines(path: str, fh) -> Iterator[str]:
     """The lines of a binary file, each decoded alone, so an undecodable one
     is named by its number (counted from 1, as `from_json_lines` counts)."""
@@ -117,6 +127,8 @@ def _settings(args: argparse.Namespace) -> Settings:
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = flag
+    if merged["budget"] < 0:
+        raise InputError("budget must be nonnegative")
     return Settings(merged["budget"], merged["cap"], args.json)
 
 
@@ -321,8 +333,7 @@ def _cmd_prove_sigma(args, st: Settings) -> int:
     d = prove_sigma(f, st.budget)
     payload = "\n".join(to_json_lines(d)) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        _write_text(args.out, payload)
         _emit(
             {"v": 1, "steps": len(d), "file": args.out},
             f"derivation: {len(d)} steps -> {args.out}",
@@ -431,9 +442,7 @@ def _cmd_demo(args, st: Settings) -> int:
     report = run_demo(args.corollary, args.backend, st.budget, args.scale)
     obj = report.to_json_obj()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, indent=2)
-            fh.write("\n")
+        _write_text(args.out, json.dumps(obj, indent=2) + "\n")
     lines = [f"[{report.corollary}] {report.title}"]
     for c in report.claims:
         lines.append(f"  [{c.status}] {c.statement}")

@@ -26,6 +26,7 @@ from .errors import (
 from .proofs import Derivation, robinson_arithmetic
 from .semantics import (
     DEFAULT_BUDGET,
+    SIGMA_CLASSES,
     FormulaClass,
     SemanticNaming,
     Truth,
@@ -33,8 +34,7 @@ from .semantics import (
     classify,
     decide,
     eval_term,
-    guarded_exists,
-    guarded_forall,
+    guarded,
 )
 from .syntax import (
     Add,
@@ -467,17 +467,10 @@ class LemmaBank:
             ga = substitute(g, x, a)
             gb = substitute(g, x, b)
             match g:
-                case Eq(l, r):
+                case Eq(l, r) | Le(l, r):
                     pl, pr = term_cong(l, fwd), term_cong(r, fwd)
                     schema = T.sch(
-                        "eq_eq",
-                        Imp(pl.formula, Imp(pr.formula, Imp(ga, gb))),
-                    )
-                    out = T.mp(T.mp(schema, pl), pr)
-                case Le(l, r):
-                    pl, pr = term_cong(l, fwd), term_cong(r, fwd)
-                    schema = T.sch(
-                        "eq_le",
+                        "eq_eq" if type(g) is Eq else "eq_le",
                         Imp(pl.formula, Imp(pr.formula, Imp(ga, gb))),
                     )
                     out = T.mp(T.mp(schema, pl), pr)
@@ -596,149 +589,122 @@ class LemmaBank:
         dis = T.mp(T.forall_elim(self.l7(m - 1), Var(v)), below)
         return _elim_cases(dis, [Eq(Var(v), numeral(k)) for k in range(m)], branch)
 
-    def prove_true(self, f: Formula, verdict: Verdict) -> T.Proof:
-        """A proof of the true closed sentence f, from its verdict.
+    def prove(self, f: Formula, verdict: Verdict) -> T.Proof:
+        """A proof of the closed sentence f when its verdict is true, and of
+        ~f when it is false.
 
         f is read as its expansion, so a bounded quantifier is the guarded
-        quantifier it stands for.  verdict is ``decide(f, budget)``, settled
-        true, and every choice is read off its parts: the left disjunct
-        before the right, a false antecedent before a true consequent, the
-        least witness.  The tactics check every inference they build.
+        quantifier it stands for.  verdict is ``decide(f, budget)``, settled,
+        and every choice is read off its parts: the left disjunct before the
+        right, a false antecedent before a true consequent, the least
+        witness, and the first failing instance, conjunct or side.  The
+        tactics check every inference they build.
         """
         f = expand_bounded(f)
+        true = verdict[0] is Truth.TRUE
         parts = verdict[1]
-        gp = _guard_parts(f)
-        if gp is not None:
-            kind, v, bound, body = gp
+        got = guarded(f)
+        if got is not None:
+            v, bound, body = got
             m = eval_term(bound, {})
-            if kind == "ball":
+            if true is (type(f) is Exists):
+                # the scan stopped at its witness or failing instance
+                k = len(parts) - 1
+                pk = self.prove(substitute(body, v, numeral(k)), parts[k])
+                lt = self._lt(k, bound, m)
+                if true:
+                    return T.exists_intro(v, f.body, numeral(k), T.and_intro(lt, pk))
+                pos = T.mp(T.forall_elim(T.hyp(f), numeral(k)), lt)
+                return self._refute(f, T.contradiction_to(pos, pk, _C0))
+            # a true universal or a false existential: every case below the bound
+            if true:
                 guard = Le(Succ(Var(v)), bound)
 
-                def branch(k: int, hek: T.Proof) -> T.Proof:
-                    pk = self.prove_true(substitute(body, v, numeral(k)), parts[k])
+                def holds(k: int, hek: T.Proof) -> T.Proof:
+                    pk = self.prove(substitute(body, v, numeral(k)), parts[k])
                     lb = self.leib(body, v, numeral(k), Var(v))
                     return T.mp(T.mp(lb, T.eq_sym(hek)), pk)
 
-                c = self._below(v, bound, m, T.hyp(guard), body, branch)
+                c = self._below(v, bound, m, T.hyp(guard), body, holds)
                 return T.gen(v, T.discharge(c, guard))
-            # bounded existential: the scan stopped at its witness
-            k = len(parts) - 1
-            pk = self.prove_true(substitute(body, v, numeral(k)), parts[k])
-            pair = T.and_intro(self._lt(k, bound, m), pk)
-            return T.exists_intro(v, f.body, numeral(k), pair)
-        match f:
-            case Not(g):
-                return self.prove_false(g, parts[0])
-            case And(l, r):
-                return T.and_intro(
-                    self.prove_true(l, parts[0]), self.prove_true(r, parts[1])
-                )
-            case Or(l, r):
-                if parts[0][0] is Truth.TRUE:
-                    return T.or_left(self.prove_true(l, parts[0]), r)
-                return T.or_right(l, self.prove_true(r, parts[1]))
-            case Imp(l, r):
-                if parts[0][0] is Truth.FALSE:
-                    nl = self.prove_false(l, parts[0])
-                    return T.discharge(T.contradiction_to(T.hyp(l), nl, r), l)
-                return T.k_lift(self.prove_true(r, parts[1]), l)
-            case Iff(l, r):
-                if parts[0][0] is Truth.TRUE:
-                    pl, pr = self.prove_true(l, parts[0]), self.prove_true(r, parts[1])
-                    return T.iff_intro(T.k_lift(pr, l), T.k_lift(pl, r))
-                nl, nr = self.prove_false(l, parts[0]), self.prove_false(r, parts[1])
-                fwd = T.discharge(T.contradiction_to(T.hyp(l), nl, r), l)
-                back = T.discharge(T.contradiction_to(T.hyp(r), nr, l), r)
-                return T.iff_intro(fwd, back)
-            case Eq(t, u):
-                return T.eq_trans(
-                    self.eval_closed(t), T.eq_sym(self.eval_closed(u))
-                )
-            case Le(t, u):
-                return T.le_transport(
-                    T.eq_sym(self.eval_closed(t)),
-                    T.eq_sym(self.eval_closed(u)),
-                    self.le(eval_term(t, {}), eval_term(u, {})),
-                )
-            case Exists(v, body):  # the scan stopped at its witness
-                k = len(parts) - 1
-                inst = substitute(body, v, numeral(k))
-                return T.exists_intro(
-                    v, body, numeral(k), self.prove_true(inst, parts[k])
-                )
-        raise InputError(f"cannot establish {render(f)!r}")
-
-    def prove_false(self, f: Formula, verdict: Verdict) -> T.Proof:
-        """A proof of the negation of the false closed sentence f, from its
-        verdict, as in `prove_true`; the failing instance, conjunct or side
-        is the first the verdict read.
-        """
-        f = expand_bounded(f)
-        parts = verdict[1]
-        gp = _guard_parts(f)
-        if gp is not None:
-            kind, v, bound, body = gp
-            m = eval_term(bound, {})
-            if kind == "ball":  # the scan stopped at its failing instance
-                k = len(parts) - 1
-                inst = T.forall_elim(T.hyp(f), numeral(k))
-                pos = T.mp(inst, self._lt(k, bound, m))
-                neg = self.prove_false(substitute(body, v, numeral(k)), parts[k])
-                return self._refute(f, T.contradiction_to(pos, neg, _C0))
             conj = f.body
             hc = T.hyp(conj)
 
-            def branch(k: int, hek: T.Proof) -> T.Proof:
-                nk = self.prove_false(substitute(body, v, numeral(k)), parts[k])
+            def fails(k: int, hek: T.Proof) -> T.Proof:
+                nk = self.prove(substitute(body, v, numeral(k)), parts[k])
                 lb = self.leib(body, v, Var(v), numeral(k))
                 pos = T.mp(T.mp(lb, hek), T.and_right(hc))
                 return T.contradiction_to(pos, nk, _C0)
 
-            c = self._below(v, bound, m, T.and_left(hc), _C0, branch)
+            c = self._below(v, bound, m, T.and_left(hc), _C0, fails)
             shifted = T.gen(v, T.discharge(c, conj))
             exs = T.mp(T.s_ex_shift(v, conj, _C0), shifted)
             return T.contrapose(exs, self.ne(0, 1))
         match f:
             case Not(g):
-                return T.dn_intro(self.prove_true(g, parts[0]))
+                p = self.prove(g, parts[0])
+                return p if true else T.dn_intro(p)
             case And(l, r):
+                if true:
+                    return T.and_intro(self.prove(l, parts[0]), self.prove(r, parts[1]))
                 hc = T.hyp(f)
                 if parts[0][0] is Truth.FALSE:
-                    pos, neg = T.and_left(hc), self.prove_false(l, parts[0])
+                    pos, neg = T.and_left(hc), self.prove(l, parts[0])
                 else:
-                    pos, neg = T.and_right(hc), self.prove_false(r, parts[1])
+                    pos, neg = T.and_right(hc), self.prove(r, parts[1])
                 return self._refute(f, T.contradiction_to(pos, neg, _C0))
             case Or(l, r):
-                nl = self.prove_false(l, parts[0])
-                nr = self.prove_false(r, parts[1])
+                if true and parts[0][0] is Truth.TRUE:
+                    return T.or_left(self.prove(l, parts[0]), r)
+                if true:
+                    return T.or_right(l, self.prove(r, parts[1]))
+                nl, nr = self.prove(l, parts[0]), self.prove(r, parts[1])
                 bl = T.discharge(T.contradiction_to(T.hyp(l), nl, _C0), l)
                 br = T.discharge(T.contradiction_to(T.hyp(r), nr, _C0), r)
                 return self._refute(f, T.or_elim(T.hyp(f), bl, br))
             case Imp(l, r):
-                pos = T.mp(T.hyp(f), self.prove_true(l, parts[0]))
-                c = T.contradiction_to(pos, self.prove_false(r, parts[1]), _C0)
+                if true and parts[0][0] is Truth.FALSE:
+                    nl = self.prove(l, parts[0])
+                    return T.discharge(T.contradiction_to(T.hyp(l), nl, r), l)
+                if true:
+                    return T.k_lift(self.prove(r, parts[1]), l)
+                pos = T.mp(T.hyp(f), self.prove(l, parts[0]))
+                c = T.contradiction_to(pos, self.prove(r, parts[1]), _C0)
                 return self._refute(f, c)
             case Iff(l, r):
+                # both sides are proved or refuted, whichever case this is
+                pl, pr = self.prove(l, parts[0]), self.prove(r, parts[1])
+                left = parts[0][0] is Truth.TRUE
+                if true and left:
+                    return T.iff_intro(T.k_lift(pr, l), T.k_lift(pl, r))
+                if true:
+                    fwd = T.discharge(T.contradiction_to(T.hyp(l), pl, r), l)
+                    back = T.discharge(T.contradiction_to(T.hyp(r), pr, l), r)
+                    return T.iff_intro(fwd, back)
                 hc = T.hyp(f)
-                if parts[0][0] is Truth.TRUE:
-                    pos = T.mp(T.iff_left(hc), self.prove_true(l, parts[0]))
-                    neg = self.prove_false(r, parts[1])
+                if left:
+                    pos, neg = T.mp(T.iff_left(hc), pl), pr
                 else:
-                    pos = T.mp(T.iff_right(hc), self.prove_true(r, parts[1]))
-                    neg = self.prove_false(l, parts[0])
+                    pos, neg = T.mp(T.iff_right(hc), pr), pl
                 return self._refute(f, T.contradiction_to(pos, neg, _C0))
-            case Eq(t, u):
-                chain = T.eq_chain(
-                    T.eq_sym(self.eval_closed(t)), T.hyp(f), self.eval_closed(u)
-                )
-                ne = self.ne(eval_term(t, {}), eval_term(u, {}))
-                return self._refute(f, T.contradiction_to(chain, ne, _C0))
-            case Le(t, u):
-                moved = T.le_transport(
-                    self.eval_closed(t), self.eval_closed(u), T.hyp(f)
-                )
-                nle = self.nle(eval_term(t, {}), eval_term(u, {}))
-                return self._refute(f, T.contradiction_to(moved, nle, _C0))
+            case Eq(t, u) | Le(t, u):
+                pt, pu = self.eval_closed(t), self.eval_closed(u)
+                vt, vu = eval_term(t, {}), eval_term(u, {})
+                if true and type(f) is Eq:
+                    return T.eq_trans(pt, T.eq_sym(pu))
+                if true:
+                    return T.le_transport(T.eq_sym(pt), T.eq_sym(pu), self.le(vt, vu))
+                if type(f) is Eq:
+                    pos, neg = T.eq_chain(T.eq_sym(pt), T.hyp(f), pu), self.ne(vt, vu)
+                else:
+                    pos, neg = T.le_transport(pt, pu, T.hyp(f)), self.nle(vt, vu)
+                return self._refute(f, T.contradiction_to(pos, neg, _C0))
+            case Exists(v, body) if true:  # the scan stopped at its witness
+                k = len(parts) - 1
+                inst = substitute(body, v, numeral(k))
+                return T.exists_intro(v, body, numeral(k), self.prove(inst, parts[k]))
+        if true:
+            raise InputError(f"cannot establish {render(f)!r}")
         raise InputError(f"cannot refute {render(f)!r}")
 
     # --------------------------------------------------- bound extraction
@@ -795,16 +761,6 @@ def _eq_value(p: T.Proof) -> int:
             if n is not None:
                 return n
     raise T.TacticError("expected an evaluated equation")
-
-
-def _guard_parts(f: Formula) -> tuple[str, int, Term, Formula] | None:
-    got = guarded_forall(f)
-    if got is not None:
-        return ("ball", *got)
-    got = guarded_exists(f)
-    if got is not None:
-        return ("bex", *got)
-    return None
 
 
 # ------------------------------------------------- disjunction utilities
@@ -923,9 +879,6 @@ def prove_least_unique(
     return T.compile_proof(T.discharge(closed, outer))
 
 
-_SIGMA_CLASSES = (FormulaClass.DELTA0, FormulaClass.SIGMA1, FormulaClass.SIGMA)
-
-
 def prove_sigma(
     sentence: Formula,
     budget: int = DEFAULT_BUDGET,
@@ -937,7 +890,7 @@ def prove_sigma(
     bank = bank or LemmaBank()
     if free_vars(sentence):
         raise InputError("the sentence must be closed")
-    if classify(sentence) not in _SIGMA_CLASSES:
+    if classify(sentence) not in SIGMA_CLASSES:
         raise InputError("outside the supported fragment")
     verdict = decide(sentence, budget)
     if verdict[0] is Truth.FALSE:
@@ -946,7 +899,7 @@ def prove_sigma(
         raise BudgetExhaustedError(
             f"truth not settled at witness budget {budget}", budget=budget
         )
-    return T.compile_proof(bank.prove_true(sentence, verdict))
+    return T.compile_proof(bank.prove(sentence, verdict))
 
 
 def refute_delta0(
@@ -963,7 +916,7 @@ def refute_delta0(
     verdict = decide(sentence, budget)
     if verdict[0] is not Truth.FALSE:
         raise RefusedError("the sentence is not false; nothing to refute")
-    return T.compile_proof(bank.prove_false(sentence, verdict))
+    return T.compile_proof(bank.prove(sentence, verdict))
 
 
 # ------------------------------------------------------ naming decisions
@@ -1094,14 +1047,14 @@ class NamingTable:
         if bad is not None:
             h = T.hyp(statement)
             inst = T.forall_elim(h, numeral(bad))
-            eqd = T.mp(T.iff_left(inst), bank.prove_true(*at(bad)))
+            eqd = T.mp(T.iff_left(inst), bank.prove(*at(bad)))
             c = T.contradiction_to(eqd, bank.ne(bad, i), _C0)
             return NamingProof("refuted", i, bad, bank._refute(statement, c))
         if self.table.truth(i) is not Truth.TRUE:
             h = T.hyp(statement)
             inst = T.forall_elim(h, numeral(i))
             back = T.mp(T.iff_right(inst), T.eq_refl(numeral(i)))
-            c = T.contradiction_to(back, bank.prove_false(*at(i)), _C0)
+            c = T.contradiction_to(back, bank.prove(*at(i)), _C0)
             return NamingProof("refuted", i, i, bank._refute(statement, c))
         if self.bound is None:
             return NamingProof(
@@ -1123,12 +1076,12 @@ class NamingTable:
                 return hek
             lb = bank.leib(mux, 0, Var(0), numeral(k))
             pos = T.mp(T.mp(lb, hek), h_mu)
-            neg = bank.prove_false(*at(k))
+            neg = bank.prove(*at(k))
             return T.contradiction_to(pos, neg, target)
 
         fwd = T.discharge(_elim_cases(dis, cs, branch), mux)
         h_eq = T.hyp(target)
-        pk = bank.prove_true(*at(i))
+        pk = bank.prove(*at(i))
         lb = bank.leib(mux, 0, numeral(i), Var(0))
         back = T.discharge(T.mp(T.mp(lb, T.eq_sym(h_eq)), pk), target)
         return NamingProof("names", i, None, T.gen(0, T.iff_intro(fwd, back)))

@@ -13,10 +13,12 @@ from dataclasses import dataclass, field
 
 from .berry import enumerate_formulas
 from .coding import decode, encode
-from .errors import BudgetExhaustedError, InputError, RefusedError
-from .generators import LemmaBank, NamingTable, names_provable, refute_delta0
+from .errors import InputError
+from .generators import LemmaBank, NamingTable, names_provable
 from .proofs import Derivation
-from .semantics import DEFAULT_BUDGET, DEFAULT_CAP, FormulaClass, Truth, classify, decide
+from .semantics import (
+    DEFAULT_BUDGET, DEFAULT_CAP, SIGMA_CLASSES, FormulaClass, Truth, classify, decide,
+)
 from . import tactics as T
 from .syntax import (
     Formula,
@@ -157,34 +159,22 @@ def prc(
 ) -> RelationVerdict:
     """i fails to code a sentence, or Q refutes the one it codes.
 
-    A refutation is found by one of two routes: a false Δ0 sentence is
-    refuted outright, and a sentence ~g with g a true Σ sentence is
-    refuted by a proof of ~~g.  Every other sentence is undecided:
-    unrefutability is never concluded from a budget.
+    A sentence is refuted when it is Δ0, or ~g with g in the Σ fragment,
+    and its verdict under the budget is false: the refutation is the proof
+    its verdict gives, which for ~g is a proof of ~~g from one of g.  Every
+    other sentence is undecided: unrefutability is never concluded from a
+    budget.
     """
     f = _decoded(i)
     if f is None or not is_closed(f):
         return RelationVerdict(True, reason="not a sentence code")
-    target = Not(f)
-    bank = bank or LemmaBank()
-    if classify(f) is FormulaClass.DELTA0:
-        try:
-            d = refute_delta0(f, budget, bank)
-            return RelationVerdict(True, budget, encode(target), d)
-        except (RefusedError, BudgetExhaustedError):
-            pass
-    else:
-        match f:
-            # ~g with g a true existential sentence: prove g, then ~~g
-            case Not(g) if classify(g) in (
-                FormulaClass.DELTA0,
-                FormulaClass.SIGMA1,
-                FormulaClass.SIGMA,
-            ) and not free_vars(g):
-                verdict = decide(g, budget)
-                if verdict[0] is Truth.TRUE:
-                    d = T.compile_proof(T.dn_intro(bank.prove_true(g, verdict)))
-                    return RelationVerdict(True, budget, encode(target), d)
+    if classify(f) is FormulaClass.DELTA0 or (
+        type(f) is Not and classify(f.body) in SIGMA_CLASSES
+    ):
+        verdict = decide(f, budget)
+        if verdict[0] is Truth.FALSE:
+            d = T.compile_proof((bank or LemmaBank()).prove(f, verdict))
+            return RelationVerdict(True, budget, encode(Not(f)), d)
     return RelationVerdict(
         None, budget, reason="no refutation found within the budget"
     )

@@ -15,8 +15,9 @@ substituting a numeral first.
 
 Classification lives here too: ``classify`` folds a formula's expansion
 to its most specific class (Δ0, Σ1, Σ or neither), reading guarded
-quantifiers with ``guarded_forall`` and ``guarded_exists``, as the
-evaluator does.  The proof checker never asks it.
+quantifiers with ``guarded``, as the evaluator does, and
+``SIGMA_CLASSES`` names the fragment Q proves every truth of.  The proof
+checker never asks it.
 """
 
 from __future__ import annotations
@@ -73,18 +74,18 @@ class FormulaClass(enum.Enum):
     OTHER = "other"
 
 
-def guarded_forall(f: Formula) -> tuple[int, Term, Formula] | None:
-    """Match forall v ((s v <= b) -> body) with v not free in b."""
-    match f:
-        case Forall(v, Imp(Le(Succ(Var(w)), b), body)) if w == v and v not in free_vars(b):
-            return v, b, body
-    return None
+# the classes whose true sentences Q proves: bounded and existential
+SIGMA_CLASSES = (FormulaClass.DELTA0, FormulaClass.SIGMA1, FormulaClass.SIGMA)
 
 
-def guarded_exists(f: Formula) -> tuple[int, Term, Formula] | None:
-    """Match exists v ((s v <= b) & body) with v not free in b."""
+def guarded(f: Formula) -> tuple[int, Term, Formula] | None:
+    """Match forall v ((s v <= b) -> body) or exists v ((s v <= b) & body),
+    with v not free in b; which of the two is ``type(f)``."""
     match f:
-        case Exists(v, And(Le(Succ(Var(w)), b), body)) if w == v and v not in free_vars(b):
+        case (
+            Forall(v, Imp(Le(Succ(Var(w)), b), body))
+            | Exists(v, And(Le(Succ(Var(w)), b), body))
+        ) if w == v and v not in free_vars(b):
             return v, b, body
     return None
 
@@ -105,10 +106,10 @@ def _rank_of(node: Expr, kids: tuple) -> int:
     if kind is And or kind is Or:
         return min(max(kids), _OTH)
     if kind is Exists:
-        if guarded_exists(node) is not None:
+        if guarded(node) is not None:
             return kids[0]
         return _SIG if kids[0] <= _SIG else _OTH
-    if kind is Forall and guarded_forall(node) is not None:
+    if kind is Forall and guarded(node) is not None:
         return {_D0: _D0, _D0_TO_SIG: _SIG}.get(kids[0], _OTH)
     return _OTH  # terms and unguarded universals; expansions hold no sugar
 
@@ -260,7 +261,7 @@ def decide(f: Formula, budget: int, env: Env | None = None) -> Verdict:
                 # a universal is settled by a false instance, an existential
                 # by a true one
                 stop = Truth.FALSE if type(f) is Forall else Truth.TRUE
-                g = guarded_forall(f) if stop is Truth.FALSE else guarded_exists(f)
+                g = guarded(f)
                 if g is not None:  # every value below the bound is scanned
                     v, bound, body = g
                     values = range(eval_term(bound, env))

@@ -58,17 +58,24 @@ def _cli(argv: list[str]) -> bytes:
     return f"$ {' '.join(argv)}\n{code}\n{out.getvalue()}\n{err.getvalue()}\n".encode()
 
 
+_SETTINGS = ["--json", "--budget", "32", "--cap", "8"]
+_BACKENDS = ("semantic", "prover")
+# (part, argv) for every report command, in the order each part hashes them;
+# tests/test_output_identity.py runs the same list one command at a time
+REPORT_COMMANDS = [
+    ("berry", _SETTINGS + ["berry", "--max-len", str(n), "--backend", b])
+    for b in _BACKENDS for n in range(4, 8)
+] + [
+    ("demo", _SETTINGS + ["demo", str(c), "--backend", b, "--scale", "6"])
+    for b in _BACKENDS for c in range(1, 6)
+]
+
+
 def reports() -> dict[str, str]:
-    settings = ["--json", "--budget", "32", "--cap", "8"]
-    berry, demo = hashlib.sha256(), hashlib.sha256()
-    for backend in ("semantic", "prover"):
-        for max_len in range(4, 8):
-            berry.update(_cli(settings + [
-                "berry", "--max-len", str(max_len), "--backend", backend]))
-        for c in range(1, 6):
-            demo.update(_cli(settings + [
-                "demo", str(c), "--backend", backend, "--scale", "6"]))
-    return {"berry": berry.hexdigest(), "demo": demo.hexdigest()}
+    digests = {"berry": hashlib.sha256(), "demo": hashlib.sha256()}
+    for part, argv in REPORT_COMMANDS:
+        digests[part].update(_cli(argv))
+    return {part: h.hexdigest() for part, h in digests.items()}
 
 
 def _corpus_sentences() -> tuple[list, list]:

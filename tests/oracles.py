@@ -2,7 +2,8 @@
 
 Each oracle deliberately takes a different route than the code under test:
 free variables, indices, classes, substitution and alpha-equality by one
-walker per question instead of one fold and one rebuild, renaming by
+walker per question instead of one fold and one rebuild, guarded
+quantifiers field by field instead of by one pattern, renaming by
 recursion,
 truth by textual substitution instead of environments (three-valued and
 budgeted for the soundness judge, which shows an accepted step false
@@ -39,12 +40,11 @@ from typing import Iterator
 from berrykit import syntax
 from berrykit.berry import BerryReport, NumberRecord, _terms_up_to, enumerate_formulas
 from berrykit.errors import BudgetExhaustedError, InputError, NotDelta0Error, RefusedError
-from berrykit.generators import _C0, LemmaBank, _guard_parts, names_provable
+from berrykit.generators import _C0, LemmaBank, names_provable
 from berrykit.parser import ParseError, parse_formula
 from berrykit.proofs import _PATTERN_NODES, Derivation, Step
 from berrykit.semantics import (
-    Env, FormulaClass, Truth, _of_bool, _t_and, _t_iff, _t_or, eval_term, guarded_exists,
-    guarded_forall, names_semantic,
+    Env, FormulaClass, Truth, _of_bool, _t_and, _t_iff, _t_or, eval_term, names_semantic,
 )
 from berrykit import tactics as T
 from berrykit.tactics import MP, Ax, Gen, Hyp, Proof, Sch, TacticError
@@ -165,6 +165,38 @@ def _guarded_body(f: Formula) -> Formula | None:
             v, And(Le(Succ(Var(w)), b), body)
         ) if w == v and v not in free_vars(b):
             return body
+    return None
+
+
+def _guarded(f: Formula, quantifier: type, connective: type):
+    """(v, b, body) when f is quantifier v (connective (s v <= b) body),
+    read field by field, with v not free in b."""
+    if type(f) is not quantifier or type(f.body) is not connective:
+        return None
+    guard, body = f.body.left, f.body.right
+    if type(guard) is not Le or guard.left != Succ(Var(f.var)):
+        return None
+    if f.var in free_vars(guard.right):
+        return None
+    return f.var, guard.right, body
+
+
+def guarded_forall(f: Formula) -> tuple[int, Term, Formula] | None:
+    """The textbook bounded universal (A v)((s v <= b) -> body)."""
+    return _guarded(f, Forall, Imp)
+
+
+def guarded_exists(f: Formula) -> tuple[int, Term, Formula] | None:
+    """The textbook bounded existential (E v)((s v <= b) & body)."""
+    return _guarded(f, Exists, And)
+
+
+def _guard_parts(f: Formula) -> tuple[str, int, Term, Formula] | None:
+    """("ball", v, b, body) or ("bex", v, b, body) for a guarded quantifier."""
+    if (g := guarded_forall(f)) is not None:
+        return ("ball", *g)
+    if (g := guarded_exists(f)) is not None:
+        return ("bex", *g)
     return None
 
 

@@ -504,6 +504,21 @@ class TestDemo:
         assert (code, err) == (2, "error: scale -1 is negative; it must be a natural number\n")
 
 
+class TestUnwritableOutput:
+    """An -o path that cannot be written is bad input on one stderr line,
+    for both commands that write one."""
+
+    @pytest.mark.parametrize("command", [["prove-sigma", "0 = 0"], ["demo", "2"]],
+                             ids=["prove-sigma", "demo"])
+    @pytest.mark.parametrize("target", ["missing-directory", "directory"])
+    def test_unwritable_out_is_bad_input(self, capsys, tmp_path, command, target):
+        path = tmp_path / "absent" / "x" if target == "missing-directory" else tmp_path
+        code, out, err = run(capsys, *command, "-o", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+        assert not (tmp_path / "absent").exists()
+
+
 class TestConfig:
     def test_env_overrides_default(self, capsys, monkeypatch):
         monkeypatch.setenv("BERRYKIT_BUDGET", "2")
@@ -524,6 +539,24 @@ class TestConfig:
             capsys, "--config", str(cfg), "prove-sigma", "( E v0 ) ( v0 = s s s s 0 )"
         )
         assert code == 3
+
+    # commands that decide nothing reject a negative budget as those that do
+    @pytest.mark.parametrize("source", ["flag", "env", "config"])
+    def test_negative_budget_is_bad_input_from_every_source(
+        self, capsys, tmp_path, monkeypatch, source
+    ):
+        argv = ["berry", "--max-len", "3"]
+        if source == "flag":
+            argv = ["--budget", "-1", *argv]
+        elif source == "env":
+            monkeypatch.setenv("BERRYKIT_BUDGET", "-4")
+            argv = ["demo", "1", "--scale", "2"]
+        else:
+            cfg = tmp_path / "cfg"
+            cfg.write_text("budget=-2\n")
+            argv = ["--config", str(cfg), *argv]
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: budget must be nonnegative\n")
 
     def test_unknown_config_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "cfg"

@@ -329,12 +329,11 @@ def _steps_both_ways(f, budget=16):
     the one built by asking the evaluator at each choice."""
     bank = LemmaBank()
     verdict = decide(f, budget)
+    got = bank.prove(f, verdict)
     if verdict[0] is Truth.TRUE:
-        got = bank.prove_true(f, verdict)
         want = oracles.prove_true(bank, f, budget)
     else:
         assert verdict[0] is Truth.FALSE
-        got = bank.prove_false(f, verdict)
         want = oracles.prove_false(bank, f, budget)
     return T.compile_proof(got).steps, T.compile_proof(want).steps
 

@@ -21,8 +21,6 @@ from berrykit.semantics import (
     eval_budgeted,
     eval_delta0,
     eval_term,
-    guarded_exists,
-    guarded_forall,
     names_semantic,
 )
 from berrykit.syntax import (
@@ -254,7 +252,7 @@ def check_verdict(f, verdict, budget, env):
             check_verdict(r, vr, budget, env)
         case Forall(v, body) | Exists(v, body):
             stop = Truth.FALSE if type(f) is Forall else Truth.TRUE
-            g = guarded_forall(f) if type(f) is Forall else guarded_exists(f)
+            g = oracles.guarded_forall(f) if type(f) is Forall else oracles.guarded_exists(f)
             if g is not None:
                 v, bound, body = g
                 scan = eval_term(bound, env)
