@@ -127,8 +127,9 @@ def _settings(args: argparse.Namespace) -> Settings:
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = flag
-    if merged["budget"] < 0:
-        raise InputError("budget must be nonnegative")
+    for key in _DEFAULTS:
+        if merged[key] < 0:
+            raise InputError(f"{key} must be nonnegative")
     return Settings(merged["budget"], merged["cap"], args.json)
 
 

@@ -2,7 +2,10 @@
 
 The LemmaBank caches proof trees for the arithmetic facts everything else
 leans on: numeral evaluation, distinctness and ordering of numerals, case
-analysis below a numeral bound, and order totality.  On top of the bank sit
+analysis below a numeral bound, and order totality.  Each lemma is an
+argument in derived rules: q8 is read right to left to introduce x <= y
+from a witness w + x = y and left to right to eliminate it, and q3 is the
+case split on a variable being 0 or a successor.  On top of the bank sit
 the headline constructions: a provable uniqueness statement for least
 witnesses, derivations of true bounded sentences and refutations of false
 ones, and decision evidence for naming equivalences.
@@ -102,8 +105,29 @@ class LemmaBank:
         self.theory = robinson_arithmetic()
         self._cache: dict[tuple, T.Proof] = {}
 
-    def _ax(self, label: str) -> T.Proof:
-        return T.ax(self.theory, label)
+    def _ax(self, label: str, *terms: Term) -> T.Proof:
+        """The axiom, its quantifiers instantiated with terms, outermost first."""
+        return T.forall_elim(T.ax(self.theory, label), *terms)
+
+    def _le_intro(self, x: Term, y: Term, w: Term, p: T.Proof) -> T.Proof:
+        """x <= y from p proving w + x = y: q8 read right to left."""
+        ex = T.exists_intro(2, Eq(Add(Var(2), x), y), w, p)
+        return T.mp(T.iff_right(self._ax("q8", x, y)), ex)
+
+    def _le_elim(self, p_le: T.Proof, p: T.Proof) -> T.Proof:
+        """p's conclusion from p_le proving x <= y, where p proves it under
+        q8's witness hypothesis v2 + x = y: q8 read left to right."""
+        x, y = p_le.formula.left, p_le.formula.right
+        ex = T.mp(T.iff_left(self._ax("q8", x, y)), p_le)
+        return T.mp(T.exists_elim(2, Eq(Add(Var(2), x), y), p), ex)
+
+    def _zero_or_succ(self, x: int, zero: T.Proof, succ: T.Proof) -> T.Proof:
+        """The conclusion zero proves under v_x = 0 and succ under
+        v_x = s v1, by excluded middle and q3's successor below v_x."""
+        e = Eq(Var(x), Zero())
+        exb = T.mp(self._ax("q3", Var(x)), T.hyp(Not(e)))
+        b_ne = T.mp(T.exists_elim(1, Eq(Var(x), Succ(Var(1))), succ), exb)
+        return T.or_elim(T.excluded_middle(e), T.discharge(zero, e), T.discharge(b_ne, Not(e)))
 
     def _ladder(
         self,
@@ -130,24 +154,19 @@ class LemmaBank:
         """i + j = (i+j), on numerals."""
 
         def step(m: int, prev: T.Proof) -> T.Proof:
-            q5i = T.forall_elim(T.forall_elim(self._ax("q5"), numeral(i)), numeral(m - 1))
-            return T.eq_trans(q5i, T.eq_succ(prev))
+            return T.eq_trans(self._ax("q5", numeral(i), numeral(m - 1)), T.eq_succ(prev))
 
-        return self._ladder(
-            ("add_eq", i), j, lambda: T.forall_elim(self._ax("q4"), numeral(i)), step
-        )
+        return self._ladder(("add_eq", i), j, lambda: self._ax("q4", numeral(i)), step)
 
     def mul_eq(self, i: int, j: int) -> T.Proof:
         """i * j = (i*j), on numerals."""
 
         def step(m: int, prev: T.Proof) -> T.Proof:
-            q7i = T.forall_elim(T.forall_elim(self._ax("q7"), numeral(i)), numeral(m - 1))
+            q7i = self._ax("q7", numeral(i), numeral(m - 1))
             cong = T.eq_add_cong(prev, T.eq_refl(numeral(i)))
             return T.eq_chain(q7i, cong, self.add_eq(i * (m - 1), i))
 
-        return self._ladder(
-            ("mul_eq", i), j, lambda: T.forall_elim(self._ax("q6"), numeral(i)), step
-        )
+        return self._ladder(("mul_eq", i), j, lambda: self._ax("q6", numeral(i)), step)
 
     @_lemma
     def eval_closed(self, t: Term) -> T.Proof:
@@ -179,45 +198,31 @@ class LemmaBank:
         if i == j:
             raise InputError("the numerals must differ")
         h = Eq(numeral(i), numeral(j))
-        if i < j:
+        if i > j:
+            flipped, neg = T.eq_sym(T.hyp(h)), self.ne(j, i)
+        else:
             cur: T.Proof = T.hyp(h)
             for k in range(i):
-                q1i = T.forall_elim(
-                    T.forall_elim(self._ax("q1"), numeral(i - k - 1)),
-                    numeral(j - k - 1),
-                )
-                cur = T.mp(q1i, cur)
-            flipped = T.eq_sym(cur)  # s^(j-i) 0 = 0
-            d1 = T.discharge(flipped, h)
-            q2i = T.forall_elim(self._ax("q2"), numeral(j - i - 1))
-            return T.mp(T.mp(T.s_neg_intro(h, flipped.formula), d1), T.k_lift(q2i, h))
-        base = self.ne(j, i)
-        d1 = T.discharge(T.eq_sym(T.hyp(h)), h)
-        return T.mp(
-            T.mp(T.s_neg_intro(h, Eq(numeral(j), numeral(i))), d1),
-            T.k_lift(base, h),
-        )
+                cur = T.mp(self._ax("q1", numeral(i - k - 1), numeral(j - k - 1)), cur)
+            flipped, neg = T.eq_sym(cur), self._ax("q2", numeral(j - i - 1))  # s^(j-i) 0 = 0
+        # contrapose's tree; its shape checks hold here by construction
+        s = T.s_neg_intro(h, flipped.formula)
+        return T.mp(T.mp(s, T.discharge(flipped, h)), T.k_lift(neg, h))
 
     @_lemma
     def le(self, i: int, j: int) -> T.Proof:
         """i <= j on numerals, i at most j."""
         if i > j:
             raise InputError("the first numeral must not exceed the second")
-        q8ij = T.forall_elim(T.forall_elim(self._ax("q8"), numeral(i)), numeral(j))
-        body = Eq(Add(Var(2), numeral(i)), numeral(j))
-        ex = T.exists_intro(2, body, numeral(j - i), self.add_eq(j - i, i))
-        return T.mp(T.iff_right(q8ij), ex)
+        return self._le_intro(numeral(i), numeral(j), numeral(j - i), self.add_eq(j - i, i))
 
     def u_lemma(self, n: int) -> T.Proof:
         """(A v0)(v0 + n = s^n v0): adding a numeral is iterated successor."""
         return self._ladder(("u_lemma",), n, lambda: self._ax("q4"), self._u_step)
 
     def _u_step(self, m: int, prev: T.Proof) -> T.Proof:
-        q5i = T.forall_elim(
-            T.forall_elim(self._ax("q5"), Var(0)), numeral(m - 1)
-        )
-        ih = T.forall_elim(prev, Var(0))
-        return T.gen(0, T.eq_trans(q5i, T.eq_succ(ih)))
+        ih = T.eq_succ(T.forall_elim(prev, Var(0)))
+        return T.gen(0, T.eq_trans(self._ax("q5", Var(0), numeral(m - 1)), ih))
 
     @_lemma
     def nle(self, j: int, n: int) -> T.Proof:
@@ -225,55 +230,28 @@ class LemmaBank:
         if j <= n:
             raise InputError("the first numeral must exceed the second")
         a = Eq(Add(Var(2), numeral(j)), numeral(n))
-        ha = T.hyp(a)
         ui = T.forall_elim(self.u_lemma(j), Var(2))
-        cur = T.eq_trans(T.eq_sym(ui), ha)  # s^j v2 = n
+        cur = T.eq_trans(T.eq_sym(ui), T.hyp(a))  # s^j v2 = n
         for k in range(n):
-            q1i = T.forall_elim(
-                T.forall_elim(self._ax("q1"), _succs(Var(2), j - k - 1)),
-                numeral(n - k - 1),
-            )
-            cur = T.mp(q1i, cur)
-        q2i = T.forall_elim(self._ax("q2"), _succs(Var(2), j - n - 1))
-        c0 = T.contradiction_to(cur, q2i, _C0)
-        ga = T.gen(2, T.discharge(c0, a))
-        exs = T.mp(T.s_ex_shift(2, a, _C0), ga)
-        notex = T.contrapose(exs, self.ne(0, 1))
-        q8jn = T.forall_elim(T.forall_elim(self._ax("q8"), numeral(j)), numeral(n))
-        return T.contrapose(T.iff_left(q8jn), notex)
+            cur = T.mp(self._ax("q1", _succs(Var(2), j - k - 1), numeral(n - k - 1)), cur)
+        c0 = T.contradiction_to(cur, self._ax("q2", _succs(Var(2), j - n - 1)), _C0)
+        notex = T.contrapose(T.exists_elim(2, a, c0), self.ne(0, 1))
+        return T.contrapose(T.iff_left(self._ax("q8", numeral(j), numeral(n))), notex)
 
     @_lemma
     def g1(self) -> T.Proof:
         """(A v0)(0 <= v0)."""
-        q8i = T.forall_elim(T.forall_elim(self._ax("q8"), Zero()), Var(0))
-        body = Eq(Add(Var(2), Zero()), Var(0))
-        q4i = T.forall_elim(self._ax("q4"), Var(0))
-        ex = T.exists_intro(2, body, Var(0), q4i)
-        return T.gen(0, T.mp(T.iff_right(q8i), ex))
+        return T.gen(0, self._le_intro(Zero(), Var(0), Var(0), self._ax("q4", Var(0))))
 
     @_lemma
     def m2(self) -> T.Proof:
         """(A v0)(A v1)((s v0 <= s v1) -> (v0 <= v1))."""
         h = Le(Succ(Var(0)), Succ(Var(1)))
-        hh = T.hyp(h)
-        q8ss = T.forall_elim(
-            T.forall_elim(self._ax("q8"), Succ(Var(0))), Succ(Var(1))
-        )
-        exa = T.mp(T.iff_left(q8ss), hh)
-        a = Eq(Add(Var(2), Succ(Var(0))), Succ(Var(1)))
-        ha = T.hyp(a)
-        q5i = T.forall_elim(T.forall_elim(self._ax("q5"), Var(2)), Var(0))
-        e1 = T.eq_trans(T.eq_sym(q5i), ha)  # s (v2 + v0) = s v1
-        q1i = T.forall_elim(
-            T.forall_elim(self._ax("q1"), Add(Var(2), Var(0))), Var(1)
-        )
-        e2 = T.mp(q1i, e1)  # v2 + v0 = v1
-        q80 = T.forall_elim(T.forall_elim(self._ax("q8"), Var(0)), Var(1))
-        exb = T.exists_intro(2, Eq(Add(Var(2), Var(0)), Var(1)), Var(2), e2)
-        c = T.mp(T.iff_right(q80), exb)
-        ga = T.gen(2, T.discharge(c, a))
-        c2 = T.mp(T.mp(T.s_ex_shift(2, a, Le(Var(0), Var(1))), ga), exa)
-        return T.gen(0, T.gen(1, T.discharge(c2, h)))
+        ha = T.hyp(Eq(Add(Var(2), Succ(Var(0))), Succ(Var(1))))
+        e1 = T.eq_trans(T.eq_sym(self._ax("q5", Var(2), Var(0))), ha)  # s (v2 + v0) = s v1
+        e2 = T.mp(self._ax("q1", Add(Var(2), Var(0)), Var(1)), e1)  # v2 + v0 = v1
+        c = self._le_elim(T.hyp(h), self._le_intro(Var(0), Var(1), Var(2), e2))
+        return T.gen(0, T.gen(1, T.discharge(c, h)))
 
     # ------------------------------------ case analysis below a numeral
 
@@ -283,45 +261,21 @@ class LemmaBank:
 
     def _l7_zero(self) -> T.Proof:
         h = Le(Var(0), Zero())
-        hh = T.hyp(h)
         target = Eq(Var(0), Zero())
-        q80 = T.forall_elim(T.forall_elim(self._ax("q8"), Var(0)), Zero())
-        exa = T.mp(T.iff_left(q80), hh)
-        a = Eq(Add(Var(2), Var(0)), Zero())
-        ha = T.hyp(a)
-        b_eq = T.discharge(T.hyp(target), target)
-        hne = T.hyp(Not(target))
-        exb = T.mp(T.forall_elim(self._ax("q3"), Var(0)), hne)
-        b = Eq(Var(0), Succ(Var(1)))
-        hb = T.hyp(b)
-        cong = T.eq_add_cong(T.eq_refl(Var(2)), hb)
-        e1 = T.eq_trans(T.eq_sym(cong), ha)  # v2 + s v1 = 0
-        q5i = T.forall_elim(T.forall_elim(self._ax("q5"), Var(2)), Var(1))
-        e2 = T.eq_trans(T.eq_sym(q5i), e1)  # s (v2 + v1) = 0
-        q2i = T.forall_elim(self._ax("q2"), Add(Var(2), Var(1)))
-        cb = T.contradiction_to(e2, q2i, target)
-        gb = T.gen(1, T.discharge(cb, b))
-        cne = T.mp(T.mp(T.s_ex_shift(1, b, target), gb), exb)
-        b_ne = T.discharge(cne, Not(target))
-        ca = T.or_elim(T.excluded_middle(target), b_eq, b_ne)
-        ga = T.gen(2, T.discharge(ca, a))
-        c0 = T.mp(T.mp(T.s_ex_shift(2, a, target), ga), exa)
-        return T.gen(0, T.discharge(c0, h))
+        hb = T.hyp(Eq(Var(0), Succ(Var(1))))
+        ha = T.hyp(Eq(Add(Var(2), Var(0)), Zero()))
+        e1 = T.eq_trans(T.eq_sym(T.eq_add_cong(T.eq_refl(Var(2)), hb)), ha)  # v2 + s v1 = 0
+        e2 = T.eq_trans(T.eq_sym(self._ax("q5", Var(2), Var(1))), e1)  # s (v2 + v1) = 0
+        cb = T.contradiction_to(e2, self._ax("q2", Add(Var(2), Var(1))), target)
+        ca = self._zero_or_succ(0, T.hyp(target), cb)
+        return T.gen(0, T.discharge(self._le_elim(T.hyp(h), ca), h))
 
     def _l7_step(self, m: int, prev: T.Proof) -> T.Proof:
         h = Le(Var(0), numeral(m))
-        hh = T.hyp(h)
         cs = [Eq(Var(0), numeral(k)) for k in range(m + 1)]
-        d = _disj_tail(cs, 0)
-        v0eq0 = cs[0]
-        b_eq = T.discharge(_inject(cs, 0, T.hyp(v0eq0)), v0eq0)
-        hne = T.hyp(Not(v0eq0))
-        exb = T.mp(T.forall_elim(self._ax("q3"), Var(0)), hne)
-        b = Eq(Var(0), Succ(Var(1)))
-        hb = T.hyp(b)
-        sv1_le = T.le_transport(hb, T.eq_refl(numeral(m)), hh)  # s v1 <= m
-        m2i = T.forall_elim(T.forall_elim(self.m2(), Var(1)), numeral(m - 1))
-        v1_le = T.mp(m2i, sv1_le)
+        hb = T.hyp(Eq(Var(0), Succ(Var(1))))
+        sv1_le = T.le_transport(hb, T.eq_refl(numeral(m)), T.hyp(h))  # s v1 <= m
+        v1_le = T.mp(T.forall_elim(self.m2(), Var(1), numeral(m - 1)), sv1_le)
         dprev = T.mp(T.forall_elim(prev, Var(1)), v1_le)
         cs_prev = [Eq(Var(1), numeral(k)) for k in range(m)]
 
@@ -329,10 +283,7 @@ class LemmaBank:
             return _inject(cs, k + 1, T.eq_trans(hb, T.eq_succ(hek)))
 
         dm = _elim_cases(dprev, cs_prev, branch)
-        gb = T.gen(1, T.discharge(dm, b))
-        cne = T.mp(T.mp(T.s_ex_shift(1, b, d), gb), exb)
-        b_ne = T.discharge(cne, Not(v0eq0))
-        out = T.or_elim(T.excluded_middle(v0eq0), b_eq, b_ne)
+        out = self._zero_or_succ(0, _inject(cs, 0, T.hyp(cs[0])), dm)
         return T.gen(0, T.discharge(out, h))
 
     @_lemma
@@ -340,45 +291,20 @@ class LemmaBank:
         """(A v0)((n <= v0) -> ((s n <= v0) | (n = v0)))."""
         g_left = Le(Succ(numeral(n)), Var(0))
         g_right = Eq(numeral(n), Var(0))
-        g = Or(g_left, g_right)
         h = Le(numeral(n), Var(0))
-        hh = T.hyp(h)
-        q8i = T.forall_elim(T.forall_elim(self._ax("q8"), numeral(n)), Var(0))
-        exa = T.mp(T.iff_left(q8i), hh)
-        a = Eq(Add(Var(2), numeral(n)), Var(0))
-        ha = T.hyp(a)
         ui = T.forall_elim(self.u_lemma(n), Var(2))
-        s = T.eq_trans(T.eq_sym(ui), ha)  # s^n v2 = v0
-        e2 = Eq(Var(2), Zero())
-        he2 = T.hyp(e2)
-        cur: T.Proof = he2
+        s = T.eq_trans(T.eq_sym(ui), T.hyp(Eq(Add(Var(2), numeral(n)), Var(0))))  # s^n v2 = v0
+        cur: T.Proof = T.hyp(Eq(Var(2), Zero()))
         for _ in range(n):
             cur = T.eq_succ(cur)  # s^n v2 = n
-        b_zero = T.discharge(
-            T.or_right(g_left, T.eq_trans(T.eq_sym(cur), s)), e2
-        )
-        hne = T.hyp(Not(e2))
-        exb = T.mp(T.forall_elim(self._ax("q3"), Var(2)), hne)
-        b = Eq(Var(2), Succ(Var(1)))
-        hb = T.hyp(b)
-        cur = hb
+        zero = T.or_right(g_left, T.eq_trans(T.eq_sym(cur), s))
+        cur = T.hyp(Eq(Var(2), Succ(Var(1))))
         for _ in range(n):
             cur = T.eq_succ(cur)  # s^n v2 = s^(n+1) v1
         u2 = T.forall_elim(self.u_lemma(n + 1), Var(1))
         e = T.eq_chain(u2, T.eq_sym(cur), s)  # v1 + s n = v0
-        exw = T.exists_intro(
-            2, Eq(Add(Var(2), Succ(numeral(n))), Var(0)), Var(1), e
-        )
-        q8s = T.forall_elim(
-            T.forall_elim(self._ax("q8"), Succ(numeral(n))), Var(0)
-        )
-        le_s = T.mp(T.iff_right(q8s), exw)
-        gb = T.gen(1, T.discharge(T.or_left(le_s, g_right), b))
-        cne = T.mp(T.mp(T.s_ex_shift(1, b, g), gb), exb)
-        b_ne = T.discharge(cne, Not(e2))
-        ca = T.or_elim(T.excluded_middle(e2), b_zero, b_ne)
-        ga = T.gen(2, T.discharge(ca, a))
-        ch = T.mp(T.mp(T.s_ex_shift(2, a, g), ga), exa)
+        succ = T.or_left(self._le_intro(Succ(numeral(n)), Var(0), Var(1), e), g_right)
+        ch = self._le_elim(T.hyp(h), self._zero_or_succ(2, zero, succ))
         return T.gen(0, T.discharge(ch, h))
 
     def tot(self, n: int) -> T.Proof:
@@ -531,13 +457,9 @@ class LemmaBank:
                     out = T.discharge(T.gen(v, stepped), ga)
                 case Exists(v, body):
                     ba = substitute(body, x, a)
-                    bb = substitute(body, x, b)
-                    hb = T.hyp(ba)
-                    wi = T.exists_intro(
-                        v, bb, Var(v), T.mp(rec(body, fwd), hb)
-                    )
-                    shifted = T.gen(v, T.discharge(wi, ba))
-                    out = T.mp(T.s_ex_shift(v, ba, Exists(v, bb)), shifted)
+                    stepped = T.mp(rec(body, fwd), T.hyp(ba))
+                    wi = T.exists_intro(v, substitute(body, x, b), Var(v), stepped)
+                    out = T.exists_elim(v, ba, wi)
                 case _:
                     raise T.TacticError("unreachable formula shape")
             memo[mkey] = out
@@ -580,10 +502,8 @@ class LemmaBank:
         up = T.le_transport(T.eq_refl(Succ(Var(v))), self.eval_closed(bound), p_guard)
         if m == 0:
             zi = T.forall_elim(self.l7(0), Succ(Var(v)))
-            q2i = T.forall_elim(self._ax("q2"), Var(v))
-            return T.contradiction_to(T.mp(zi, up), q2i, goal)
-        m2i = T.forall_elim(T.forall_elim(self.m2(), Var(v)), numeral(m - 1))
-        below = T.mp(m2i, up)
+            return T.contradiction_to(T.mp(zi, up), self._ax("q2", Var(v)), goal)
+        below = T.mp(T.forall_elim(self.m2(), Var(v), numeral(m - 1)), up)
         if branch is None:
             return below
         dis = T.mp(T.forall_elim(self.l7(m - 1), Var(v)), below)
@@ -637,9 +557,7 @@ class LemmaBank:
                 return T.contradiction_to(pos, nk, _C0)
 
             c = self._below(v, bound, m, T.and_left(hc), _C0, fails)
-            shifted = T.gen(v, T.discharge(c, conj))
-            exs = T.mp(T.s_ex_shift(v, conj, _C0), shifted)
-            return T.contrapose(exs, self.ne(0, 1))
+            return T.contrapose(T.exists_elim(v, conj, c), self.ne(0, 1))
         match f:
             case Not(g):
                 p = self.prove(g, parts[0])

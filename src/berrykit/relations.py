@@ -104,9 +104,9 @@ def nm(
     A negative on a genuine one-variable formula carries the refutation;
     a non-formula code fails outright with no search.
     """
-    if not fm(j):
+    mu = _decoded(j)  # fm(j), reading the code once
+    if mu is None or free_vars(mu) - {0}:
         return RelationVerdict(False, budget, reason="code is not a naming candidate")
-    mu = decode(j)
     bank = bank or LemmaBank()
     got = names_provable(mu, i, budget, bank)
     match got.kind:

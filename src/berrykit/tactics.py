@@ -6,9 +6,13 @@ are modus ponens and generalization.  Every node carries `closed`: true
 when its subtree holds no open hypothesis, set once by the node's `__init__`
 (as in Edinburgh LCF, where a theorem carries its hypotheses), which writes
 each field through its slot's setter, collected once per type.
-`discharge` is the deduction theorem: it compiles away one open
-hypothesis, producing a proof of the implication, and walks and rebuilds
-only the open part of the tree; closed subtrees are lifted whole.
+The derived rules are small trees of schema instances: introduction and
+elimination for the connectives, universal instantiation, existential
+introduction, existential elimination (from B under hypothesis A conclude
+(E v) A -> B) and the equality toolkit.  `discharge` is the deduction
+theorem: it compiles away one open hypothesis, producing a proof of the
+implication, and walks and rebuilds only the open part of the tree;
+closed subtrees are lifted whole.
 `compile_proof` flattens a closed tree into a checkable Derivation in one
 walk: nodes whose formulas render alike have the same interned expansion
 and share one line, whose step is built once.
@@ -377,11 +381,21 @@ def excluded_middle(a: Formula) -> Proof:
     return mp(s_neg_elim(disj), nn)
 
 
-def forall_elim(p: Proof, t: Term) -> Proof:
-    match p.formula:
-        case Forall(v, body):
-            return mp(s_all_inst(v, body, t), p)
-    raise TacticError("forall_elim needs a universal")
+def forall_elim(p: Proof, *ts: Term) -> Proof:
+    """Instantiate p's quantifiers with ts, the outermost first."""
+    for t in ts:
+        match p.formula:
+            case Forall(v, body):
+                p = mp(s_all_inst(v, body, t), p)
+            case _:
+                raise TacticError("forall_elim needs a universal")
+    return p
+
+
+def exists_elim(var: int, a: Formula, p: Proof) -> Proof:
+    """From p proving B under hypothesis a conclude (E var) a -> B; var may
+    not be free in B, nor in the hypotheses p keeps open."""
+    return mp(s_ex_shift(var, a, p.formula), gen(var, discharge(p, a)))
 
 
 def exists_intro(var: int, body: Formula, t: Term, p: Proof) -> Proof:

@@ -540,23 +540,27 @@ class TestConfig:
         )
         assert code == 3
 
-    # commands that decide nothing reject a negative budget as those that do
-    @pytest.mark.parametrize("source", ["flag", "env", "config"])
+    # commands that decide nothing reject a negative setting as those that do;
+    # the budget cases have bare ids, which recorded test lists name
+    @pytest.mark.parametrize("key, source", [
+        pytest.param(key, source, id=source if key == "budget" else f"{key}-{source}")
+        for key in ("budget", "cap") for source in ("flag", "env", "config")
+    ])
     def test_negative_budget_is_bad_input_from_every_source(
-        self, capsys, tmp_path, monkeypatch, source
+        self, capsys, tmp_path, monkeypatch, key, source
     ):
         argv = ["berry", "--max-len", "3"]
         if source == "flag":
-            argv = ["--budget", "-1", *argv]
+            argv = [f"--{key}", "-1", *argv]
         elif source == "env":
-            monkeypatch.setenv("BERRYKIT_BUDGET", "-4")
+            monkeypatch.setenv(f"BERRYKIT_{key.upper()}", "-4")
             argv = ["demo", "1", "--scale", "2"]
         else:
             cfg = tmp_path / "cfg"
-            cfg.write_text("budget=-2\n")
+            cfg.write_text(f"{key}=-2\n")
             argv = ["--config", str(cfg), *argv]
         code, out, err = run(capsys, *argv)
-        assert (code, out, err) == (2, "", "error: budget must be nonnegative\n")
+        assert (code, out, err) == (2, "", f"error: {key} must be nonnegative\n")
 
     def test_unknown_config_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "cfg"

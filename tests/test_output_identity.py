@@ -1,5 +1,6 @@
 """Output identity: each report command of ``tests/digest.py`` still
-prints what it printed when its hash was recorded.
+prints what it printed when its hash was recorded, and the lemma-bank
+derivations that no report or digest part reaches still read as recorded.
 
 A command's output is its exit code, stdout and stderr, hashed as the
 digest hashes them, so a failure names the first command whose output
@@ -10,6 +11,12 @@ from __future__ import annotations
 
 import hashlib
 
+from berrykit.generators import (
+    LemmaBank, prove_le_numerals, prove_least_unique, prove_ne_numerals,
+    prove_order_totality, prove_sigma, refute_delta0,
+)
+from berrykit.proofs import to_json_lines
+from berrykit.syntax import BExists, BForall, Eq, Le, Not, Var, numeral
 from digest import REPORT_COMMANDS, _cli
 
 # each command after the shared settings, with the sha256 of its output
@@ -69,3 +76,30 @@ def test_report_commands_print_their_recorded_output():
     assert not moved, f"first moved: {moved[0]} ({len(moved)} of {len(RECORDED)} moved)"
     assert len(REPORT_COMMANDS) == len(RECORDED)
     assert {part: h.hexdigest() for part, h in combined.items()} == COMBINED
+
+
+# the derivations below, in order, as their JSON lines each followed by "\n"
+BANK_STEPS = 25187
+BANK_SHA256 = "caa6148ecec449cdf6e6bfc3a1ad404b416ee26ca531f95271acd6561e977f8a"
+
+
+def test_bank_derivations_read_as_recorded():
+    """ne, le, nle, tot, l5, g1 and leib's Exists case, through the public
+    builders with one bank at budget 16."""
+    bank, n = LemmaBank(), range(4)
+    mus = [Eq(Var(0), numeral(2)), Le(Var(0), numeral(1)), Not(Eq(Var(0), Var(0)))]
+    derivations = [
+        *(prove_ne_numerals(i, j, bank) for i in n for j in n if i != j),
+        *(prove_le_numerals(i, j, bank) for i in n for j in n if i <= j),
+        *(refute_delta0(Le(numeral(i), numeral(j)), 16, bank) for i in n for j in n if i > j),
+        *(prove_order_totality(k, bank) for k in range(5)),
+        *(prove_least_unique(mu, i, bank) for mu in mus for i in range(3)),
+        prove_sigma(BForall(1, numeral(3), BExists(2, numeral(4), Eq(Var(2), Var(1)))), 16, bank),
+        refute_delta0(BExists(1, numeral(3), Eq(Var(1), numeral(5))), 16, bank),
+    ]
+    h = hashlib.sha256()
+    for d in derivations:
+        for line in to_json_lines(d):
+            h.update((line + "\n").encode())
+    assert sum(len(d.steps) for d in derivations) == BANK_STEPS
+    assert h.hexdigest() == BANK_SHA256

@@ -165,6 +165,32 @@ class TestQuantifiers:
         p = T.exists_intro(0, Eq(Var(0), Var(0)), numeral(2), witness)
         concludes(p, Exists(0, Eq(Var(0), Var(0))))
 
+    def test_forall_elim_takes_the_outermost_first(self):
+        q5 = T.ax(Q, "q5")
+        both = T.forall_elim(q5, numeral(2), Var(3))
+        nested = T.forall_elim(T.forall_elim(q5, numeral(2)), Var(3))
+        assert T.compile_proof(both) == T.compile_proof(nested)
+        concludes(both, Eq(Add(numeral(2), Succ(Var(3))), Succ(Add(numeral(2), Var(3)))))
+
+    def test_forall_elim_needs_a_universal_at_every_term(self):
+        with pytest.raises(T.TacticError, match="forall_elim needs a universal"):
+            T.forall_elim(T.ax(Q, "q4"), Zero(), Zero())
+
+    def test_exists_elim_is_the_spelled_out_rule(self):
+        # from v1 = s 0 conclude s 0 = v1, so (E v1)(v1 = s 0) -> (E v1)(s 0 = v1)
+        a = Eq(Var(1), Succ(Zero()))
+        body = Eq(Succ(Zero()), Var(1))
+        p = T.exists_intro(1, body, Var(1), T.eq_sym(T.hyp(a)))
+        spelled = T.mp(T.s_ex_shift(1, a, p.formula), T.gen(1, T.discharge(p, a)))
+        got = T.exists_elim(1, a, p)
+        assert T.compile_proof(got) == T.compile_proof(spelled)
+        concludes(got, Imp(Exists(1, a), Exists(1, body)))
+
+    def test_exists_elim_refuses_the_variable_free_in_the_conclusion(self):
+        a = Eq(Var(1), Succ(Zero()))
+        with pytest.raises(T.TacticError):
+            T.exists_elim(1, a, T.eq_sym(T.hyp(a)))
+
 
 def _sch_accepts(name, f) -> bool:
     try:
