@@ -428,7 +428,7 @@ def _cmd_demo(args, st: Settings) -> int:
             obj = json.loads(_read_text(args.replay))
         except json.JSONDecodeError as err:
             raise InputError(f"{args.replay}: bad JSON: {err}") from err
-        ok, diffs = replay_demo(obj)
+        ok, diffs = replay_demo(obj, st.cap)
         if ok:
             _emit({"v": 1, "replay": "ok"}, "replay ok", st)
             return 0
@@ -440,7 +440,7 @@ def _cmd_demo(args, st: Settings) -> int:
         return 1
     if args.corollary is None:
         raise InputError("a corollary number 1..5 (or --replay FILE) is required")
-    report = run_demo(args.corollary, args.backend, st.budget, args.scale)
+    report = run_demo(args.corollary, args.backend, st.budget, args.scale, st.cap)
     obj = report.to_json_obj()
     if args.out:
         _write_text(args.out, json.dumps(obj, indent=2) + "\n")

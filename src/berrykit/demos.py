@@ -7,7 +7,8 @@ citation.  The two kinds are never mixed: nothing here pretends to
 verify the unverifiable.
 
 Only demo 1 reads the backend: its Berry search runs on it.  Demos 2 to 5
-record it in their report's params and run the same way on either.
+record it in their report's params and run the same way on either.  The
+enumeration cap bounds every demo's scale, and demos 1 and 4 search at it.
 """
 
 from __future__ import annotations
@@ -105,10 +106,10 @@ def _closed_fragment(scale: int) -> list:
     return [f for f in enumerate_formulas(scale + 1, cap=scale + 1) if is_closed(f)]
 
 
-def _demo1(backend: str, budget: int, scale: int) -> _Parts:
-    report = berry_number(scale, backend=backend, budget=budget)
+def _demo1(backend: str, budget: int, scale: int, cap: int) -> _Parts:
+    report = berry_number(scale, backend, budget, cap)
     n = report.n_value
-    rel = b_rel(n, scale, budget=budget)
+    rel = b_rel(n, scale, budget, cap)
     cert_c = certify_bounds(ConcretePhi(Eq(Var(0), Var(1))))
     cert_m = certify_bounds(MockPhi(length=200, v1_occurrences=20))
     claims = (
@@ -150,7 +151,7 @@ def _demo1(backend: str, budget: int, scale: int) -> _Parts:
     )
 
 
-def _demo2(backend: str, budget: int, scale: int) -> _Parts:
+def _demo2(backend: str, budget: int, scale: int, cap: int) -> _Parts:
     bank = LemmaBank()
     fragment = _closed_fragment(scale)
     rows = []
@@ -209,7 +210,7 @@ def _demo2(backend: str, budget: int, scale: int) -> _Parts:
     )
 
 
-def _demo3(backend: str, budget: int, scale: int) -> _Parts:
+def _demo3(backend: str, budget: int, scale: int, cap: int) -> _Parts:
     bank = LemmaBank()
     toy = BForall(2, numeral(5), Le(Var(2), numeral(7)))
     d_toy = prove_sigma(toy, budget, bank)
@@ -254,7 +255,7 @@ def _demo3(backend: str, budget: int, scale: int) -> _Parts:
     )
 
 
-def _demo4(backend: str, budget: int, scale: int) -> _Parts:
+def _demo4(backend: str, budget: int, scale: int, cap: int) -> _Parts:
     bank = LemmaBank()
     candidates = [
         Eq(Var(0), Zero()),
@@ -279,7 +280,7 @@ def _demo4(backend: str, budget: int, scale: int) -> _Parts:
                     "evidence_ok": ok,
                 }
             )
-    rel = b_rel(0, scale, budget=budget, bank=bank)
+    rel = b_rel(0, scale, budget, cap, bank)
     conj = (
         rel.holds is True
         and nm(0, encode_witness := _parse_witness(rel.witness), budget,
@@ -323,7 +324,7 @@ def _parse_witness(witness: str | int | None):
     return encode(parse_formula(witness))
 
 
-def _demo5(backend: str, budget: int, scale: int) -> _Parts:
+def _demo5(backend: str, budget: int, scale: int, cap: int) -> _Parts:
     bank = LemmaBank()
     fragment = _closed_fragment(scale)
     rows = []
@@ -379,25 +380,28 @@ def run_demo(
     backend: str = "semantic",
     budget: int = SEARCH_BUDGET,
     scale: int = 6,
+    cap: int = DEFAULT_CAP,
 ) -> DemoReport:
-    """Build one report, executing every desk-checkable step now."""
+    """Build one report, executing every desk-checkable step now.  `scale`
+    may not pass `cap`, the enumeration cap its searches run at; the report
+    does not record it."""
     if corollary not in _DEMOS:
         raise InputError("demos are numbered 1 through 5")
     if scale < 0:
         raise InputError(f"scale {scale} is negative; it must be a natural number")
-    if scale > DEFAULT_CAP:
+    if scale > cap:
         raise InputError(
             f"scale {scale} is past the feasibility cap; the fragment explodes"
-            f" combinatorially, stay at {DEFAULT_CAP} or below"
+            f" combinatorially, stay at {cap} or below"
         )
     if backend not in BACKENDS:
         raise InputError(f"unknown backend {backend!r}")
-    title, claims, summary = _DEMOS[corollary](backend, budget, scale)
+    title, claims, summary = _DEMOS[corollary](backend, budget, scale, cap)
     return DemoReport(corollary, title, backend, budget, scale, claims, summary)
 
 
-def replay_demo(obj: dict) -> tuple[bool, list[str]]:
-    """Re-run a serialized report's demo and diff the claims.
+def replay_demo(obj: dict, cap: int = DEFAULT_CAP) -> tuple[bool, list[str]]:
+    """Re-run a serialized report's demo, at `cap`, and diff the claims.
 
     Every checked claim must reproduce exactly; asserted claims must match
     verbatim.  Returns the mismatch descriptions, empty on success.
@@ -426,7 +430,7 @@ def replay_demo(obj: dict) -> tuple[bool, list[str]]:
         isinstance(a, dict) for a in old_claims
     ):
         raise InputError("report field 'claims' must be a list of objects")
-    new = run_demo(cor, backend, budget, scale).to_json_obj()
+    new = run_demo(cor, backend, budget, scale, cap).to_json_obj()
     mismatches: list[str] = []
     if len(old_claims) != len(new["claims"]):
         mismatches.append(

@@ -4,6 +4,10 @@ Accepts everything `render` produces (and harmless redundant outer
 parentheses).  Errors carry the 1-based token position and the tokens that
 would have been acceptable there.
 
+A parenthesized group is parsed as a formula once, whichever of its three
+readings holds; only the atom reading reads it again, as a term, in time
+linear in its length.  Parsing takes time at most quadratic in the text's.
+
 `parse_formula` with a memo reads the lines of a derivation: it looks a
 text up whole, then splits `( X ) c ( Y )` where its first parenthesis
 closes (a regex skips balanced runs), walks the right spine in a loop,
@@ -167,11 +171,14 @@ class _Parser:
             return kind(int(m.group(1)), self.subformula())
         if tok == "(":
             # parenthesized-operand connective, atomic with a parenthesized
-            # term, or redundant outer parentheses; in that order
-            saved = self.pos
+            # term, or redundant outer parentheses; in that order.  The
+            # third reading is the first one's subformula, kept with its end;
+            # when that failed, parsing it again would only repeat `fail`
+            # calls, which add nothing to the farthest position's record
+            saved, left = self.pos, None
             try:
                 left = self.subformula()
-                ctok = self.peek()
+                end, ctok = self.pos, self.peek()
                 if ctok not in _CONNECTIVES:
                     self.fail("&", "|", "->", "<->")
                 self.pos += 1
@@ -181,8 +188,10 @@ class _Parser:
             try:
                 return self.atomic()
             except _Fail:
-                self.pos = saved
-            return self.subformula()
+                if left is None:
+                    raise
+            self.pos = end
+            return left
         return self.atomic()
 
 

@@ -245,59 +245,43 @@ def _is_substitution_instance(body: Formula, var: int, target: Formula) -> bool:
     return alpha_equal(substitute(body, var, witness), target)
 
 
+# the quantifier schemas: the shape each expects, and the part of it that
+# must be a substitution instance, or must not have the variable free
+_QUANTIFIER_SCHEMAS = {
+    "all_inst": ("(A x) B -> B[x := t]", "conclusion"),
+    "ex_intro": ("B[x := t] -> ( E x ) B", "premise"),
+    "all_shift": ("(A x)(A -> B) -> (A -> (A x) B)", "antecedent"),
+    "ex_shift": ("(A x)(A -> B) -> ((E x) A -> B)", "conclusion"),
+}
+
+
 def _check_schema(name: str, f: Formula) -> str | None:
     """None when f is an instance of the named schema, else a reason."""
     matches = _MATCHERS.get(name)
     if matches is not None:
         return None if matches(f) else f"not an instance of {name}"
-    match name:
-        case "all_inst":
-            match f:
-                case Imp(Forall(v, body), target):
-                    if _is_substitution_instance(body, v, target):
-                        return None
-                    return "conclusion is not a substitution instance"
-            return "expected (A x) B -> B[x := t]"
-        case "ex_intro":
-            match f:
-                case Imp(target, Exists(v, body)):
-                    if _is_substitution_instance(body, v, target):
-                        return None
-                    return "premise is not a substitution instance"
-            return "expected B[x := t] -> ( E x ) B"
-        case "all_shift":
-            match f:
-                case Imp(Forall(v, Imp(a, b)), Imp(a2, Forall(w, b2))):
-                    if w != v:
-                        return "quantified variables differ"
-                    if not (expand_bounded(a) is expand_bounded(a2)
-                            and expand_bounded(b) is expand_bounded(b2)):
-                        return "components differ"
-                    if v in free_vars(a):
-                        return f"v{v} occurs free in the antecedent"
-                    return None
-            return "expected (A x)(A -> B) -> (A -> (A x) B)"
-        case "ex_shift":
-            match f:
-                case Imp(Forall(v, Imp(a, b)), Imp(Exists(w, a2), b2)):
-                    if w != v:
-                        return "quantified variables differ"
-                    if not (expand_bounded(a) is expand_bounded(a2)
-                            and expand_bounded(b) is expand_bounded(b2)):
-                        return "components differ"
-                    if v in free_vars(b):
-                        return f"v{v} occurs free in the conclusion"
-                    return None
-            return "expected (A x)(A -> B) -> ((E x) A -> B)"
+    match name, f:
+        case (("all_inst", Imp(Forall(v, body), target))
+              | ("ex_intro", Imp(target, Exists(v, body)))):
+            if _is_substitution_instance(body, v, target):
+                return None
+            return f"{_QUANTIFIER_SCHEMAS[name][1]} is not a substitution instance"
+        case (("all_shift", Imp(Forall(v, Imp(side, rest)), Imp(side2, Forall(w, rest2))))
+              | ("ex_shift", Imp(Forall(v, Imp(rest, side)), Imp(Exists(w, rest2), side2)))):
+            if w != v:
+                return "quantified variables differ"
+            if not (expand_bounded(side) is expand_bounded(side2)
+                    and expand_bounded(rest) is expand_bounded(rest2)):
+                return "components differ"
+            if v in free_vars(side):
+                return f"v{v} occurs free in the {_QUANTIFIER_SCHEMAS[name][1]}"
+            return None
+    if name in _QUANTIFIER_SCHEMAS:
+        return f"expected {_QUANTIFIER_SCHEMAS[name][0]}"
     return f"unknown schema {name!r}"
 
 
-SCHEMA_NAMES: tuple[str, ...] = tuple(_PATTERN_SCHEMAS) + (
-    "all_inst",
-    "ex_intro",
-    "all_shift",
-    "ex_shift",
-)
+SCHEMA_NAMES: tuple[str, ...] = tuple(_PATTERN_SCHEMAS) + tuple(_QUANTIFIER_SCHEMAS)
 
 
 # ---------------------------------------------------------------- derivations
@@ -435,9 +419,11 @@ def from_json_lines(lines: Iterable[str]) -> Derivation:
     `rule` (string); optional `i` (index, from 0), `name` (string), `var`
     (integer), each may be null, and `prem` (list of step indices).  Blank
     lines are skipped.  A malformed line, or one whose `f` does not parse,
-    raises InputError with its number, from 1.  Equal texts share nodes."""
+    raises InputError with its number, from 1.  Equal texts share nodes,
+    and the steps share one string per distinct rule or name."""
     steps: list[Step] = []
     memo: dict[str, Formula] = {}
+    shared: dict[str | None, str | None] = {}
     for lineno, line in enumerate(lines, 1):
         line = line.strip()
         if not line:
@@ -470,5 +456,6 @@ def from_json_lines(lines: Iterable[str]) -> Derivation:
         except (InputError, RecursionError) as err:
             why = "formula nested too deeply to read" if type(err) is RecursionError else err
             raise InputError(f"line {lineno}: {why}") from err
-        steps.append(Step(formula, rule, tuple(premises), name, var))
+        steps.append(Step(formula, shared.setdefault(rule, rule), tuple(premises),
+                          shared.setdefault(name, name), var))
     return Derivation(tuple(steps))

@@ -503,6 +503,26 @@ class TestDemo:
         code, _, err = run(capsys, "demo", "--replay", str(report))
         assert (code, err) == (2, "error: scale -1 is negative; it must be a natural number\n")
 
+    @pytest.mark.parametrize("cap,scale", [("0", "2"), ("3", "6")])
+    def test_scale_past_the_cap_is_bad_input(self, capsys, cap, scale):
+        code, out, err = run(capsys, "--cap", cap, "demo", "1", "--scale", scale)
+        assert (code, out) == (2, "")
+        assert err == (f"error: scale {scale} is past the feasibility cap; the fragment"
+                       f" explodes combinatorially, stay at {cap} or below\n")
+
+    def test_scale_at_the_cap_runs(self, capsys):
+        code, out, _ = run(capsys, "--cap", "3", "demo", "1", "--scale", "3")
+        assert code == 0 and out.startswith("[1] ")
+
+    def test_replay_runs_under_the_replaying_cap(self, capsys, tmp_path):
+        report = tmp_path / "demo.json"
+        run(capsys, "demo", "1", "--scale", "4", "-o", str(report))
+        code, out, _ = run(capsys, "--cap", "4", "demo", "--replay", str(report))
+        assert code == 0 and "ok" in out
+        code, out, err = run(capsys, "--cap", "3", "demo", "--replay", str(report))
+        assert (code, out) == (2, "")
+        assert err.endswith("stay at 3 or below\n")
+
 
 class TestUnwritableOutput:
     """An -o path that cannot be written is bad input on one stderr line,

@@ -18,7 +18,9 @@ from berrykit import parser
 from berrykit.errors import InputError
 from berrykit.parser import ParseError, _tokenize, parse, parse_formula, parse_term
 from berrykit.proofs import from_json_lines, to_json_lines
-from berrykit.syntax import And, Iff, Imp, Or, expand_bounded, render
+from berrykit.cli import main
+from berrykit.coding import decode, encode
+from berrykit.syntax import Add, And, Eq, Iff, Imp, Or, Zero, expand_bounded, render
 
 
 @settings(max_examples=120, deadline=None)
@@ -428,3 +430,55 @@ def test_deep_right_nested_chain_reads_without_recursion():
     alone = from_json_lines([json.dumps({"f": "v0 = 0", "rule": "axiom"}),
                              json.dumps({"f": last, "rule": "axiom"})])
     assert alone.conclusion is f
+
+
+# ------------------------------------------------------ parsing time by depth
+
+POLY_DEPTH = 24
+
+
+def _left_nested_sum_equation(depth):
+    s = Zero()
+    for _ in range(depth):
+        s = Add(s, Zero())
+    return Eq(s, s)
+
+
+def _run_eq_refl_check(text, tmp_path):
+    path = tmp_path / "eq_refl.jsonl"
+    path.write_text(json.dumps({"i": 0, "f": text, "rule": "schema", "name": "eq_refl"}) + "\n")
+    return main(["check-proof", str(path)])
+
+
+@pytest.mark.parametrize("reader", ["parse_formula", "parse", "redundant", "decode", "check-proof"])
+def test_parsing_is_polynomial_in_the_nesting_depth(reader, monkeypatch, tmp_path, capsys):
+    # each parenthesized group is parsed as a formula once, so the parser
+    # makes few formula calls; an exponential one fails at the bound fast
+    f = _left_nested_sum_equation(POLY_DEPTH)
+    text = render(f)
+    bound, calls = 8 * POLY_DEPTH ** 2, 0
+    formula = parser._Parser.formula
+
+    def counted(p):
+        nonlocal calls
+        calls += 1
+        if calls > bound:
+            raise AssertionError(f"more than {bound} formula calls")
+        return formula(p)
+
+    monkeypatch.setattr(parser._Parser, "formula", counted)
+    start = time.perf_counter()
+    match reader:
+        case "parse_formula":
+            assert parse_formula(text) is f
+        case "parse":
+            assert parse(text) is f
+        case "redundant":
+            assert parse_formula("( " * POLY_DEPTH + "0 = 0" + " )" * POLY_DEPTH) is Eq(Zero(), Zero())
+        case "decode":
+            assert decode(encode(f)) is f
+        case "check-proof":
+            assert _run_eq_refl_check(text, tmp_path) == 0
+            assert capsys.readouterr().out.startswith("valid  (1 steps")
+    assert calls > 0
+    assert time.perf_counter() - start < 1.0

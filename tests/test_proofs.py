@@ -692,3 +692,59 @@ class TestSharedReading:
     def test_non_string_formula_rejected(self):
         with pytest.raises(InputError, match="line 1:"):
             from_json_lines(['{"i": 0, "f": 5, "rule": "axiom"}'])
+
+
+class TestQuantifierSchemaReasons:
+    """Every reason the four quantifier schemas give, by its text."""
+
+    a = Eq(Var(0), Var(0))
+    side = Le(Zero(), Var(1))
+    shifted_all = Imp(Forall(0, Imp(side, a)), Imp(side, Forall(0, a)))
+    shifted_ex = Imp(Forall(0, Imp(a, side)), Imp(Exists(0, a), side))
+
+    CASES = [
+        ("all_inst", Eq(Zero(), Zero()), "expected (A x) B -> B[x := t]"),
+        ("all_inst", Imp(Exists(0, a), Eq(Zero(), Zero())), "expected (A x) B -> B[x := t]"),
+        ("all_inst", Imp(Forall(0, Eq(Var(0), Zero())), Eq(numeral(1), numeral(1))),
+         "conclusion is not a substitution instance"),
+        ("ex_intro", Eq(Zero(), Zero()), "expected B[x := t] -> ( E x ) B"),
+        ("ex_intro", Imp(Forall(0, a), Eq(Zero(), Zero())), "expected B[x := t] -> ( E x ) B"),
+        ("ex_intro", Imp(Eq(Zero(), numeral(1)), Exists(0, a)),
+         "premise is not a substitution instance"),
+        ("all_shift", shifted_ex, "expected (A x)(A -> B) -> (A -> (A x) B)"),
+        ("all_shift", Imp(Forall(0, Imp(side, a)), Imp(side, Forall(1, a))),
+         "quantified variables differ"),
+        ("all_shift", Imp(Forall(0, Imp(side, a)), Imp(a, Forall(0, a))), "components differ"),
+        ("all_shift", Imp(Forall(0, Imp(side, a)), Imp(side, Forall(0, side))),
+         "components differ"),
+        ("all_shift", Imp(Forall(2, Imp(Eq(Var(2), Zero()), a)),
+                          Imp(Eq(Var(2), Zero()), Forall(2, a))),
+         "v2 occurs free in the antecedent"),
+        ("ex_shift", shifted_all, "expected (A x)(A -> B) -> ((E x) A -> B)"),
+        ("ex_shift", Imp(Forall(0, Imp(a, side)), Imp(Exists(1, a), side)),
+         "quantified variables differ"),
+        ("ex_shift", Imp(Forall(0, Imp(a, side)), Imp(Exists(0, side), side)),
+         "components differ"),
+        ("ex_shift", Imp(Forall(0, Imp(a, side)), Imp(Exists(0, a), a)), "components differ"),
+        ("ex_shift", Imp(Forall(1, Imp(a, side)), Imp(Exists(1, a), side)),
+         "v1 occurs free in the conclusion"),
+        ("x", Eq(Zero(), Zero()), "unknown schema 'x'"),
+    ]
+
+    @pytest.mark.parametrize("name,f,reason", CASES)
+    def test_reason_text(self, name, f, reason):
+        with pytest.raises(ProofCheckError) as err:
+            check(single(f, name), Q)
+        assert str(err.value) == f"step 0: {reason}"
+
+    def test_the_shifts_accept_their_own_shape(self):
+        assert is_valid(single(self.shifted_all, "all_shift"), Q)
+        assert is_valid(single(self.shifted_ex, "ex_shift"), Q)
+
+
+def test_a_read_derivation_shares_its_rule_and_name_strings():
+    d = from_json_lines(_fixture_lines())
+    for field in ("rule", "name"):
+        values = [getattr(s, field) for s in d.steps if getattr(s, field) is not None]
+        assert len(values) > 100, field
+        assert len({id(v) for v in values}) == len(set(values)), field
