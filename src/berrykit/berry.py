@@ -50,7 +50,6 @@ from .syntax import (
     Term,
     Var,
     Zero,
-    expand_bounded,
     fold,
     free_vars,
     is_closed,
@@ -322,11 +321,6 @@ class MockPhi:
 
 PhiProvider = ConcretePhi | MockPhi
 
-# .. the template wraps the base formula in a negation plus a bounded
-#    universal copy, adding this many tokens on top of the two copies
-TEMPLATE_OVERHEAD = 23
-
-
 @dataclass(frozen=True)
 class PsiConstants:
     k1: int
@@ -353,7 +347,7 @@ def _count_free(f: Formula, i: int) -> int:
         if type(node) is Var:
             return int(node.index == i)
         if type(node) in BINDERS and node.var == i:
-            return kids[0] if len(kids) == 2 else 0  # only a bound is outside
+            return 0
         return sum(kids)
 
     return fold(f, count)
@@ -380,7 +374,7 @@ def build_psi(provider: PhiProvider) -> tuple[Formula | None, PsiConstants]:
     match provider:
         case ConcretePhi(phi):
             shifted = substitute(phi, 0, Var(2))
-            psi = expand_bounded(And(Not(phi), BForall(2, Var(0), shifted)))
+            psi = And(Not(phi), BForall(2, Var(0), shifted))
             k1 = length(psi)
             k2 = _count_free(psi, 1) + 1
         case MockPhi(k1_decl, occ):

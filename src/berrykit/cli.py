@@ -31,7 +31,6 @@ from .syntax import (
     Expr,
     Forall,
     Succ,
-    expand_bounded,
     fold,
     is_closed,
     is_formula,
@@ -168,8 +167,7 @@ def _dumps(obj: object) -> str:
 
 # the JSON kind of each node type, and the JSON key of each of its fields
 _JSON_KINDS: dict[type, str] = {t: t.__name__.lower() for t in CHILDREN}
-_JSON_KEY = {"index": "i", "var": "i", "arg": "t", "body": "f", "bound": "b",
-             "left": "l", "right": "r"}
+_JSON_KEY = {"index": "i", "var": "i", "arg": "t", "body": "f", "left": "l", "right": "r"}
 _JSON_KEYS = {t: tuple(_JSON_KEY[n] for n in t.__match_args__) for t in CHILDREN}
 
 
@@ -246,7 +244,7 @@ def _cmd_eval(args, st: Settings) -> int:
     label = truth.value
     obj: dict = {"v": 1, "verdict": label, "budget": st.budget}
     text = label
-    if (type(expand_bounded(f)), truth) in ((Exists, Truth.TRUE), (Forall, Truth.FALSE)):
+    if (type(f), truth) in ((Exists, Truth.TRUE), (Forall, Truth.FALSE)):
         # a settled scan stops at its least witness or counterexample
         role = "witness" if truth is Truth.TRUE else "counterexample"
         obj[role] = len(parts) - 1

@@ -8,7 +8,8 @@ verify the unverifiable.
 
 Only demo 1 reads the backend: its Berry search runs on it.  Demos 2 to 5
 record it in their report's params and run the same way on either.  The
-enumeration cap bounds every demo's scale, and demos 1 and 4 search at it.
+enumeration cap bounds every demo's scale and every enumeration a demo
+makes: demos 1 and 4 search at it, and demos 2 and 5 enumerate under it.
 """
 
 from __future__ import annotations
@@ -102,8 +103,8 @@ def asserted(statement: str, citation: str) -> Claim:
     return Claim(statement, "asserted", citation=citation)
 
 
-def _closed_fragment(scale: int) -> list:
-    return [f for f in enumerate_formulas(scale + 1, cap=scale + 1) if is_closed(f)]
+def _closed_fragment(scale: int, cap: int) -> list:
+    return [f for f in enumerate_formulas(scale + 1, cap) if is_closed(f)]
 
 
 def _demo1(backend: str, budget: int, scale: int, cap: int) -> _Parts:
@@ -153,7 +154,7 @@ def _demo1(backend: str, budget: int, scale: int, cap: int) -> _Parts:
 
 def _demo2(backend: str, budget: int, scale: int, cap: int) -> _Parts:
     bank = LemmaBank()
-    fragment = _closed_fragment(scale)
+    fragment = _closed_fragment(scale, cap)
     rows = []
     agree = True
     for s in fragment:
@@ -326,7 +327,7 @@ def _parse_witness(witness: str | int | None):
 
 def _demo5(backend: str, budget: int, scale: int, cap: int) -> _Parts:
     bank = LemmaBank()
-    fragment = _closed_fragment(scale)
+    fragment = _closed_fragment(scale, cap)
     rows = []
     complementary = True
     for s in fragment:

@@ -58,7 +58,6 @@ from .syntax import (
     Var,
     Zero,
     all_var_indices,
-    expand_bounded,
     fold,
     free_vars,
     numeral,
@@ -352,7 +351,6 @@ class LemmaBank:
         Binders in phi may not mention the free variables of t or u; a
         binder equal to x shadows it, which is fine.
         """
-        phi = expand_bounded(phi)  # type: ignore[assignment]
         repl_free = free_vars(t) | free_vars(u)
         clash = (fold(phi, _binders_of) - {x}) & repl_free
         if clash:
@@ -513,14 +511,13 @@ class LemmaBank:
         """A proof of the closed sentence f when its verdict is true, and of
         ~f when it is false.
 
-        f is read as its expansion, so a bounded quantifier is the guarded
-        quantifier it stands for.  verdict is ``decide(f, budget)``, settled,
-        and every choice is read off its parts: the left disjunct before the
-        right, a false antecedent before a true consequent, the least
-        witness, and the first failing instance, conjunct or side.  The
-        tactics check every inference they build.
+        A bounded quantifier is the guarded quantifier it stands for.
+        verdict is ``decide(f, budget)``, settled, and every choice is read
+        off its parts: the left disjunct before the right, a false
+        antecedent before a true consequent, the least witness, and the
+        first failing instance, conjunct or side.  The tactics check every
+        inference they build.
         """
-        f = expand_bounded(f)
         true = verdict[0] is Truth.TRUE
         parts = verdict[1]
         got = guarded(f)
@@ -982,9 +979,8 @@ class NamingTable:
 
         # mu holds at i and nowhere else below its bound: prove the equivalence
         m, bound_fn = self.bound
-        mux = expand_bounded(mu)
         target = Eq(Var(0), numeral(i))
-        h_mu = T.hyp(mux)
+        h_mu = T.hyp(mu)
         up = bound_fn(h_mu)  # v0 <= m
         dis = T.mp(T.forall_elim(bank.l7(m), Var(0)), up)
         cs = [Eq(Var(0), numeral(k)) for k in range(m + 1)]
@@ -992,15 +988,15 @@ class NamingTable:
         def branch(k: int, hek: T.Proof) -> T.Proof:
             if k == i:
                 return hek
-            lb = bank.leib(mux, 0, Var(0), numeral(k))
+            lb = bank.leib(mu, 0, Var(0), numeral(k))
             pos = T.mp(T.mp(lb, hek), h_mu)
             neg = bank.prove(*at(k))
             return T.contradiction_to(pos, neg, target)
 
-        fwd = T.discharge(_elim_cases(dis, cs, branch), mux)
+        fwd = T.discharge(_elim_cases(dis, cs, branch), mu)
         h_eq = T.hyp(target)
         pk = bank.prove(*at(i))
-        lb = bank.leib(mux, 0, numeral(i), Var(0))
+        lb = bank.leib(mu, 0, numeral(i), Var(0))
         back = T.discharge(T.mp(T.mp(lb, T.eq_sym(h_eq)), pk), target)
         return NamingProof("names", i, None, T.gen(0, T.iff_intro(fwd, back)))
 

@@ -4,9 +4,9 @@ A derivation is a flat list of steps.  Every step carries its formula and a
 justification: a named theory axiom, a logical axiom schema instance, modus
 ponens, or generalization.  The checker validates each step independently,
 so a checked derivation is trustworthy no matter how it was produced.
-AST nodes are interned, so a formula is compared by the identity of its
-bounded-quantifier expansion, never through its rendered text, and every
-comparison is one identity test.
+AST nodes are interned and a bounded quantifier is built as its guarded
+expansion, so a formula is compared by node identity, never through its
+rendered text, and every comparison is one identity test.
 
 Generalization is unrestricted.  That is sound here because theories are
 required to have closed axioms: every derivable formula then holds in the
@@ -41,7 +41,6 @@ from .syntax import (
     Var,
     Zero,
     alpha_equal,
-    expand_bounded,
     free_vars,
     is_formula,
     is_term,
@@ -137,7 +136,7 @@ def _stage(pattern) -> Callable[[Formula], bool]:
     """The matcher of one pattern, staged once (Feeley & Lapalme, Using
     Closures for Code Generation, 1987): the node type at each path below
     the root, parents first, then each metavariable's sort test and the
-    paths of its occurrences, which must share the first one's expansion."""
+    paths of its occurrences, which must be the first one's node."""
     root = _PATTERN_NODES[pattern[0]][0]
     shape: list[tuple[Callable, type]] = []
     occurrences: dict[tuple, list[Callable]] = {}
@@ -164,8 +163,7 @@ def _stage(pattern) -> Callable[[Formula], bool]:
             if not sort(a):
                 return False
             for get in rest:
-                b = get(f)
-                if b is not a and (b._expanded or b) is not (a._expanded or a):
+                if get(f) is not a:
                     return False
         return True
 
@@ -270,8 +268,7 @@ def _check_schema(name: str, f: Formula) -> str | None:
               | ("ex_shift", Imp(Forall(v, Imp(rest, side)), Imp(Exists(w, rest2), side2)))):
             if w != v:
                 return "quantified variables differ"
-            if not (expand_bounded(side) is expand_bounded(side2)
-                    and expand_bounded(rest) is expand_bounded(rest2)):
+            if side is not side2 or rest is not rest2:
                 return "components differ"
             if v in free_vars(side):
                 return f"v{v} occurs free in the {_QUANTIFIER_SCHEMAS[name][1]}"
@@ -331,11 +328,11 @@ class Derivation:
 
 def check(derivation: Derivation, theory: Theory) -> None:
     """Validate every step; raises ProofCheckError at the first bad one."""
-    expanded: list[Formula] = []
+    formulas: list[Formula] = []
     for i, step in enumerate(derivation.steps):
-        if not is_formula(step.formula):
+        f = step.formula
+        if not is_formula(f):
             raise ProofCheckError(i, "step formula is not a formula")
-        f = expand_bounded(step.formula)
         for p in step.premises:
             if not 0 <= p < i:
                 raise ProofCheckError(i, f"premise {p} out of range")
@@ -347,7 +344,7 @@ def check(derivation: Derivation, theory: Theory) -> None:
                     ax = theory.axiom(step.name)
                 except InputError as err:
                     raise ProofCheckError(i, str(err)) from err
-                if f is not expand_bounded(ax):
+                if f is not ax:
                     raise ProofCheckError(
                         i, f"formula differs from axiom {step.name!r}"
                     )
@@ -361,10 +358,10 @@ def check(derivation: Derivation, theory: Theory) -> None:
                 if len(step.premises) != 2:
                     raise ProofCheckError(i, "mp needs [implication, antecedent]")
                 pi, pj = step.premises
-                imp = expanded[pi]
+                imp = formulas[pi]
                 if type(imp) is not Imp:
                     raise ProofCheckError(i, f"step {pi} is not an implication")
-                if expanded[pj] is not imp.left:
+                if formulas[pj] is not imp.left:
                     raise ProofCheckError(
                         i, f"step {pj} does not match the antecedent of step {pi}"
                     )
@@ -379,7 +376,7 @@ def check(derivation: Derivation, theory: Theory) -> None:
                     case Forall(v, body):
                         if v != step.var:
                             raise ProofCheckError(i, "generalized variable differs")
-                        if expanded[step.premises[0]] is not body:
+                        if formulas[step.premises[0]] is not body:
                             raise ProofCheckError(
                                 i, "body does not match the premise"
                             )
@@ -387,7 +384,7 @@ def check(derivation: Derivation, theory: Theory) -> None:
                         raise ProofCheckError(i, "gen must conclude a universal")
             case other:
                 raise ProofCheckError(i, f"unknown rule {other!r}")
-        expanded.append(f)
+        formulas.append(f)
 
 
 def is_valid(derivation: Derivation, theory: Theory) -> bool:

@@ -23,7 +23,6 @@ from . import tactics as T
 from .syntax import (
     Formula,
     Not,
-    expand_bounded,
     free_vars,
     is_closed,
     is_formula,
@@ -90,7 +89,7 @@ def neg(i: int, j: int) -> bool:
     g = _decoded(j)
     if f is None or g is None or not is_closed(f):
         return False
-    return type(g) is Not and expand_bounded(g.body) is expand_bounded(f)
+    return type(g) is Not and g.body is f
 
 
 def nm(

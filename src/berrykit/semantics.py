@@ -1,23 +1,24 @@
 """Evaluation over the standard naturals.
 
-One evaluator, ``decide``, walks a formula's bounded-quantifier expansion
-over an environment of variable values and returns its verdict: a
-three-valued truth with the verdicts it was read from.  Guarded quantifiers
-are scanned below their bounds, unbounded quantifier witnesses only up to
-the budget, and connectives combine verdicts with strong Kleene tables, so
-a decided answer is always sound and a Δ0 formula is always decided.  The
-verdict certifies the truth: it names the disjunct, the false antecedent,
-the witness or the failing instance, and the proof builders follow it
-instead of asking again.  ``eval_budgeted`` is its truth alone, and
+One evaluator, ``decide``, walks a formula over an environment of
+variable values and returns its verdict: a three-valued truth with the
+verdicts it was read from.  Guarded quantifiers are scanned below their
+bounds, unbounded quantifier witnesses only up to the budget, and
+connectives combine verdicts with strong Kleene tables, so a decided
+answer is always sound and a Δ0 formula is always decided.  The verdict
+certifies the truth: it names the disjunct, the false antecedent, the
+witness or the failing instance, and the proof builders follow it instead
+of asking again.  ``eval_budgeted`` is its truth alone, and
 ``eval_delta0`` the exact two-valued reading for Δ0 formulas, refusing any
 other.  A formula's truth at a number is read under ``{v: j}``, never by
-substituting a numeral first.
+substituting a numeral first.  A bounded quantifier is built as the
+guarded quantifier it abbreviates, so the walk meets no sugar, and two
+formulas are the same formula exactly when they are one node.
 
-Classification lives here too: ``classify`` folds a formula's expansion
-to its most specific class (Δ0, Σ1, Σ or neither), reading guarded
-quantifiers with ``guarded``, as the evaluator does, and
-``SIGMA_CLASSES`` names the fragment Q proves every truth of.  The proof
-checker never asks it.
+Classification lives here too: ``classify`` folds a formula to its most
+specific class (Δ0, Σ1, Σ or neither), reading guarded quantifiers with
+``guarded``, as the evaluator does, and ``SIGMA_CLASSES`` names the
+fragment Q proves every truth of.  The proof checker never asks it.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from .syntax import (
     Term,
     Var,
     Zero,
-    expand_bounded,
     fold,
     free_vars,
     succ_spine,
@@ -111,7 +111,7 @@ def _rank_of(node: Expr, kids: tuple) -> int:
         return _SIG if kids[0] <= _SIG else _OTH
     if kind is Forall and guarded(node) is not None:
         return {_D0: _D0, _D0_TO_SIG: _SIG}.get(kids[0], _OTH)
-    return _OTH  # terms and unguarded universals; expansions hold no sugar
+    return _OTH  # terms and unguarded universals
 
 
 # a rank ignores terms, so the fold stops at atoms
@@ -120,8 +120,7 @@ _CLASS_OF_RANK = (FormulaClass.DELTA0, FormulaClass.SIGMA, FormulaClass.OTHER, F
 
 
 def classify(f: Formula) -> FormulaClass:
-    """Most specific syntactic class of the expanded formula."""
-    f = expand_bounded(f)  # type: ignore[assignment]
+    """Most specific syntactic class of the formula."""
     ranks: dict[Expr, int] = {}
     rank = fold(f, _rank_of, ranks, _RANK_KIDS)
     if rank == _SIG and type(f) is Exists and ranks[f.body] == _D0:
@@ -213,7 +212,7 @@ def eval_term(t: Term, env: Env | None = None) -> int:
 def eval_delta0(f: Formula, env: Env | None = None) -> bool:
     """Exact truth value of a bounded (Δ0) formula.
 
-    Refuses any formula whose expansion has an unbounded quantifier,
+    Refuses any formula with an unbounded quantifier,
     wherever it sits, with NotDelta0Error; the truth itself is the
     three-valued evaluator's, which never needs its budget on Δ0.
     """
@@ -231,16 +230,16 @@ def eval_budgeted(f: Formula, budget: int, env: Env | None = None) -> Truth:
 def decide(f: Formula, budget: int, env: Env | None = None) -> Verdict:
     """The verdict of f: its three-valued truth and the verdicts it read.
 
-    The walk is over the expansion, where a bounded quantifier is a guarded
-    one and is scanned below its bound; unbounded witnesses are sought up to
-    the budget.  Decided answers are sound for the standard model.  A
-    connective's parts are its operands' verdicts.  A quantifier's parts are
-    its body's verdicts at 0, 1, ... in scan order, so a settled scan ends
-    at its least witness or counterexample.  A quantifier whose variable
-    does not occur free in its body has the body's verdict as its one part,
-    so padding never costs budget.  The parts at v = j are the parts of the
-    instance with the numeral j substituted for v, so a proof builder can
-    follow them down the instances it proves.
+    A guarded quantifier is scanned below its bound; unbounded witnesses
+    are sought up to the budget.  Decided answers are sound for the
+    standard model.  A connective's parts are its operands' verdicts.  A
+    quantifier's parts are its body's verdicts at 0, 1, ... in scan order,
+    so a settled scan ends at its least witness or counterexample.  A
+    quantifier whose variable does not occur free in its body has the
+    body's verdict as its one part, so padding never costs budget.  The
+    parts at v = j are the parts of the instance with the numeral j
+    substituted for v, so a proof builder can follow them down the
+    instances it proves.
     """
     if budget < 0:
         raise InputError("budget must be nonnegative")
@@ -283,7 +282,7 @@ def decide(f: Formula, budget: int, env: Env | None = None) -> Verdict:
                 return out, tuple(parts)
         raise InputError(f"not a formula: {f!r}")
 
-    return go(expand_bounded(f), env or {})
+    return go(f, env or {})
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,9 @@ The concrete syntax is whitespace-separated tokens, one token per length
 unit: `0 s + * = <= ~ & | -> <-> A E ( ) v<digits>`.  Rendering is
 canonical: every proper subformula is wrapped in one parenthesis pair, a
 quantifier prefix renders as `( A vi )`, and a term operand gets a pair
-exactly when it is Add/Mul-headed.  Bounded quantifiers are surface
-abbreviations; length and rendering always go through the expanded form.
+exactly when it is Add/Mul-headed.  A bounded quantifier is an
+abbreviation, and `BForall`/`BExists` build the guarded formula it stands
+for; no node type holds the sugar.
 
 Nodes are hash-consed (Filliatre & Conchon, Type-Safe Modular Hash-Consing,
 2006): structurally equal nodes are one object, so identity is the only
@@ -13,10 +14,9 @@ notion of equality, and `==` and `hash` are O(1) at any depth.  The
 intern table is a plain dict holding each node weakly, through a slotted
 `weakref.ref` subclass that carries its key, so a node that dies removes
 its own entry.  Every fixed-shape type has its own constructor, made from
-its layout; Zero, Var and the bounded quantifiers take the generic one,
-which also raises every constructor's errors.  Each node stores its
-expansion, so two expressions render alike exactly when `expand_bounded`
-gives the same object for both.
+its layout; Zero and Var take the generic one, which also raises every
+constructor's errors.  Two expressions render alike exactly when they are
+one node: node identity is the only identity.
 
 Every bottom-up question (free variables, variable indices, canonical
 text) is an algebra for one iterative postorder `fold` over
@@ -65,16 +65,13 @@ class _Node:
     """Base of every AST node: immutable, slotted and interned.
 
     Constructing a node returns the live node with the same type, int
-    fields and children when there is one, else makes it.  Zero, Var,
-    BForall and BExists build through this `__new__` and `_build`; the rest
-    have their own from `_shape_new`.  `_expanded` holds the node's
-    bounded-quantifier expansion, or None when the node is its own (a
-    self-reference would be a cycle only the cyclic collector frees).
-    `_free` holds the node's free variables once `free_vars` has been asked
-    for them, else None.
+    fields and children when there is one, else makes it.  Zero and Var
+    build through this `__new__` and `_build`; the rest have their own from
+    `_shape_new`.  `_free` holds the node's free variables once `free_vars`
+    has been asked for them, else None.
     """
 
-    __slots__ = ("__weakref__", "_expanded", "_free")
+    __slots__ = ("__weakref__", "_free")
     __match_args__: tuple[str, ...] = ()
 
     def __new__(cls, *args):
@@ -158,20 +155,8 @@ class Exists(_Node):
     __slots__ = __match_args__ = ("var", "body")
 
 
-class BForall(_Node):
-    """Bounded universal: holds for all values of `var` strictly below `bound`."""
-
-    __slots__ = __match_args__ = ("var", "bound", "body")
-
-
-class BExists(_Node):
-    """Bounded existential: some value of `var` strictly below `bound`."""
-
-    __slots__ = __match_args__ = ("var", "bound", "body")
-
-
 Term = Union[Zero, Var, Succ, Add, Mul]
-Formula = Union[Eq, Le, Not, And, Or, Imp, Iff, Forall, Exists, BForall, BExists]
+Formula = Union[Eq, Le, Not, And, Or, Imp, Iff, Forall, Exists]
 Expr = Union[Term, Formula]
 R = TypeVar("R")
 
@@ -180,10 +165,9 @@ R = TypeVar("R")
 CHILDREN: dict[type, tuple[str, ...]] = {
     Zero: (), Var: (), Succ: ("arg",), Not: ("body",),
     Forall: ("body",), Exists: ("body",),
-    BForall: ("bound", "body"), BExists: ("bound", "body"),
     **{t: ("left", "right") for t in (Add, Mul, Eq, Le, And, Or, Imp, Iff)},
 }
-BINDERS = frozenset((Forall, Exists, BForall, BExists))
+BINDERS = frozenset((Forall, Exists))
 _TERM_TYPES = frozenset((Zero, Var, Succ, Add, Mul))
 _FORMULA_TYPES = frozenset(CHILDREN) - _TERM_TYPES
 # the token each node type writes between its operands or after its `(`
@@ -198,13 +182,12 @@ _LAYOUT: dict[type, tuple[tuple, int]] = {
           len(cls.__match_args__) - len(kids))
     for cls, kids in CHILDREN.items()
 }
-_SET_EXPANDED = _Node.__dict__["_expanded"].__set__
 _SET_FREE = _Node.__dict__["_free"].__set__
 
 
 def _build(cls: type, args: tuple) -> Expr:
-    """A new validated node of type cls, written through its layout, with a
-    bounded quantifier's expansion stored; every constructor's errors come from here."""
+    """A new validated node of type cls, written through its layout; every
+    constructor's errors come from here."""
     writers, n_ints = _LAYOUT[cls]
     if len(args) != len(writers):
         raise TypeError(f"{cls.__name__} takes {len(writers)} fields, got {len(args)}")
@@ -214,15 +197,6 @@ def _build(cls: type, args: tuple) -> Expr:
     node = object.__new__(cls)
     for write, value in zip(writers, args):
         write(node, value)
-    expanded = None
-    if cls is BForall or cls is BExists:
-        v, bound, body = args
-        if v in free_vars(bound):
-            raise ValueError("bound term may not mention the bound variable")
-        body = body._expanded or body
-        guard = Le(Succ(Var(v)), bound)
-        expanded = Forall(v, Imp(guard, body)) if cls is BForall else Exists(v, And(guard, body))
-    _SET_EXPANDED(node, expanded)
     _SET_FREE(node, None)
     return node
 
@@ -232,8 +206,7 @@ _NO = object()  # a field left out; `_build` counts only the fields given
 
 def _shape_new(cls: type) -> Callable:
     """cls's own `__new__`: a hit is one key tuple, one lookup and one weakref
-    call; a miss writes the slots and the expansion (None, or the node over
-    its children's expansions) directly; anything invalid goes to `_build`."""
+    call; a miss writes the slots directly; anything invalid goes to `_build`."""
     writers, n_ints = _LAYOUT[cls]
     if len(writers) == 1:
         (write,) = writers
@@ -250,7 +223,6 @@ def _shape_new(cls: type) -> Callable:
                 _build(cls, tuple(a for a in (kid, *more) if a is not _NO))  # raises
             node = object.__new__(cls)
             write(node, kid)
-            _SET_EXPANDED(node, kid._expanded and cls(kid._expanded))
             _SET_FREE(node, None)
             ref = _TABLE[key] = _Ref(node, _drop)
             ref.key = key
@@ -271,8 +243,6 @@ def _shape_new(cls: type) -> Callable:
         node = object.__new__(cls)
         write_a(node, a)
         write_b(node, b)
-        ax, bx = None if n_ints else a._expanded, b._expanded
-        _SET_EXPANDED(node, None if ax is bx is None else cls(ax or a, bx or b))
         _SET_FREE(node, None)
         ref = _TABLE[key] = _Ref(node, _drop)
         ref.key = key
@@ -283,6 +253,25 @@ def _shape_new(cls: type) -> Callable:
 for _cls in (Succ, Not, Add, Mul, Eq, Le, And, Or, Imp, Iff, Forall, Exists):
     _cls.__new__ = staticmethod(_shape_new(_cls))
 del _cls
+
+
+def _guard(v: int, bound: Term) -> Formula:
+    """s v <= bound, the guard of a quantifier over v below bound."""
+    if v in free_vars(bound):
+        raise ValueError("bound term may not mention the bound variable")
+    return Le(Succ(Var(v)), bound)
+
+
+def BForall(v: int, bound: Term, body: Formula) -> Formula:
+    """(forall v < bound) body, built as the formula it abbreviates:
+    forall v ((s v <= bound) -> body)."""
+    return Forall(v, Imp(_guard(v, bound), body))
+
+
+def BExists(v: int, bound: Term, body: Formula) -> Formula:
+    """(exists v < bound) body, built as the formula it abbreviates:
+    exists v ((s v <= bound) & body)."""
+    return Exists(v, And(_guard(v, bound), body))
 
 
 def is_term(e: Expr) -> bool:
@@ -396,8 +385,8 @@ _VAR_SETS: dict[frozenset[int], frozenset[int]] = {}
 def _free_of(node: Expr, kids: tuple) -> frozenset[int]:
     if type(node) is Var:
         return frozenset((node.index,))
-    if type(node) in BINDERS:  # a bound, if any, is outside the binder
-        return kids[-1].difference((node.var,)).union(*kids[:-1])
+    if type(node) in BINDERS:
+        return kids[0].difference((node.var,))
     return frozenset().union(*kids)
 
 
@@ -426,17 +415,10 @@ def is_closed(e: Expr) -> bool:
 # ---------------------------------------------------------------- rendering
 
 def expand_bounded(e: Expr) -> Expr:
-    """Every bounded quantifier replaced by its guarded unbounded form.
-
-    (forall v < b) f  becomes  forall v ((s v <= b) -> f)
-    (exists v < b) f  becomes  exists v ((s v <= b) & f)
-
-    Stored on each node when it is built, so this is a read.  A node with
-    no bounded quantifier is its own expansion, and two expressions render
-    alike exactly when their expansions are the same object.
-    """
-    expanded = getattr(e, "_expanded", None)
-    return e if expanded is None else expanded
+    """e itself: `BForall`/`BExists` already build the guarded form, so
+    every node is its own expansion.  Kept only because the benchmark's
+    tracer names it; nothing in the package calls it."""
+    return e
 
 
 def _join(rope: tuple) -> str:
@@ -479,7 +461,7 @@ def _text_of(parents: dict, node: Expr, kids: tuple) -> str | tuple:
 
 
 def render(e: Expr, memo: dict | None = None) -> str:
-    """The canonical text of e's expansion: its tokens joined by spaces.
+    """The canonical text of e: its tokens joined by spaces.
 
     One fold, whose value is a rope (a tuple of strings and ropes) at a
     node with one parent and a joined string at the root and at shared
@@ -489,7 +471,6 @@ def render(e: Expr, memo: dict | None = None) -> str:
     is joined when its node is reached again.  A call's time and memory
     are then linear in the nodes memo lacks plus the text it returns.
     """
-    e = expand_bounded(e)
     if type(e) not in CHILDREN:
         raise TypeError(f"not a term or formula node: {e!r}")
     memo = {} if memo is None else memo
@@ -514,7 +495,7 @@ def tokens(e: Expr) -> list[str]:
 
 
 def length(e: Expr) -> int:
-    """Token count of the canonical rendering of the expanded form."""
+    """Token count of the canonical rendering."""
     return render(e).count(" ") + 1
 
 
@@ -530,11 +511,8 @@ def _rebuild(e: Expr, env: dict[int, Term], first: int | None = None) -> Expr:
     env.  Subtrees whose free variables miss env are kept as they are.
     first=j (canonical renaming): every binder takes the least index >= j
     that no free variable of its body takes once renamed, and its body is
-    rebuilt once, under env and that renaming together.
-
-    A bounded quantifier's bound counts as part of its body, as it does in
-    the expansion; it never mentions the binder, so only the choice of a
-    new index sees it.  Iterative, each node rebuilt once per environment.
+    rebuilt once, under env and that renaming together.  Iterative, each
+    node rebuilt once per environment.
     """
     if type(e) not in CHILDREN:
         raise TypeError(f"not a term or formula node: {e!r}")
@@ -557,7 +535,7 @@ def _rebuild(e: Expr, env: dict[int, Term], first: int | None = None) -> Expr:
         return True
 
     # (node, env, None) on the way down; on the way up (node, env, (int
-    # fields, (child, env) pairs, environments the last child goes through
+    # fields, (child, env) pairs, environments a binder's body goes through
     # after its own))
     stack: list[tuple[Expr, dict, tuple | None]] = []
     if not settled(e, env):
@@ -568,34 +546,33 @@ def _rebuild(e: Expr, env: dict[int, Term], first: int | None = None) -> Expr:
         if plan is None:
             if (node, id(env)) in done:
                 continue
-            scope = _KIDS[kind](node)
-            ints, pairs, then = (), [(kid, env) for kid in scope], ()
+            ints, pairs, then = (), [(kid, env) for kid in _KIDS[kind](node)], ()
             if kind in BINDERS:
-                v = node.var
-                scope_free = frozenset().union(*map(free_vars, scope))
-                inner = {k: t for k, t in env.items() if k != v and k in scope_free}
+                v, body = node.var, node.body
+                body_free = free_vars(body)
+                inner = {k: t for k, t in env.items() if k != v and k in body_free}
                 taken = frozenset().union(*map(free_vars, inner.values()))
                 w, body_env = v, inner
                 if first is not None:
                     w = first
-                    taken |= scope_free - inner.keys() - {v}
+                    taken |= body_free - inner.keys() - {v}
                 elif v in taken:  # captured: rename first, then substitute
                     w, body_env, then = 0, {}, (inner,)
-                    taken |= scope_free | inner.keys()
+                    taken |= body_free | inner.keys()
                 while w in taken:
                     w += 1
                 if w != v:
                     body_env[v] = Var(w)
                 envs += (inner, body_env)
-                ints, pairs = (w,), [(kid, inner) for kid in scope[:-1]] + [(scope[-1], body_env)]
+                ints, pairs = (w,), [(body, body_env)]
         else:
             ints, pairs, then = plan
             if not then:
                 done[node, id(env)] = kind(*ints, *[done[k, id(k_env)] for k, k_env in pairs])
                 continue
-            # the last child's result is rebuilt again, under the next env
-            last, last_env = pairs[-1]
-            pairs = [*pairs[:-1], (done[last, id(last_env)], then[0])]
+            # the body's result is rebuilt again, under the next env
+            ((body, body_env),) = pairs
+            pairs = [(done[body, id(body_env)], then[0])]
             then = then[1:]
         stack.append((node, env, (ints, pairs, then)))
         stack += [(kid, kid_env, None) for kid, kid_env in pairs if not settled(kid, kid_env)]
@@ -604,8 +581,7 @@ def _rebuild(e: Expr, env: dict[int, Term], first: int | None = None) -> Expr:
 
 def alpha_equal(a: Expr, b: Expr) -> bool:
     """Equality up to consistent renaming of bound variables: the canonical
-    alpha-variants of the expansions are one node."""
-    a, b = expand_bounded(a), expand_bounded(b)
+    alpha-variants are one node."""
     return a is b or _rebuild(a, {}, first=0) is _rebuild(b, {}, first=0)
 
 

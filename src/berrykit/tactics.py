@@ -14,8 +14,9 @@ theorem: it compiles away one open hypothesis, producing a proof of the
 implication, and walks and rebuilds only the open part of the tree;
 closed subtrees are lifted whole.
 `compile_proof` flattens a closed tree into a checkable Derivation in one
-walk: nodes whose formulas render alike have the same interned expansion
-and share one line, whose step is built once.
+walk: nodes whose formulas render alike hold one interned node (a bounded
+quantifier is built as its expansion, so node identity is the only
+identity) and share one line, whose step is built once.
 
 Every constructor validates its shape, so a finished tree cannot encode an
 incorrect inference; the flat checker re-validates everything anyway.
@@ -43,7 +44,6 @@ from .syntax import (
     Or,
     Succ,
     Term,
-    expand_bounded,
     free_vars,
     render,
     substitute,
@@ -130,7 +130,7 @@ def ax(theory: Theory, label: str) -> Ax:
 
 
 def sch(name: str, formula: Formula) -> Sch:
-    reason = _check_schema(name, expand_bounded(formula))  # as `check` reads the step
+    reason = _check_schema(name, formula)
     if reason is not None:
         raise TacticError(f"bad {name} instance {render(formula)!r}: {reason}")
     return Sch(name, formula)
@@ -144,8 +144,7 @@ def mp(p: Proof, q: Proof) -> MP:
     f, a = p.formula, q.formula
     if type(f) is not Imp:
         raise TacticError(f"mp on non-implication {render(f)!r}")
-    # they agree when they are one node or share one stored expansion
-    if f.left is not a and (f.left._expanded or f.left) is not (a._expanded or a):
+    if f.left is not a:
         raise TacticError(
             f"mp mismatch: antecedent {render(f.left)!r} vs argument {render(a)!r}"
         )
@@ -189,11 +188,7 @@ def _open_postorder(root: Proof) -> list[Proof]:
 
 def open_hypotheses(p: Proof) -> list[Formula]:
     """Distinct open hypotheses, by first appearance."""
-    out: dict[Formula, Formula] = {}  # expansion -> first hypothesis with it
-    for node in _open_postorder(p):
-        if type(node) is Hyp:
-            out.setdefault(expand_bounded(node.formula), node.formula)
-    return list(out.values())
+    return list(dict.fromkeys(node.formula for node in _open_postorder(p) if type(node) is Hyp))
 
 
 def require_closed(p: Proof) -> None:
@@ -334,7 +329,7 @@ def absurd(p1: Proof, p2: Proof) -> Proof:
     """From (~A -> B) and (~A -> ~B) conclude A."""
     match (p1.formula, p2.formula):
         case (Imp(Not(a), b), Imp(Not(a2), Not(b2))):
-            if expand_bounded(a) is expand_bounded(a2) and expand_bounded(b) is expand_bounded(b2):
+            if a is a2 and b is b2:
                 nn = mp(mp(s_neg_intro(Not(a), b), p1), p2)
                 return mp(s_neg_elim(a), nn)
     raise TacticError("absurd shape mismatch")
@@ -344,7 +339,7 @@ def contradiction_to(p_pos: Proof, p_neg: Proof, target: Formula) -> Proof:
     """From X and ~X conclude anything."""
     match p_neg.formula:
         case Not(x):
-            if expand_bounded(x) is not expand_bounded(p_pos.formula):
+            if x is not p_pos.formula:
                 raise TacticError("contradiction pair mismatch")
             nt = Not(target)
             return absurd(k_lift(p_pos, nt), k_lift(p_neg, nt))
@@ -355,7 +350,7 @@ def contrapose(p_imp: Proof, p_neg: Proof) -> Proof:
     """From A -> B and ~B conclude ~A."""
     match (p_imp.formula, p_neg.formula):
         case (Imp(a, b), Not(b2)):
-            if expand_bounded(b) is expand_bounded(b2):
+            if b is b2:
                 return mp(mp(s_neg_intro(a, b), p_imp), k_lift(p_neg, a))
     raise TacticError("contrapose shape mismatch")
 
@@ -454,7 +449,7 @@ def eq_sym(p: Proof) -> Proof:
 def eq_trans(p: Proof, q: Proof) -> Proof:
     match (p.formula, q.formula):
         case (Eq(a, b), Eq(b2, c)):
-            if expand_bounded(b) is not expand_bounded(b2):
+            if b is not b2:
                 raise TacticError(
                     f"transitivity mismatch: {render(b)!r} vs {render(b2)!r}"
                 )
@@ -509,7 +504,7 @@ def discharge(p: Proof, h: Formula) -> Proof:
     for node in _open_postorder(p):
         match node:
             case Hyp(formula=f):
-                if expand_bounded(f) is expand_bounded(h):
+                if f is h:
                     result[id(node)] = imp_refl(h)
             case MP(imp=pi, arg=pa, formula=f):
                 if id(pi) in result or id(pa) in result:
@@ -535,12 +530,12 @@ def compile_proof(p: Proof) -> Derivation:
     """Flatten a closed proof tree into a checkable Derivation.
 
     One iterative postorder walk gives every proof node its line.  A node
-    whose formula renders like an earlier line's, that is has the same
-    expansion, reuses that line.  An open tree raises before the walk.
+    whose formula renders like an earlier line's holds that line's formula
+    node, and reuses that line.  An open tree raises before the walk.
     """
     require_closed(p)
     line: dict[Proof, int] = {}  # proof node (hashed by identity) -> its line
-    line_of_key: dict[Formula, int] = {}  # expanded formula -> its line
+    line_of_formula: dict[Formula, int] = {}  # formula -> its line
     steps: list[Step] = []
     stack: list[Proof] = [p]
     while stack:
@@ -571,11 +566,11 @@ def compile_proof(p: Proof) -> Derivation:
         else:  # Sch: a closed tree holds no Hyp
             justification = ("schema", (), node.name)
         stack.pop()
-        key = expand_bounded(node.formula)
-        at = line_of_key.get(key)
+        f = node.formula
+        at = line_of_formula.get(f)
         if at is None:  # a new line: only now is its step built
-            at = line_of_key[key] = len(steps)
-            steps.append(Step(node.formula, *justification))
+            at = line_of_formula[f] = len(steps)
+            steps.append(Step(f, *justification))
         line[node] = at
     # dedup can leave the root's line in the middle; the conclusion must be last
     root_line = line[p]

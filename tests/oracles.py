@@ -49,7 +49,7 @@ from berrykit.semantics import (
 from berrykit import tactics as T
 from berrykit.tactics import MP, Ax, Gen, Hyp, Proof, Sch, TacticError
 from berrykit.syntax import (
-    Add, And, BExists, BForall, Eq, Exists, Forall, Formula, Iff, Imp, Le,
+    Add, And, Eq, Exists, Forall, Formula, Iff, Imp, Le,
     Mul, Not, Or, Succ, Term, Var, Zero, expand_bounded, is_formula, is_term,
     numeral, render,
 )
@@ -81,9 +81,6 @@ def free_vars(e) -> frozenset[int]:
                 stack.append((r, bound))
             case Forall(v, b) | Exists(v, b):
                 stack.append((b, bound | {v}))
-            case BForall(v, t, b) | BExists(v, t, b):
-                stack.append((t, bound))
-                stack.append((b, bound | {v}))
     return frozenset(out)
 
 
@@ -109,9 +106,6 @@ def all_var_indices(e) -> frozenset[int]:
             case Forall(v, b) | Exists(v, b):
                 out.add(v)
                 stack.append(b)
-            case BForall(v, t, b) | BExists(v, t, b):
-                out.add(v)
-                stack.extend((t, b))
     return frozenset(out)
 
 
@@ -272,9 +266,7 @@ def _fresh_index(avoid: set[int]) -> int:
 
 def substitute(e, i: int, repl: Term):
     """Replace free occurrences of v_i by `repl`, one variable at a time,
-    renaming a binder on capture by a nested substitution.  A bounded
-    quantifier's bound is rebuilt but not consulted for the new index, so a
-    renamed binder that the bound mentions raises ValueError."""
+    renaming a binder on capture by a nested substitution."""
     if is_term(e):
         return _subst_term(e, i, repl)
     repl_free = free_vars(repl)
@@ -296,14 +288,6 @@ def substitute(e, i: int, repl: Term):
                     w = _fresh_index(set(repl_free) | set(free_vars(b)) | {i})
                     return type(f)(w, go(substitute(b, v, Var(w))))
                 return type(f)(v, go(b))
-            case BForall(v, t, b) | BExists(v, t, b):
-                t2 = _subst_term(t, i, repl)
-                if v == i or i not in free_vars(b):
-                    return type(f)(v, t2, b)
-                if v in repl_free:
-                    w = _fresh_index(set(repl_free) | set(free_vars(b)) | {i})
-                    return type(f)(w, t2, go(substitute(b, v, Var(w))))
-                return type(f)(v, t2, go(b))
         raise TypeError(f"not a formula node: {f!r}")
 
     return go(e)
@@ -312,7 +296,7 @@ def substitute(e, i: int, repl: Term):
 def rename_to_first(f: Formula, j: int) -> Formula:
     """The canonical alpha-variant by direct recursion with one renaming
     map: each binder takes the least index >= 1 that no free variable of
-    its body (a bounded quantifier's bound included) takes once renamed."""
+    its body takes once renamed."""
     fv = free_vars(f)
     if fv - {0}:
         raise ValueError(f"free variables beyond v0: {sorted(fv - {0})}")
@@ -347,9 +331,6 @@ def rename_to_first(f: Formula, j: int) -> Formula:
             case Forall(v, b) | Exists(v, b):
                 idx, inner = binder(v, (b,), rho)
                 return type(g)(idx, go(b, inner))
-            case BForall(v, t, b) | BExists(v, t, b):
-                idx, inner = binder(v, (t, b), rho)
-                return type(g)(idx, term(t, rho), go(b, inner))
         raise TypeError(f"not a formula node: {g!r}")
 
     return go(f, {})
@@ -388,10 +369,6 @@ def eval_delta0(f: Formula, env: Env | None = None) -> bool:
                 return (not go(l, env)) or go(r, env)
             case Iff(l, r):
                 return go(l, env) is go(r, env)
-            case BForall(v, b, body):
-                return all(go(body, {**env, v: j}) for j in _bounded_range(b, env))
-            case BExists(v, b, body):
-                return any(go(body, {**env, v: j}) for j in _bounded_range(b, env))
             case Forall(v, _) | Exists(v, _):
                 if (g := guarded_forall(f)) is not None:
                     w, bound, body = g
@@ -434,20 +411,6 @@ def eval_budgeted(f: Formula, budget: int, env: Env | None = None) -> Truth:
                 return _t_or(~go(l, env), go(r, env))
             case Iff(l, r):
                 return _t_iff(go(l, env), go(r, env))
-            case BForall(v, b, body):
-                out = Truth.TRUE
-                for j in _bounded_range(b, env):
-                    out = _t_and(out, go(body, {**env, v: j}))
-                    if out is Truth.FALSE:
-                        break
-                return out
-            case BExists(v, b, body):
-                out = Truth.FALSE
-                for j in _bounded_range(b, env):
-                    out = _t_or(out, go(body, {**env, v: j}))
-                    if out is Truth.TRUE:
-                        break
-                return out
             case Forall(v, body):
                 if (g := guarded_forall(f)) is not None:
                     w, bound, inner = g
@@ -517,12 +480,6 @@ def naive_eval(f: Formula) -> bool:
             return (not naive_eval(l)) or naive_eval(r)
         case Iff(l, r):
             return naive_eval(l) == naive_eval(r)
-        case BForall(v, bound, body):
-            m = naive_term_value(bound)
-            return all(naive_eval(substitute(body, v, numeral(x))) for x in range(m))
-        case BExists(v, bound, body):
-            m = naive_term_value(bound)
-            return any(naive_eval(substitute(body, v, numeral(x))) for x in range(m))
         case Forall(v, Imp(Le(Succ(Var(w)), bound), body)) if w == v and v not in free_vars(bound):
             m = naive_term_value(bound)
             return all(naive_eval(substitute(body, v, numeral(x))) for x in range(m))
@@ -561,13 +518,9 @@ def _instantiate(f: Formula, env: dict[int, Term], memo: dict) -> Formula:
     if got is None:
         if type(f) is Var:
             got = env.get(f.index, f)
-        elif type(f) in (Forall, Exists, BForall, BExists) and f.var in env:
+        elif type(f) in (Forall, Exists) and f.var in env:
             inner = {k: t for k, t in env.items() if k != f.var}
-            body = _instantiate(f.body, inner, {})
-            if type(f) in (Forall, Exists):
-                got = type(f)(f.var, body)
-            else:  # the bound is outside the binder
-                got = type(f)(f.var, _instantiate(f.bound, env, memo), body)
+            got = type(f)(f.var, _instantiate(f.body, inner, {}))
         else:
             fields = [getattr(f, name) for name in f.__match_args__]
             got = type(f)(*(x if type(x) is int else _instantiate(x, env, memo)
@@ -610,10 +563,6 @@ def _truth3(f: Formula, budget: int, left: list[int], memo: dict) -> bool | None
             out = go(Or(Not(l), r))
         case Iff(l, r):
             out = go(And(Imp(l, r), Imp(r, l)))
-        case BForall(v, bound, body):
-            out = _all3(over(v, body, range(naive_term_value(bound))))
-        case BExists(v, bound, body):
-            out = _any3(over(v, body, range(naive_term_value(bound))))
         case Forall(v, Imp(Le(Succ(Var(w)), bound), body)) if w == v and v not in free_vars(bound):
             out = _all3(over(v, body, range(naive_term_value(bound))))
         case Exists(v, And(Le(Succ(Var(w)), bound), body)) if w == v and v not in free_vars(bound):
@@ -1309,8 +1258,7 @@ def render_reference(e) -> Iterator[str]:
 # ------------------------------------------------------ the AST's JSON form
 
 _JSON_TYPES = {t.__name__.lower(): t for t in syntax.CHILDREN}
-_JSON_FIELD_KEY = {"index": "i", "var": "i", "arg": "t", "body": "f", "bound": "b",
-                   "left": "l", "right": "r"}
+_JSON_FIELD_KEY = {"index": "i", "var": "i", "arg": "t", "body": "f", "left": "l", "right": "r"}
 
 
 def from_json_obj(obj: dict):

@@ -510,6 +510,14 @@ class TestDemo:
         assert err == (f"error: scale {scale} is past the feasibility cap; the fragment"
                        f" explodes combinatorially, stay at {cap} or below\n")
 
+    @pytest.mark.parametrize("corollary", ["2", "5"])
+    def test_fragment_is_enumerated_under_the_cap(self, capsys, corollary):
+        # the fragment holds the sentences up to the scale, so it is
+        # enumerated up to scale + 1, which the cap must admit
+        code, out, err = run(capsys, "--cap", "4", "demo", corollary, "--scale", "4")
+        assert (code, out) == (2, "")
+        assert err == "error: enumeration up to length 5 exceeds the cap 4\n"
+
     def test_scale_at_the_cap_runs(self, capsys):
         code, out, _ = run(capsys, "--cap", "3", "demo", "1", "--scale", "3")
         assert code == 0 and out.startswith("[1] ")

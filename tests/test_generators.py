@@ -303,18 +303,9 @@ def nested_bounded_sentences() -> st.SearchStrategy:
     return st.tuples(body, st.booleans()).map(_closed)
 
 
-SUGARED = [f for f in TRUE_SENTENCES + FALSE_DELTA0 if expand_bounded(f) is not f]
-
-
 class TestBoundedSugar:
     """A bounded quantifier is proved or refuted as the guarded quantifier it
     stands for: the same lines, or the same error."""
-
-    @pytest.mark.parametrize("f", SUGARED, ids=[render(f)[:40] for f in SUGARED])
-    def test_module_sentences_build_as_their_expansion(self, f):
-        bank = LemmaBank()
-        for fn in (prove_sigma, refute_delta0):
-            assert _built(fn, f, bank) == _built(fn, expand_bounded(f), bank)
 
     @settings(max_examples=30, deadline=None)
     @given(nested_bounded_sentences())

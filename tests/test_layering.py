@@ -63,9 +63,9 @@ def test_syntax_holds_no_classification_or_json():
         assert not hasattr(syntax, name), name
 
 
-def test_kernel_is_at_most_1470_lines():
+def test_kernel_is_at_most_1438_lines():
     files = [Path(SRC) / "berrykit" / f"{m}.py" for m in sorted(KERNEL - {"berrykit"})]
-    assert sum(len(f.read_text(encoding="utf-8").splitlines()) for f in files) <= 1470
+    assert sum(len(f.read_text(encoding="utf-8").splitlines()) for f in files) <= 1438
 
 
 def test_submodule_import_through_the_root():
